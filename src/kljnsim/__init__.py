@@ -8,111 +8,20 @@ protocol's current-comparison alarm catches the broken loop immediately.
 
 __version__ = "0.1.0"
 
-from .attack import (
-    AttackStats,
-    BitAttackOutcome,
-    Decision,
-    EveCalibration,
-    attack_bit,
-    attack_campaign,
-    calibrate,
-    single_sample_decision,
-)
-from .circuit import (
-    AttenuatorConfig,
-    CurrentMoments,
-    InstantState,
-    NetworkConfig,
-    analytic_mean_square_currents,
-    current_ratio,
-    design_tee_pad,
-    parallel_resistance,
-    solve_network,
-    solve_network_sample,
-)
-from .config import PRESETS, ConfigError, ExperimentConfig, parse_config, resolve_config
-from .noise import (
-    BOLTZMANN,
-    NORMALIZED,
-    NoiseSpec,
-    SeededStream,
-    band_limited_stream,
-    gaussian_stream,
-    johnson_rms,
-    lowpass_kernel,
-)
-from .protocol import (
-    AlarmPolicy,
-    AlarmReport,
-    BitPeriodTrace,
-    Choice,
-    KeyExchangeRecord,
-    LoopState,
-    ResistorPair,
-    classify_state,
-    current_alarm,
-    iter_bit_periods,
-    run_bit_period,
-    run_key_exchange,
-)
-from .stats import (
-    AttackProbabilities,
-    Moments,
-    analytic_attack_probabilities,
-    chi2_cdf_1,
-    empirical_moments,
-    wilson_ci,
-)
+from .circuit import AttenuatorConfig, NetworkConfig, analytic_mean_square_currents
+from .config import PRESETS
+from .noise import NoiseSpec
+from .stats import analytic_attack_probabilities, chi2_cdf_1
 
+# The package root re-exports only what the scripts use; everything else is
+# imported from its module.
 __all__ = [
     "__version__",
-    "AlarmPolicy",
-    "AlarmReport",
-    "AttackProbabilities",
-    "AttackStats",
     "AttenuatorConfig",
-    "BitAttackOutcome",
-    "BitPeriodTrace",
-    "BOLTZMANN",
-    "Choice",
-    "ConfigError",
-    "CurrentMoments",
-    "Decision",
-    "EveCalibration",
-    "ExperimentConfig",
-    "InstantState",
-    "KeyExchangeRecord",
-    "LoopState",
-    "Moments",
     "NetworkConfig",
     "NoiseSpec",
-    "NORMALIZED",
     "PRESETS",
-    "ResistorPair",
-    "SeededStream",
     "analytic_attack_probabilities",
     "analytic_mean_square_currents",
-    "attack_bit",
-    "attack_campaign",
-    "band_limited_stream",
-    "calibrate",
     "chi2_cdf_1",
-    "classify_state",
-    "current_alarm",
-    "current_ratio",
-    "design_tee_pad",
-    "empirical_moments",
-    "gaussian_stream",
-    "iter_bit_periods",
-    "johnson_rms",
-    "lowpass_kernel",
-    "parallel_resistance",
-    "parse_config",
-    "resolve_config",
-    "run_bit_period",
-    "run_key_exchange",
-    "single_sample_decision",
-    "solve_network",
-    "solve_network_sample",
-    "wilson_ci",
 ]

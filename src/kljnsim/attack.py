@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -26,9 +25,7 @@ from .protocol import (
     ResistorPair,
     iter_bit_periods,
 )
-from .stats import wilson_ci
-
-Z99 = 2.576
+from .stats import Z99, wilson_ci
 
 
 @dataclass(frozen=True)
@@ -62,37 +59,6 @@ def calibrate(net: NetworkConfig, noise: NoiseSpec) -> EveCalibration:
     )
 
 
-class Decision(Enum):
-    ALICE_IS_LOW = "alice-is-low"
-    BOB_IS_LOW = "bob-is-low"
-    NO_ANSWER = "no-answer"
-
-
-# Eve's bit convention matches KEY_BIT_BY_STATE: Alice low means state LH, bit 0.
-GUESS_BY_DECISION = {Decision.ALICE_IS_LOW: 0, Decision.BOB_IS_LOW: 1}
-
-
-def single_sample_decision(x_alice: float, x_bob: float, cal: EveCalibration) -> Decision:
-    """One threshold comparison of the two normalized squared currents."""
-    above_a = x_alice > cal.threshold
-    above_b = x_bob > cal.threshold
-    if above_a and x_bob < cal.threshold:
-        return Decision.ALICE_IS_LOW
-    if above_b and x_alice < cal.threshold:
-        return Decision.BOB_IS_LOW
-    return Decision.NO_ANSWER
-
-
-@dataclass(frozen=True)
-class BitAttackOutcome:
-    """Result of attacking one secure period with repeated comparisons."""
-
-    guess: Optional[int]
-    correct: Optional[bool]
-    measurements_used: int
-    gave_up: bool
-
-
 def _decision_vectors(trace: BitPeriodTrace, cal: EveCalibration) -> tuple[np.ndarray, np.ndarray]:
     """Per-measurement verdict masks at the trace's measurement cadence."""
     stride = trace.measurement_stride
@@ -106,92 +72,24 @@ def _decision_vectors(trace: BitPeriodTrace, cal: EveCalibration) -> tuple[np.nd
     return alice_low, bob_low
 
 
-def attack_bit(trace: BitPeriodTrace, cal: EveCalibration, max_measurements: int = 64) -> BitAttackOutcome:
-    """Repeat single comparisons until one answers or the budget runs out.
-
-    Measurements advance one correlation time at a time.  Bits that never
-    answer are reported as given up, never silently guessed.
-    """
-    if not trace.state.secure:
-        raise ValueError("attack_bit needs a secure (LH/HL) period trace")
-    if max_measurements < 1:
-        raise ValueError("max_measurements must be >= 1")
-    alice_low, bob_low = _decision_vectors(trace, cal)
-    budget = min(max_measurements, alice_low.size)
-    answered = alice_low[:budget] | bob_low[:budget]
-    if not answered.any():
-        return BitAttackOutcome(guess=None, correct=None, measurements_used=budget, gave_up=True)
-    k = int(np.argmax(answered))
-    guess = 0 if alice_low[k] else 1
-    return BitAttackOutcome(
-        guess=guess,
-        correct=guess == KEY_BIT_BY_STATE[trace.state],
-        measurements_used=k + 1,
-        gave_up=False,
-    )
+def _ratio(count: int, total: int) -> float:
+    return count / total if total else math.nan
 
 
-@dataclass(frozen=True)
-class AttackStats:
-    """Campaign totals: single-measurement trial rates plus repeat-until-answer yield.
-
-    Trial rates are per single comparison; the repeat protocol contributes
-    ``mean_measurements`` (over answered bits), ``conditional_fidelity``
-    (correct guesses over emitted guesses) and the measurements histogram.
-    """
-
-    n_trials: int
-    n_success: int
-    n_error: int
-    n_no_answer: int
-    n_attacked: int
-    n_answered: int
-    n_gave_up: int
-    n_correct: int
-    mean_measurements: float
-    measurements_hist: dict[int, int]
-    lh_trials: int
-    lh_successes: int
-    hl_trials: int
-    hl_successes: int
-    z: float = Z99
-
-    @property
-    def p_success(self) -> float:
-        return self.n_success / self.n_trials
-
-    @property
-    def p_error(self) -> float:
-        return self.n_error / self.n_trials
-
-    @property
-    def p_no_answer(self) -> float:
-        return self.n_no_answer / self.n_trials
-
-    @property
-    def conditional_fidelity(self) -> float:
-        return self.n_correct / self.n_answered if self.n_answered else math.nan
-
-    @property
-    def success_ci(self) -> tuple[float, float]:
-        return wilson_ci(self.n_success, self.n_trials, self.z)
-
-    @property
-    def error_ci(self) -> tuple[float, float]:
-        return wilson_ci(self.n_error, self.n_trials, self.z)
-
-    @property
-    def no_answer_ci(self) -> tuple[float, float]:
-        return wilson_ci(self.n_no_answer, self.n_trials, self.z)
-
-    @property
-    def fidelity_ci(self) -> tuple[float, float]:
-        return wilson_ci(self.n_correct, self.n_answered, self.z)
+def _interval(count: int, total: int) -> Optional[tuple[float, float]]:
+    return wilson_ci(count, total, Z99) if total else None
 
 
 @dataclass
 class CampaignTally:
-    """Streaming accumulator so big campaigns never hold traces in memory."""
+    """Streaming campaign totals, so big campaigns never hold traces in memory.
+
+    Trial rates are per single comparison; the repeat-until-answer rule
+    contributes ``mean_measurements`` (over answered bits),
+    ``conditional_fidelity`` (correct guesses over emitted guesses) and the
+    measurements histogram.  Rates are NaN and intervals (99% Wilson) are
+    None while their denominator is zero.
+    """
 
     max_measurements: int = 64
     n_trials: int = 0
@@ -210,7 +108,14 @@ class CampaignTally:
     hl_successes: int = 0
 
     def add_period(self, trace: BitPeriodTrace, cal: EveCalibration) -> None:
-        """Attack one secure period: every sample as a standalone trial, then repeat-until-answer."""
+        """Attack one secure period: every sample as a standalone trial, then repeat-until-answer.
+
+        Measurements advance one correlation time at a time.  Bits that
+        never answer within the budget count as given up, never silently
+        guessed.
+        """
+        if not trace.state.secure:
+            raise ValueError("add_period needs a secure (LH/HL) period trace")
         alice_low, bob_low = _decision_vectors(trace, cal)
         alice_truly_low = trace.state is LoopState.LH
         n = int(alice_low.size)
@@ -243,26 +148,41 @@ class CampaignTally:
         else:
             self.n_gave_up += 1
 
-    def stats(self, z: float = Z99) -> AttackStats:
-        return AttackStats(
-            n_trials=self.n_trials,
-            n_success=self.n_success,
-            n_error=self.n_error,
-            n_no_answer=self.n_no_answer,
-            n_attacked=self.n_attacked,
-            n_answered=self.n_answered,
-            n_gave_up=self.n_gave_up,
-            n_correct=self.n_correct,
-            mean_measurements=(
-                self.measurements_sum / self.n_answered if self.n_answered else math.nan
-            ),
-            measurements_hist=dict(sorted(self.measurements_hist.items())),
-            lh_trials=self.lh_trials,
-            lh_successes=self.lh_successes,
-            hl_trials=self.hl_trials,
-            hl_successes=self.hl_successes,
-            z=z,
-        )
+    @property
+    def p_success(self) -> float:
+        return _ratio(self.n_success, self.n_trials)
+
+    @property
+    def p_error(self) -> float:
+        return _ratio(self.n_error, self.n_trials)
+
+    @property
+    def p_no_answer(self) -> float:
+        return _ratio(self.n_no_answer, self.n_trials)
+
+    @property
+    def mean_measurements(self) -> float:
+        return _ratio(self.measurements_sum, self.n_answered)
+
+    @property
+    def conditional_fidelity(self) -> float:
+        return _ratio(self.n_correct, self.n_answered)
+
+    @property
+    def success_ci(self) -> Optional[tuple[float, float]]:
+        return _interval(self.n_success, self.n_trials)
+
+    @property
+    def error_ci(self) -> Optional[tuple[float, float]]:
+        return _interval(self.n_error, self.n_trials)
+
+    @property
+    def no_answer_ci(self) -> Optional[tuple[float, float]]:
+        return _interval(self.n_no_answer, self.n_trials)
+
+    @property
+    def fidelity_ci(self) -> Optional[tuple[float, float]]:
+        return _interval(self.n_correct, self.n_answered)
 
 
 def attack_campaign(
@@ -273,8 +193,7 @@ def attack_campaign(
     samples_per_bit: int,
     master_seed: int,
     max_measurements: int = 64,
-    z: float = Z99,
-) -> AttackStats:
+) -> CampaignTally:
     """Protocol plus attack end to end over ``n_bits`` seeded periods.
 
     Every secure period is attacked twice over: each measurement sample as
@@ -286,4 +205,4 @@ def attack_campaign(
     for trace in iter_bit_periods(n_bits, pair, net_template, noise, samples_per_bit, master_seed):
         if trace.state.secure:
             tally.add_period(trace, cal)
-    return tally.stats(z)
+    return tally

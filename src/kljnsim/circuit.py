@@ -31,9 +31,9 @@ class AttenuatorConfig:
 
     def __post_init__(self) -> None:
         if self.r_series < 0:
-            raise ValueError("pad r_series must be >= 0")
+            raise ValueError("r_series must be >= 0")
         if self.r_shunt is not None and self.r_shunt <= 0:
-            raise ValueError("pad r_shunt must be > 0 (use None for no shunt)")
+            raise ValueError("r_shunt must be > 0 (use None for no shunt)")
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,6 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
     )
 
 
-def current_ratio(m: CurrentMoments) -> float:
-    """Imbalance of the two mean-square end currents, always >= 1."""
-    return max(m.ms_alice, m.ms_bob) / min(m.ms_alice, m.ms_bob)
-
-
 def solve_network(u_alice, u_bob, net: NetworkConfig):
     """End currents and shunt-node voltage for instantaneous source values.
 
@@ -171,10 +166,10 @@ def design_tee_pad(loss_db: float, z0: float) -> AttenuatorConfig:
     by 10**(-loss_db/20).  Zero loss degenerates to a straight-through pad
     (no series elements, no shunt).
     """
-    if loss_db < 0:
-        raise ValueError("loss_db must be >= 0")
-    if z0 <= 0:
-        raise ValueError("z0 must be > 0")
+    if not 0 <= loss_db < math.inf:
+        raise ValueError("loss_db must be finite and >= 0")
+    if not 0 < z0 < math.inf:
+        raise ValueError("z0 must be finite and > 0")
     if loss_db == 0:
         return AttenuatorConfig(r_series=0.0, r_shunt=None)
     a = 10.0 ** (loss_db / 20.0)

@@ -104,6 +104,7 @@ def cmd_design_pad(args: argparse.Namespace) -> int:
                 "r_shunt_ohm": pad.r_shunt,
             },
             indent=2,
+            allow_nan=False,
         )
     )
     return EXIT_OK

@@ -8,6 +8,7 @@ rejected before any computation, with the offending key named.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -113,23 +114,41 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _number(value: Any, path: str, *, positive: bool = False, nonneg: bool = False) -> float:
+def _object(data: Any, path: str, allowed: set[str]) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must be an object")
+    _check_keys(data, allowed, path)
+    return data
+
+
+def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    v = float(value)
-    if positive and v <= 0:
-        raise ConfigError(f"{path} must be > 0")
-    if nonneg and v < 0:
-        raise ConfigError(f"{path} must be >= 0")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{path} must be a finite number")
     return v
 
 
-def _integer(value: Any, path: str, minimum: int) -> int:
+def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer")
-    if value < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}")
     return value
+
+
+def _build(cls: type, path: str, **kwargs: Any) -> Any:
+    """Construct ``cls``, whose range checks name the offending field first.
+
+    Ranges are checked only by the model classes; this prefixes the section
+    path so the message names the config key.
+    """
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def _parse_pad(data: Any, path: str) -> Optional[AttenuatorConfig]:
@@ -138,11 +157,13 @@ def _parse_pad(data: Any, path: str) -> Optional[AttenuatorConfig]:
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be an object or null")
     _check_keys(data, {"r_series", "r_shunt"}, path)
-    r_series = _number(data.get("r_series", 0.0), _join(path, "r_series"), nonneg=True)
     r_shunt = data.get("r_shunt")
-    if r_shunt is not None:
-        r_shunt = _number(r_shunt, _join(path, "r_shunt"), positive=True)
-    return AttenuatorConfig(r_series=r_series, r_shunt=r_shunt)
+    return _build(
+        AttenuatorConfig,
+        path,
+        r_series=_number(data.get("r_series", 0.0), _join(path, "r_series")),
+        r_shunt=None if r_shunt is None else _number(r_shunt, _join(path, "r_shunt")),
+    )
 
 
 def _parse_network(data: Any, path: str = "network") -> tuple[NetworkConfig, Optional[str]]:
@@ -151,7 +172,7 @@ def _parse_network(data: Any, path: str = "network") -> tuple[NetworkConfig, Opt
     if "preset" in data:
         _check_keys(data, {"preset"}, path)
         name = data["preset"]
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(
                 f"{_join(path, 'preset')}: unknown preset {name!r} "
                 f"(available: {', '.join(sorted(PRESETS))})"
@@ -160,35 +181,27 @@ def _parse_network(data: Any, path: str = "network") -> tuple[NetworkConfig, Opt
     _check_keys(data, {"r_alice", "r_bob", "pad", "label"}, path)
     if "r_alice" not in data or "r_bob" not in data:
         raise ConfigError(f"{path} needs r_alice and r_bob (or a preset)")
-    return (
-        NetworkConfig(
-            r_alice=_number(data["r_alice"], _join(path, "r_alice"), positive=True),
-            r_bob=_number(data["r_bob"], _join(path, "r_bob"), positive=True),
-            pad=_parse_pad(data.get("pad"), _join(path, "pad")),
-            label=str(data.get("label", "")),
-        ),
-        None,
+    network = _build(
+        NetworkConfig,
+        path,
+        r_alice=_number(data["r_alice"], _join(path, "r_alice")),
+        r_bob=_number(data["r_bob"], _join(path, "r_bob")),
+        pad=_parse_pad(data.get("pad"), _join(path, "pad")),
+        label=str(data.get("label", "")),
     )
+    return network, None
 
 
 def _parse_noise(data: Any, path: str = "noise") -> NoiseSpec:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be an object")
-    _check_keys(data, {"t_eff", "bandwidth", "mode", "oversample"}, path)
+    _object(data, path, {"t_eff", "bandwidth", "mode", "oversample"})
     t_eff = data.get("t_eff", NORMALIZED)
-    if isinstance(t_eff, str):
-        if t_eff != NORMALIZED:
-            raise ConfigError(f"{_join(path, 't_eff')} must be a temperature or {NORMALIZED!r}")
-    else:
-        t_eff = _number(t_eff, _join(path, "t_eff"), positive=True)
-    mode = data.get("mode", "independent")
-    if mode not in ("independent", "waveform"):
-        raise ConfigError(f"{_join(path, 'mode')} must be 'independent' or 'waveform'")
-    return NoiseSpec(
-        t_eff=t_eff,
-        bandwidth=_number(data.get("bandwidth", 1.0), _join(path, "bandwidth"), positive=True),
-        mode=mode,
-        oversample=_integer(data.get("oversample", 8), _join(path, "oversample"), 2),
+    return _build(
+        NoiseSpec,
+        path,
+        t_eff=t_eff if isinstance(t_eff, str) else _number(t_eff, _join(path, "t_eff")),
+        bandwidth=_number(data.get("bandwidth", 1.0), _join(path, "bandwidth")),
+        mode=data.get("mode", "independent"),
+        oversample=_integer(data.get("oversample", 8), _join(path, "oversample")),
     )
 
 
@@ -202,39 +215,28 @@ def parse_config(data: dict[str, Any]) -> ExperimentConfig:
     network, preset = _parse_network(data["network"])
     noise = _parse_noise(data.get("noise", {}))
 
-    protocol = data.get("protocol", {})
-    if not isinstance(protocol, dict):
-        raise ConfigError("protocol must be an object")
-    _check_keys(protocol, {"n_bits", "samples_per_bit", "alarm"}, "protocol")
-    alarm_data = protocol.get("alarm", {})
-    if not isinstance(alarm_data, dict):
-        raise ConfigError("protocol.alarm must be an object")
-    _check_keys(alarm_data, {"rel_tolerance", "window"}, "protocol.alarm")
-    alarm = AlarmPolicy(
-        rel_tolerance=_number(
-            alarm_data.get("rel_tolerance", 0.1), "protocol.alarm.rel_tolerance", positive=True
-        ),
-        window=_integer(alarm_data.get("window", 50), "protocol.alarm.window", 2),
+    protocol = _object(data.get("protocol", {}), "protocol", {"n_bits", "samples_per_bit", "alarm"})
+    alarm_data = _object(protocol.get("alarm", {}), "protocol.alarm", {"rel_tolerance", "window"})
+    alarm = _build(
+        AlarmPolicy,
+        "protocol.alarm",
+        rel_tolerance=_number(alarm_data.get("rel_tolerance", 0.1), "protocol.alarm.rel_tolerance"),
+        window=_integer(alarm_data.get("window", 50), "protocol.alarm.window"),
     )
-
-    attack = data.get("attack", {})
-    if not isinstance(attack, dict):
-        raise ConfigError("attack must be an object")
-    _check_keys(attack, {"max_measurements"}, "attack")
-
-    output = data.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output must be an object")
-    _check_keys(output, {"report", "trace_csv"}, "output")
+    attack = _object(data.get("attack", {}), "attack", {"max_measurements"})
+    output = _object(data.get("output", {}), "output", {"report", "trace_csv"})
+    master_seed = _integer(data.get("master_seed", 0), "master_seed")
+    if master_seed < -(1 << 63):
+        raise ConfigError(f"master_seed must be >= {-(1 << 63)}")
 
     return ExperimentConfig(
         network=network,
         noise=noise,
-        n_bits=_integer(protocol.get("n_bits", 1000), "protocol.n_bits", 1),
-        samples_per_bit=_integer(protocol.get("samples_per_bit", 100), "protocol.samples_per_bit", 1),
+        n_bits=_integer(protocol.get("n_bits", 1000), "protocol.n_bits"),
+        samples_per_bit=_integer(protocol.get("samples_per_bit", 100), "protocol.samples_per_bit"),
         alarm=alarm,
-        max_measurements=_integer(attack.get("max_measurements", 64), "attack.max_measurements", 1),
-        master_seed=_integer(data.get("master_seed", 0), "master_seed", minimum=-(1 << 63)),
+        max_measurements=_integer(attack.get("max_measurements", 64), "attack.max_measurements"),
+        master_seed=master_seed,
         report_path=_optional_str(output.get("report"), "output.report"),
         trace_csv=_optional_str(output.get("trace_csv"), "output.trace_csv"),
         preset=preset,
@@ -252,11 +254,14 @@ def _optional_str(value: Any, path: str) -> Optional[str]:
 def load_config_file(path: str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path}: root must be a JSON object")
+    return data
 
 
 def resolve_config(
@@ -280,12 +285,8 @@ def resolve_config(
     if seed is not None:
         cfg = replace(cfg, master_seed=seed)
     if bits is not None:
-        if bits < 1:
-            raise ConfigError("--bits must be >= 1")
         cfg = replace(cfg, n_bits=bits)
     if samples_per_bit is not None:
-        if samples_per_bit < 1:
-            raise ConfigError("--samples-per-bit must be >= 1")
         cfg = replace(cfg, samples_per_bit=samples_per_bit)
     if mode is not None:
         cfg = replace(cfg, noise=replace(cfg.noise, mode=mode))

@@ -44,6 +44,7 @@ class NoiseSpec:
     oversample: int = 8
 
     def __post_init__(self) -> None:
+        # each message starts with the field name; config parsing prefixes the section
         if isinstance(self.t_eff, str):
             if self.t_eff != NORMALIZED:
                 raise ValueError(f"t_eff must be a temperature in K or {NORMALIZED!r}")
@@ -52,9 +53,14 @@ class NoiseSpec:
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be > 0")
         if self.mode not in ("independent", "waveform"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.mode == "waveform" and self.oversample < 2:
-            raise ValueError("waveform mode needs oversample >= 2")
+            raise ValueError("mode must be 'independent' or 'waveform'")
+        if self.oversample < 2:
+            raise ValueError("oversample must be >= 2")
+        if not 0.0 < self.unit_scale < math.inf:
+            raise ValueError(
+                f"t_eff and bandwidth give a noise scale 4*k*T_eff*B of {self.unit_scale!r}; "
+                "it must be finite and > 0"
+            )
 
     @property
     def normalized(self) -> bool:

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .circuit import InstantState, NetworkConfig, solve_network
+from .circuit import NetworkConfig, solve_network
 from .noise import NoiseSpec, SeededStream, band_limited_stream, gaussian_stream, johnson_rms
 
 
@@ -113,15 +113,6 @@ class BitPeriodTrace:
     @property
     def n_samples(self) -> int:
         return int(self.i_alice.size)
-
-    def samples(self) -> Iterator[InstantState]:
-        """Iterate the trace as individual instantaneous states."""
-        for k in range(self.n_samples):
-            yield InstantState(
-                i_alice=float(self.i_alice[k]),
-                i_bob=float(self.i_bob[k]),
-                v_node=float(self.v_node[k]),
-            )
 
 
 _CHOICE_STREAM = 0
@@ -225,68 +216,3 @@ def iter_bit_periods(
     """Yield seeded bit periods one at a time (memory-light for large runs)."""
     for p, (a, b) in enumerate(draw_choices(n_bits, master_seed)):
         yield run_bit_period(a, b, pair, net_template, noise, n_samples, master_seed, period_index=p)
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodOutcome:
-    trace: BitPeriodTrace
-    alarm: AlarmReport
-    key_bit: Optional[int]
-
-
-@dataclass(frozen=True, eq=False)
-class KeyExchangeRecord:
-    """All periods of one exchange plus per-period alarm evaluations."""
-
-    outcomes: tuple[PeriodOutcome, ...]
-
-    @property
-    def n_bits(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def n_secure(self) -> int:
-        return sum(1 for o in self.outcomes if o.trace.state.secure)
-
-    @property
-    def secure_fraction(self) -> float:
-        return self.n_secure / self.n_bits
-
-    @property
-    def n_alarms(self) -> int:
-        return sum(1 for o in self.outcomes if o.alarm.triggered)
-
-    @property
-    def n_alarms_secure(self) -> int:
-        return sum(1 for o in self.outcomes if o.alarm.triggered and o.trace.state.secure)
-
-    @property
-    def key_bits(self) -> list[int]:
-        return [o.key_bit for o in self.outcomes if o.key_bit is not None]
-
-
-def run_key_exchange(
-    n_bits: int,
-    pair: ResistorPair,
-    net_template: NetworkConfig,
-    noise: NoiseSpec,
-    n_samples: int,
-    policy: AlarmPolicy,
-    master_seed: int,
-) -> KeyExchangeRecord:
-    """Run ``n_bits`` seeded periods with the alarm evaluated on every one.
-
-    Insecure (equal-pick) periods are simulated and kept with
-    ``key_bit=None`` rather than skipped.  The record retains every trace;
-    for very large campaigns prefer :func:`iter_bit_periods`.
-    """
-    outcomes = []
-    for trace in iter_bit_periods(n_bits, pair, net_template, noise, n_samples, master_seed):
-        outcomes.append(
-            PeriodOutcome(
-                trace=trace,
-                alarm=current_alarm(trace, policy),
-                key_bit=KEY_BIT_BY_STATE.get(trace.state),
-            )
-        )
-    return KeyExchangeRecord(tuple(outcomes))

@@ -17,14 +17,13 @@ from datetime import datetime, timezone
 from typing import Any, Optional
 
 from . import __version__
-from .attack import AttackStats, CampaignTally, calibrate
+from .attack import CampaignTally, calibrate
 from .circuit import analytic_mean_square_currents
 from .config import ExperimentConfig
 from .protocol import KEY_BIT_BY_STATE, current_alarm, iter_bit_periods
-from .stats import analytic_attack_probabilities, wilson_ci
+from .stats import Z99, analytic_attack_probabilities, wilson_ci
 
 SCHEMA_VERSION = 1
-Z99 = 2.576
 
 
 def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -113,7 +112,6 @@ def empirical_section(cfg: ExperimentConfig, csv_writer=None) -> dict[str, Any]:
                     )
                 )
 
-    stats = tally.stats(Z99)
     secure_ci = wilson_ci(acc.n_secure, acc.n_bits, Z99)
     return {
         "n_bits": acc.n_bits,
@@ -136,36 +134,39 @@ def empirical_section(cfg: ExperimentConfig, csv_writer=None) -> dict[str, Any]:
             if acc.n_secure
             else float("nan"),
         },
-        "attack": _attack_dict(stats),
+        "attack": _attack_dict(tally),
     }
 
 
-def _attack_dict(stats: AttackStats) -> dict[str, Any]:
-    no_trials = stats.n_trials == 0
+def _as_list(ci: Optional[tuple[float, float]]) -> Optional[list[float]]:
+    return None if ci is None else list(ci)
+
+
+def _attack_dict(tally: CampaignTally) -> dict[str, Any]:
     return {
-        "n_trials": stats.n_trials,
-        "n_success": stats.n_success,
-        "n_error": stats.n_error,
-        "n_no_answer": stats.n_no_answer,
-        "p_success": float("nan") if no_trials else stats.p_success,
-        "p_error": float("nan") if no_trials else stats.p_error,
-        "p_no_answer": float("nan") if no_trials else stats.p_no_answer,
-        "p_success_ci99": None if no_trials else list(stats.success_ci),
-        "p_error_ci99": None if no_trials else list(stats.error_ci),
-        "p_no_answer_ci99": None if no_trials else list(stats.no_answer_ci),
+        "n_trials": tally.n_trials,
+        "n_success": tally.n_success,
+        "n_error": tally.n_error,
+        "n_no_answer": tally.n_no_answer,
+        "p_success": tally.p_success,
+        "p_error": tally.p_error,
+        "p_no_answer": tally.p_no_answer,
+        "p_success_ci99": _as_list(tally.success_ci),
+        "p_error_ci99": _as_list(tally.error_ci),
+        "p_no_answer_ci99": _as_list(tally.no_answer_ci),
         "repeat_until_answer": {
-            "n_attacked": stats.n_attacked,
-            "n_answered": stats.n_answered,
-            "n_gave_up": stats.n_gave_up,
-            "n_correct": stats.n_correct,
-            "conditional_fidelity": stats.conditional_fidelity,
-            "fidelity_ci99": list(stats.fidelity_ci) if stats.n_answered else None,
-            "mean_measurements": stats.mean_measurements,
-            "measurements_hist": {str(k): v for k, v in stats.measurements_hist.items()},
+            "n_attacked": tally.n_attacked,
+            "n_answered": tally.n_answered,
+            "n_gave_up": tally.n_gave_up,
+            "n_correct": tally.n_correct,
+            "conditional_fidelity": tally.conditional_fidelity,
+            "fidelity_ci99": _as_list(tally.fidelity_ci),
+            "mean_measurements": tally.mean_measurements,
+            "measurements_hist": {str(k): v for k, v in sorted(tally.measurements_hist.items())},
         },
         "by_orientation": {
-            "lh": {"trials": stats.lh_trials, "successes": stats.lh_successes},
-            "hl": {"trials": stats.hl_trials, "successes": stats.hl_successes},
+            "lh": {"trials": tally.lh_trials, "successes": tally.lh_successes},
+            "hl": {"trials": tally.hl_trials, "successes": tally.hl_successes},
         },
     }
 

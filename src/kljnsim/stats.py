@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+Z99 = 2.576  # two-sided 99% normal quantile, used for every interval in the reports
 
 
 def chi2_cdf_1(x: float) -> float:
@@ -71,24 +71,3 @@ def wilson_ci(successes: int, trials: int, z: float) -> tuple[float, float]:
     lo = 0.0 if successes == 0 else max(0.0, (center - radius) / denom)
     hi = 1.0 if successes == trials else min(1.0, (center + radius) / denom)
     return lo, hi
-
-
-@dataclass(frozen=True)
-class Moments:
-    mean: float
-    mean_square: float
-    variance: float
-
-
-def empirical_moments(samples) -> Moments:
-    """Sample mean, mean square and (population) variance of a sequence.
-
-    ``mean_square`` is derived as ``variance + mean**2`` so the identity
-    holds exactly in floating point.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empirical_moments needs at least one sample")
-    mean = float(arr.mean())
-    variance = float(np.mean((arr - mean) ** 2))
-    return Moments(mean=mean, mean_square=variance + mean * mean, variance=variance)

@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from kljnsim.attack import (
-    GUESS_BY_DECISION,
-    CampaignTally,
-    Decision,
-    EveCalibration,
-    attack_bit,
-    attack_campaign,
-    calibrate,
-    single_sample_decision,
-)
+from kljnsim.attack import CampaignTally, EveCalibration, attack_campaign, calibrate
 from kljnsim.circuit import AttenuatorConfig, NetworkConfig
 from kljnsim.noise import NoiseSpec
-from kljnsim.protocol import Choice, ResistorPair, iter_bit_periods, run_bit_period
+from kljnsim.protocol import (
+    BitPeriodTrace,
+    Choice,
+    LoopState,
+    ResistorPair,
+    iter_bit_periods,
+    run_bit_period,
+)
 from kljnsim.stats import analytic_attack_probabilities, wilson_ci
 
 NOISE = NoiseSpec()
@@ -23,6 +21,7 @@ PAIR = ResistorPair(1000.0, 10000.0)
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0))
 LOSSLESS = NetworkConfig(1000.0, 10000.0, None)
 GAA_CAL = calibrate(GAA, NOISE)
+UNIT_CAL = EveCalibration(norm_constant=1.0, threshold=4.95)
 
 # The two simultaneously read end currents share both sources through the
 # shunt, so they are correlated (rho = 0.2515 for the gaa-1db values) and the
@@ -41,6 +40,21 @@ SIM_END_CORRELATION = 0.251511
 def secure_trace(net, n_samples, seed=0, period=0, state="LH"):
     a, b = (Choice.LOW, Choice.HIGH) if state == "LH" else (Choice.HIGH, Choice.LOW)
     return run_bit_period(a, b, PAIR, net, NOISE, n_samples, seed, period)
+
+
+def built_trace(x_alice, x_bob, state=LoopState.LH):
+    """A secure trace whose squared currents are exactly the given readings."""
+    a, b = (Choice.LOW, Choice.HIGH) if state is LoopState.LH else (Choice.HIGH, Choice.LOW)
+    i_alice = np.sqrt(np.asarray(x_alice, dtype=float))
+    i_bob = np.sqrt(np.asarray(x_bob, dtype=float))
+    return BitPeriodTrace(a, b, state, i_alice, i_bob, np.zeros_like(i_alice))
+
+
+def tally_of(traces, cal, max_measurements=64):
+    tally = CampaignTally(max_measurements=max_measurements)
+    for trace in traces:
+        tally.add_period(trace, cal)
+    return tally
 
 
 class TestCalibrate:
@@ -64,78 +78,90 @@ class TestCalibrate:
 
 
 class TestSingleSampleDecision:
-    CAL = EveCalibration(norm_constant=1.0, threshold=4.95)
+    """The threshold comparison, checked on one-sample periods with chosen readings."""
 
     def test_alice_low(self):
-        assert single_sample_decision(6.0, 0.5, self.CAL) is Decision.ALICE_IS_LOW
+        tally = tally_of([built_trace([6.0], [0.5])], UNIT_CAL)
+        assert (tally.n_success, tally.n_error, tally.n_no_answer) == (1, 0, 0)
+        assert tally.n_answered == tally.n_correct == 1
 
     def test_bob_low(self):
-        assert single_sample_decision(0.5, 6.0, self.CAL) is Decision.BOB_IS_LOW
+        # on an LH period a bob-is-low verdict is a wrong guess
+        tally = tally_of([built_trace([0.5], [6.0])], UNIT_CAL)
+        assert (tally.n_success, tally.n_error, tally.n_no_answer) == (0, 1, 0)
+        assert tally.n_answered == 1
+        assert tally.n_correct == 0
 
     def test_both_below(self):
-        assert single_sample_decision(0.5, 0.6, self.CAL) is Decision.NO_ANSWER
+        tally = tally_of([built_trace([0.5], [0.6])], UNIT_CAL)
+        assert (tally.n_success, tally.n_error, tally.n_no_answer) == (0, 0, 1)
+        assert tally.n_gave_up == 1
 
     def test_both_above(self):
-        assert single_sample_decision(5.0, 6.0, self.CAL) is Decision.NO_ANSWER
+        tally = tally_of([built_trace([5.0], [6.0])], UNIT_CAL)
+        assert (tally.n_success, tally.n_error, tally.n_no_answer) == (0, 0, 1)
+        assert tally.n_gave_up == 1
 
     def test_equal_values_never_answer(self):
-        assert single_sample_decision(4.95, 4.95, self.CAL) is Decision.NO_ANSWER
+        for x in (0.5, 4.95, 6.0):
+            tally = tally_of([built_trace([x], [x])], UNIT_CAL)
+            assert tally.n_no_answer == 1
+            assert tally.n_answered == 0
 
     def test_guess_convention_consistent_with_key_bits(self):
-        from kljnsim.protocol import KEY_BIT_BY_STATE, LoopState
-
-        assert GUESS_BY_DECISION[Decision.ALICE_IS_LOW] == KEY_BIT_BY_STATE[LoopState.LH]
-        assert GUESS_BY_DECISION[Decision.BOB_IS_LOW] == KEY_BIT_BY_STATE[LoopState.HL]
+        # the larger reading marks the low resistor: Alice's end on LH, Bob's on HL
+        tally = tally_of(
+            [built_trace([6.0], [0.5], LoopState.LH), built_trace([0.5], [6.0], LoopState.HL)],
+            UNIT_CAL,
+        )
+        assert tally.n_correct == tally.n_answered == 2
+        assert (tally.lh_successes, tally.hl_successes) == (1, 1)
 
 
 class TestAttackBit:
+    """The repeat-until-answer rule, one secure period at a time."""
+
     def test_rejects_insecure_period(self):
         trace = run_bit_period(Choice.HIGH, Choice.HIGH, PAIR, GAA, NOISE, 16, 0)
-        with pytest.raises(ValueError):
-            attack_bit(trace, GAA_CAL)
+        with pytest.raises(ValueError, match="secure"):
+            CampaignTally().add_period(trace, GAA_CAL)
 
     def test_lossless_always_gives_up(self):
         cal = calibrate(LOSSLESS, NOISE)
-        for seed in range(50):
-            outcome = attack_bit(secure_trace(LOSSLESS, 64, seed=seed), cal)
-            assert outcome.gave_up
-            assert outcome.guess is None
-            assert outcome.correct is None
-            assert outcome.measurements_used == 64
+        tally = tally_of((secure_trace(LOSSLESS, 64, seed=seed) for seed in range(50)), cal)
+        assert tally.n_gave_up == tally.n_attacked == 50
+        assert tally.n_answered == 0
+        assert tally.measurements_hist == {}
+        assert tally.n_trials == 50 * 64
 
     def test_budget_respected(self):
-        outcome = attack_bit(secure_trace(GAA, 256, seed=3), GAA_CAL, max_measurements=5)
-        assert outcome.measurements_used <= 5
+        traces = (secure_trace(GAA, 256, seed=seed) for seed in range(40))
+        tally = tally_of(traces, GAA_CAL, max_measurements=5)
+        assert tally.n_answered > 0
+        assert max(tally.measurements_hist) <= 5
+        assert sum(tally.measurements_hist.values()) == tally.n_answered
 
     def test_budget_capped_by_trace_length(self):
-        cal = calibrate(LOSSLESS, NOISE)
-        outcome = attack_bit(secure_trace(LOSSLESS, 10, seed=1), cal, max_measurements=64)
-        assert outcome.measurements_used == 10
+        # only the last of ten readings answers: a budget of 64 reaches it
+        x_alice = [0.5] * 9 + [6.0]
+        tally = tally_of([built_trace(x_alice, [0.5] * 10)], UNIT_CAL)
+        assert tally.measurements_hist == {10: 1}
+        assert tally.n_trials == 10
 
     def test_guess_convention_both_orientations(self):
         # with an overwhelming number of measurements the answered guess is
         # nearly always right, for either secure state
-        for state, expected_bit in (("LH", 0), ("HL", 1)):
-            hits = 0
-            for seed in range(30):
-                outcome = attack_bit(secure_trace(GAA, 256, seed=seed, state=state), GAA_CAL, 256)
-                assert not outcome.gave_up
-                if outcome.guess == expected_bit:
-                    hits += 1
-                    assert outcome.correct
-            assert hits >= 27  # fidelity ~0.95 per answered bit
+        for state in ("LH", "HL"):
+            traces = (secure_trace(GAA, 256, seed=seed, state=state) for seed in range(30))
+            tally = tally_of(traces, GAA_CAL, max_measurements=256)
+            assert tally.n_gave_up == 0
+            assert tally.n_correct >= 27  # fidelity ~0.95 per answered bit
 
     def test_single_measurement_answer_rate(self):
-        answered = 0
-        secure_total = 0
-        for trace in iter_bit_periods(20_000, PAIR, GAA, NOISE, 1, 11):
-            if not trace.state.secure:
-                continue
-            secure_total += 1
-            if not attack_bit(trace, GAA_CAL, max_measurements=1).gave_up:
-                answered += 1
+        traces = (t for t in iter_bit_periods(20_000, PAIR, GAA, NOISE, 1, 11) if t.state.secure)
+        tally = tally_of(traces, GAA_CAL, max_measurements=1)
         expected = SIM_P_SUCCESS + SIM_P_ERROR
-        assert answered / secure_total == pytest.approx(expected, abs=0.012)
+        assert tally.n_answered / tally.n_attacked == pytest.approx(expected, abs=0.012)
 
 
 @pytest.fixture(scope="module")
@@ -211,28 +237,17 @@ class TestAttackCampaign:
 
     def test_infinite_threshold_never_answers(self):
         cal = EveCalibration(norm_constant=GAA_CAL.norm_constant, threshold=math.inf)
-        tally = CampaignTally(max_measurements=16)
-        for trace in iter_bit_periods(200, PAIR, GAA, NOISE, 20, 3):
-            if trace.state.secure:
-                tally.add_period(trace, cal)
-        stats = tally.stats()
-        assert stats.p_no_answer == 1.0
-        assert stats.n_answered == 0
+        traces = (t for t in iter_bit_periods(200, PAIR, GAA, NOISE, 20, 3) if t.state.secure)
+        tally = tally_of(traces, cal, max_measurements=16)
+        assert tally.p_no_answer == 1.0
+        assert tally.n_answered == 0
+
+    def test_empty_tally_has_no_rates(self):
+        tally = CampaignTally()
+        assert math.isnan(tally.p_success) and math.isnan(tally.mean_measurements)
+        assert tally.success_ci is None and tally.fidelity_ci is None
 
     def test_deterministic(self):
         a = attack_campaign(200, PAIR, GAA, NOISE, samples_per_bit=30, master_seed=5)
         b = attack_campaign(200, PAIR, GAA, NOISE, samples_per_bit=30, master_seed=5)
         assert a == b
-
-    def test_tally_agrees_with_attack_bit(self):
-        # the streaming accumulator and the per-bit operation implement the
-        # same repeat-until-answer rule
-        for seed in range(10):
-            trace = secure_trace(GAA, 40, seed=seed, state="HL" if seed % 2 else "LH")
-            outcome = attack_bit(trace, GAA_CAL, max_measurements=16)
-            tally = CampaignTally(max_measurements=16)
-            tally.add_period(trace, GAA_CAL)
-            assert tally.n_answered == (0 if outcome.gave_up else 1)
-            if not outcome.gave_up:
-                assert tally.measurements_sum == outcome.measurements_used
-                assert tally.n_correct == int(outcome.correct)

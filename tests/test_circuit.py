@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from kljnsim.circuit import (
     AttenuatorConfig,
-    CurrentMoments,
     NetworkConfig,
     analytic_mean_square_currents,
-    current_ratio,
     design_tee_pad,
     parallel_resistance,
     solve_network,
@@ -122,15 +120,16 @@ class TestAnalyticMoments:
 class TestCurrentRatio:
     def test_matches_moments_field(self):
         m = analytic_mean_square_currents(GAA, NOISE)
-        assert current_ratio(m) == m.ratio
+        assert m.ratio == max(m.ms_alice, m.ms_bob) / min(m.ms_alice, m.ms_bob)
 
     def test_equal_moments(self):
-        assert current_ratio(CurrentMoments(2.0, 2.0, 1.0)) == 1.0
+        assert analytic_mean_square_currents(LOSSLESS, NOISE).ratio == 1.0
 
     def test_orientation_free(self):
-        assert current_ratio(CurrentMoments(1.0, 5.0, 5.0)) == current_ratio(
-            CurrentMoments(5.0, 1.0, 5.0)
-        )
+        swapped = NetworkConfig(GAA.r_bob, GAA.r_alice, GAA.pad)
+        m, m_swapped = (analytic_mean_square_currents(n, NOISE) for n in (GAA, swapped))
+        assert m.ratio == m_swapped.ratio
+        assert (m.ms_alice, m.ms_bob) == (m_swapped.ms_bob, m_swapped.ms_alice)
 
 
 class TestSolveNetwork:

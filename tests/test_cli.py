@@ -74,6 +74,53 @@ class TestAnalyze:
         assert code == 1
         assert "network" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1,2]",
+            '"ab"',
+            '[["network",{"preset":"lossless"}]]',
+            '{"network":{"preset":["x"]}}',
+            "null",
+        ],
+    )
+    def test_malformed_root_or_preset_exits_one(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(["analyze", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error:" in err
+
+    @pytest.mark.parametrize(
+        "network, key",
+        [
+            (
+                '{"r_alice": 1000, "r_bob": 10000, "pad": {"r_series": 2.9, "r_shunt": NaN}}',
+                "network.pad.r_shunt",
+            ),
+            ('{"r_alice": Infinity, "r_bob": 10000}', "network.r_alice"),
+        ],
+    )
+    def test_non_finite_number_exits_one_before_simulating(self, tmp_path, capsys, network, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"network": ' + network + "}")
+        code, out, err = run_cli(["simulate", "--config", str(cfg), "--bits", "10"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{key} must be a finite number" in err
+
+    @pytest.mark.parametrize("value", [1e300, 1e-300])
+    def test_noise_scale_out_of_range_exits_one(self, tmp_path, capsys, value):
+        cfg = tmp_path / "bad.json"
+        noise = {"t_eff": value, "bandwidth": value}
+        cfg.write_text(json.dumps({"network": {"preset": "gaa-1db"}, "noise": noise}))
+        code, out, err = run_cli(["analyze", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "noise.t_eff and bandwidth" in err
+        assert "finite and > 0" in err
+
     def test_unknown_preset_exits_one(self, capsys):
         code, _, err = run_cli(["analyze", "--preset", "gaa-5db"], capsys)
         assert code == 1
@@ -179,6 +226,15 @@ class TestSimulate:
         assert code == 0
         assert load_report(out)["provenance"]["master_seed"] == 3
 
+    @pytest.mark.parametrize(
+        "flag, key", [("--bits", "n_bits"), ("--samples-per-bit", "samples_per_bit")]
+    )
+    def test_non_positive_count_flag_exits_one(self, capsys, flag, key):
+        code, out, err = run_cli(["simulate", "--preset", "lossless", flag, "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"protocol.{key} must be >= 1" in err
+
     def test_bad_env_seed_exits_one(self, capsys, monkeypatch):
         monkeypatch.setenv("KLJN_SEED", "not-a-seed")
         code, _, err = run_cli(["simulate", "--preset", "lossless", "--bits", "60"], capsys)
@@ -235,6 +291,16 @@ class TestDesignPad:
         assert code == 1
         assert "loss" in err
 
+    @pytest.mark.parametrize(
+        "loss_db, z0, name",
+        [("nan", "50", "loss_db"), ("inf", "50", "loss_db"), ("1", "inf", "z0"), ("1", "nan", "z0")],
+    )
+    def test_non_finite_input_exits_one(self, capsys, loss_db, z0, name):
+        code, out, err = run_cli(["design-pad", "--loss-db", loss_db, "--z0", z0], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{name} must be finite" in err
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
@@ -249,11 +315,11 @@ class TestEntryPoints:
     def test_report_self_consistency(self, capsys):
         # the analytic ratio in the report matches a recomputation from the
         # echoed config
-        from kljnsim.circuit import analytic_mean_square_currents, current_ratio
+        from kljnsim.circuit import analytic_mean_square_currents
         from kljnsim.config import parse_config
 
         _, out, _ = run_cli(["analyze", "--preset", "gaa-1db"], capsys)
         report = load_report(out)
         cfg = parse_config(report["config"])
-        recomputed = current_ratio(analytic_mean_square_currents(cfg.network, cfg.noise))
+        recomputed = analytic_mean_square_currents(cfg.network, cfg.noise).ratio
         assert report["analytic"]["moments"]["ratio"] == recomputed

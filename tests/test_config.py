@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -106,6 +107,61 @@ class TestParseConfig:
         assert cfg.noise.t_eff == 1e18
         with pytest.raises(ConfigError, match=r"noise\.t_eff"):
             parse_config({"network": {"preset": "lossless"}, "noise": {"t_eff": "hot"}})
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (
+                '{"network": {"r_alice": 1000, "r_bob": 10000,'
+                ' "pad": {"r_series": 2.9, "r_shunt": NaN}}}',
+                "network.pad.r_shunt",
+            ),
+            ('{"network": {"r_alice": Infinity, "r_bob": 10000}}', "network.r_alice"),
+            ('{"network": {"preset": "lossless"}, "noise": {"t_eff": -Infinity}}', "noise.t_eff"),
+            ('{"network": {"preset": "lossless"}, "noise": {"bandwidth": 1e400}}', "noise.bandwidth"),
+            ('{"network": {"r_alice": 1' + "0" * 400 + ', "r_bob": 10000}}', "network.r_alice"),
+            (
+                '{"network": {"preset": "lossless"}, "protocol": {"alarm": {"rel_tolerance": NaN}}}',
+                "protocol.alarm.rel_tolerance",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_rejected_by_name(self, text, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.") + " must be a finite number"):
+            parse_config(json.loads(text))
+
+    @pytest.mark.parametrize("preset", [["x"], {"name": "lossless"}, 1, None])
+    def test_preset_must_be_a_string(self, preset):
+        with pytest.raises(ConfigError, match=r"network\.preset"):
+            parse_config({"network": {"preset": preset}})
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("network.r_bob", -1),
+            ("network.pad.r_series", -0.5),
+            ("network.pad.r_shunt", 0),
+            ("noise.bandwidth", 0),
+            ("noise.oversample", 1),
+            ("noise.mode", "continuous"),
+            ("protocol.alarm.rel_tolerance", 0),
+            ("protocol.alarm.window", 1),
+            ("protocol.n_bits", 0),
+            ("protocol.samples_per_bit", 0),
+            ("attack.max_measurements", 0),
+        ],
+    )
+    def test_range_errors_name_the_key(self, path, value):
+        document = {
+            "network": {"r_alice": 1000, "r_bob": 10000, "pad": {"r_series": 2.9, "r_shunt": 500}}
+        }
+        *parents, key = path.split(".")
+        node = document
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+        with pytest.raises(ConfigError, match="^" + path.replace(".", r"\.") + " must be"):
+            parse_config(document)
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError):

@@ -41,6 +41,10 @@ class TestNoiseSpec:
             {"bandwidth": 0.0},
             {"mode": "continuous"},
             {"mode": "waveform", "oversample": 1},
+            {"mode": "independent", "oversample": 1},
+            # the noise scale 4*k*T*B overflows to inf, or underflows to 0
+            {"t_eff": 1e300, "bandwidth": 1e300},
+            {"t_eff": 1e-300, "bandwidth": 1e-300},
         ],
     )
     def test_validation(self, kwargs):

@@ -14,7 +14,6 @@ from kljnsim.protocol import (
     draw_choices,
     iter_bit_periods,
     run_bit_period,
-    run_key_exchange,
 )
 from kljnsim.stats import wilson_ci
 
@@ -68,9 +67,8 @@ class TestRunBitPeriod:
     def test_one_sample_boundary(self):
         trace = lh_period(GAA, 1)
         assert trace.n_samples == 1
-        states = list(trace.samples())
-        assert len(states) == 1
-        assert states[0].i_alice == float(trace.i_alice[0])
+        assert trace.i_alice.shape == trace.i_bob.shape == trace.v_node.shape == (1,)
+        assert trace.i_alice[0] != trace.i_bob[0]
 
     def test_gaa_moment_ratio(self):
         trace = lh_period(GAA, 1_000_000, seed=3)
@@ -179,45 +177,49 @@ class TestDrawChoices:
 
 
 class TestRunKeyExchange:
+    """Whole exchanges: seeded periods from iter_bit_periods, each swept by the alarm."""
+
+    @staticmethod
+    def exchange(n_bits, net, n_samples, policy, seed):
+        traces = list(iter_bit_periods(n_bits, PAIR, net, NOISE, n_samples, seed))
+        return traces, [current_alarm(t, policy) for t in traces]
+
     def test_lossless_thousand_bits(self):
-        record = run_key_exchange(1000, PAIR, LOSSLESS, NOISE, 100, AlarmPolicy(), 17)
-        assert record.n_bits == 1000
-        assert record.n_alarms == 0
-        lo, hi = wilson_ci(record.n_secure, 1000, 2.576)
+        traces, alarms = self.exchange(1000, LOSSLESS, 100, AlarmPolicy(), 17)
+        assert len(traces) == 1000
+        assert not any(a.triggered for a in alarms)
+        n_secure = sum(t.state.secure for t in traces)
+        lo, hi = wilson_ci(n_secure, 1000, 2.576)
         assert lo <= 0.5 <= hi
-        assert len(record.key_bits) == record.n_secure
 
     def test_gaa_alarms_on_secure_periods(self):
-        record = run_key_exchange(300, PAIR, GAA, NOISE, 100, AlarmPolicy(), 2)
-        secure = [o for o in record.outcomes if o.trace.state.secure]
+        traces, alarms = self.exchange(300, GAA, 100, AlarmPolicy(), 2)
+        secure = [a for t, a in zip(traces, alarms) if t.state.secure]
         assert secure
-        assert all(o.alarm.triggered for o in secure)
-        assert record.n_alarms_secure == len(secure)
+        assert all(a.triggered for a in secure)
 
     def test_single_bit(self):
-        record = run_key_exchange(1, PAIR, LOSSLESS, NOISE, 100, AlarmPolicy(), 0)
-        assert record.n_bits == 1
+        traces, alarms = self.exchange(1, LOSSLESS, 100, AlarmPolicy(), 0)
+        assert len(traces) == len(alarms) == 1
 
     def test_deterministic(self):
-        a = run_key_exchange(50, PAIR, GAA, NOISE, 64, AlarmPolicy(window=32), 99)
-        b = run_key_exchange(50, PAIR, GAA, NOISE, 64, AlarmPolicy(window=32), 99)
-        assert a.key_bits == b.key_bits
-        assert [o.alarm for o in a.outcomes] == [o.alarm for o in b.outcomes]
-        for oa, ob in zip(a.outcomes, b.outcomes):
-            assert np.array_equal(oa.trace.i_alice, ob.trace.i_alice)
+        traces_a, alarms_a = self.exchange(50, GAA, 64, AlarmPolicy(window=32), 99)
+        traces_b, alarms_b = self.exchange(50, GAA, 64, AlarmPolicy(window=32), 99)
+        assert alarms_a == alarms_b
+        for ta, tb in zip(traces_a, traces_b):
+            assert ta.state is tb.state
+            assert np.array_equal(ta.i_alice, tb.i_alice)
 
     def test_key_bits_follow_states(self):
-        record = run_key_exchange(80, PAIR, LOSSLESS, NOISE, 60, AlarmPolicy(window=10), 31)
-        for outcome in record.outcomes:
-            state = outcome.trace.state
-            if state.secure:
-                assert outcome.key_bit == KEY_BIT_BY_STATE[state]
-            else:
-                assert outcome.key_bit is None
+        for trace in iter_bit_periods(80, PAIR, LOSSLESS, NOISE, 60, 31):
+            assert trace.state is classify_state(trace.alice_choice, trace.bob_choice)
+            assert (trace.state in KEY_BIT_BY_STATE) is trace.state.secure
 
     def test_iter_matches_record(self):
+        # period p is run_bit_period on the p-th drawn choice pair
         traces = list(iter_bit_periods(20, PAIR, GAA, NOISE, 16, 7))
-        record = run_key_exchange(20, PAIR, GAA, NOISE, 16, AlarmPolicy(window=8), 7)
-        for trace, outcome in zip(traces, record.outcomes):
-            assert trace.state is outcome.trace.state
-            assert np.array_equal(trace.i_bob, outcome.trace.i_bob)
+        for p, (a, b) in enumerate(draw_choices(20, 7)):
+            direct = run_bit_period(a, b, PAIR, GAA, NOISE, 16, 7, period_index=p)
+            assert traces[p].state is direct.state
+            assert traces[p].period_index == p
+            assert np.array_equal(traces[p].i_bob, direct.i_bob)

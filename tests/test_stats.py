@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kljnsim.stats import (
     analytic_attack_probabilities,
     chi2_cdf_1,
-    empirical_moments,
     wilson_ci,
 )
 
@@ -125,29 +124,3 @@ class TestWilsonCi:
         with pytest.raises(ValueError):
             wilson_ci(-1, 10, 1.96)
 
-
-class TestEmpiricalMoments:
-    def test_plus_minus_one(self):
-        m = empirical_moments([1.0, -1.0])
-        assert m.mean == 0.0
-        assert m.mean_square == 1.0
-
-    def test_constant_input(self):
-        m = empirical_moments([3.0, 3.0, 3.0])
-        assert m.variance == 0.0
-        assert m.mean == 3.0
-
-    def test_identity_holds_exactly(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(2.0, 3.0, size=10_000)
-        m = empirical_moments(x)
-        assert m.mean_square == m.variance + m.mean**2
-
-    def test_unit_normal_mean_square(self):
-        x = np.random.default_rng(11).standard_normal(1_000_000)
-        m = empirical_moments(x)
-        assert m.mean_square == pytest.approx(1.0, abs=0.006)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_moments([])
