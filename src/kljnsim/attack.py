@@ -18,13 +18,7 @@ import numpy as np
 
 from .circuit import NetworkConfig, analytic_mean_square_currents
 from .noise import NoiseSpec
-from .protocol import (
-    KEY_BIT_BY_STATE,
-    BitPeriodTrace,
-    LoopState,
-    ResistorPair,
-    iter_bit_periods,
-)
+from .protocol import PeriodBlock, ResistorPair, iter_period_blocks
 from .stats import Z99, wilson_ci
 
 
@@ -59,17 +53,51 @@ def calibrate(net: NetworkConfig, noise: NoiseSpec) -> EveCalibration:
     )
 
 
-def _decision_vectors(trace: BitPeriodTrace, cal: EveCalibration) -> tuple[np.ndarray, np.ndarray]:
-    """Per-measurement verdict masks at the trace's measurement cadence."""
-    stride = trace.measurement_stride
-    ia = trace.i_alice[::stride]
-    ib = trace.i_bob[::stride]
+@dataclass(frozen=True, eq=False)
+class RowVerdicts:
+    """Per-row outcome of Eve's comparisons over a block of periods.
+
+    Each row is read ``n_measurements`` times, one correlation time apart.
+    ``n_alice_low``/``n_bob_low`` count the readings whose verdict names
+    that end as the low resistor.  ``first_answer`` is the 0-based index of
+    the first answering reading within the budget and ``guess`` the key bit
+    it implies (0 when Alice's end is low); both are -1 where no reading
+    within the budget answered.
+    """
+
+    n_measurements: int
+    n_alice_low: np.ndarray
+    n_bob_low: np.ndarray
+    first_answer: np.ndarray
+    guess: np.ndarray
+
+
+def row_verdicts(block: PeriodBlock, cal: EveCalibration, budget: int) -> RowVerdicts:
+    """Threshold verdicts for every reading of every row, reduced per row.
+
+    A reading answers when exactly one end's scaled square exceeds the
+    threshold: that end holds the low resistor.  Readings equal to the
+    threshold answer nothing.
+    """
+    stride = block.measurement_stride
+    ia = block.i_alice[:, ::stride]
+    ib = block.i_bob[:, ::stride]
     xa = ia * ia * cal.norm_constant
     xb = ib * ib * cal.norm_constant
     t = cal.threshold
     alice_low = (xa > t) & (xb < t)
     bob_low = (xb > t) & (xa < t)
-    return alice_low, bob_low
+    answered = alice_low[:, :budget] | bob_low[:, :budget]
+    has = answered.any(axis=1)
+    first = np.where(has, answered.argmax(axis=1), -1)
+    rows = np.arange(first.size)
+    return RowVerdicts(
+        n_measurements=int(alice_low.shape[1]),
+        n_alice_low=np.count_nonzero(alice_low, axis=1),
+        n_bob_low=np.count_nonzero(bob_low, axis=1),
+        first_answer=first,
+        guess=np.where(has, np.where(alice_low[rows, first], 0, 1), -1),
+    )
 
 
 def _ratio(count: int, total: int) -> float:
@@ -107,46 +135,43 @@ class CampaignTally:
     hl_trials: int = 0
     hl_successes: int = 0
 
-    def add_period(self, trace: BitPeriodTrace, cal: EveCalibration) -> None:
-        """Attack one secure period: every sample as a standalone trial, then repeat-until-answer.
+    def add_block(self, block: PeriodBlock, cal: EveCalibration) -> None:
+        """Attack a block of secure periods: every reading as a standalone trial, then repeat-until-answer.
 
         Measurements advance one correlation time at a time.  Bits that
         never answer within the budget count as given up, never silently
         guessed.
         """
-        if not trace.state.secure:
-            raise ValueError("add_period needs a secure (LH/HL) period trace")
-        alice_low, bob_low = _decision_vectors(trace, cal)
-        alice_truly_low = trace.state is LoopState.LH
-        n = int(alice_low.size)
-        n_a = int(np.count_nonzero(alice_low))
-        n_b = int(np.count_nonzero(bob_low))
-        success = n_a if alice_truly_low else n_b
-        error = n_b if alice_truly_low else n_a
-        self.n_trials += n
-        self.n_success += success
-        self.n_error += error
-        self.n_no_answer += n - success - error
-        if alice_truly_low:
-            self.lh_trials += n
-            self.lh_successes += success
-        else:
-            self.hl_trials += n
-            self.hl_successes += success
+        if not block.secure.all():
+            raise ValueError("add_block needs a block of secure (LH/HL) periods")
+        v = row_verdicts(block, cal, self.max_measurements)
+        key_bit = block.alice_high  # 1 when Alice holds the high resistor (HL)
+        success = np.where(key_bit, v.n_bob_low, v.n_alice_low)
+        error = np.where(key_bit, v.n_alice_low, v.n_bob_low)
+        n_rows = block.n_periods
+        n_hl = int(np.count_nonzero(key_bit))
+        n_success = int(success.sum())
+        n_error = int(error.sum())
+        hl_successes = int(success[key_bit].sum())
+        self.n_trials += n_rows * v.n_measurements
+        self.n_success += n_success
+        self.n_error += n_error
+        self.n_no_answer += n_rows * v.n_measurements - n_success - n_error
+        self.hl_trials += n_hl * v.n_measurements
+        self.hl_successes += hl_successes
+        self.lh_trials += (n_rows - n_hl) * v.n_measurements
+        self.lh_successes += n_success - hl_successes
 
-        budget = min(self.max_measurements, n)
-        answered = alice_low[:budget] | bob_low[:budget]
-        self.n_attacked += 1
-        if answered.any():
-            k = int(np.argmax(answered))
-            guess = 0 if alice_low[k] else 1
-            self.n_answered += 1
-            self.measurements_sum += k + 1
-            self.measurements_hist[k + 1] = self.measurements_hist.get(k + 1, 0) + 1
-            if guess == KEY_BIT_BY_STATE[trace.state]:
-                self.n_correct += 1
-        else:
-            self.n_gave_up += 1
+        answered = v.first_answer >= 0
+        n_answered = int(np.count_nonzero(answered))
+        self.n_attacked += n_rows
+        self.n_answered += n_answered
+        self.n_gave_up += n_rows - n_answered
+        self.n_correct += int(np.count_nonzero(v.guess == key_bit))
+        for k, count in enumerate(np.bincount(v.first_answer[answered] + 1).tolist()):
+            if count:
+                self.measurements_hist[k] = self.measurements_hist.get(k, 0) + count
+                self.measurements_sum += k * count
 
     @property
     def p_success(self) -> float:
@@ -202,7 +227,6 @@ def attack_campaign(
     """
     cal = calibrate(net_template.with_resistors(pair.r_low, pair.r_high), noise)
     tally = CampaignTally(max_measurements=max_measurements)
-    for trace in iter_bit_periods(n_bits, pair, net_template, noise, samples_per_bit, master_seed):
-        if trace.state.secure:
-            tally.add_period(trace, cal)
+    for block in iter_period_blocks(n_bits, pair, net_template, noise, samples_per_bit, master_seed):
+        tally.add_block(block.secure_rows(), cal)
     return tally

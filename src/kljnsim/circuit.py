@@ -100,13 +100,16 @@ def parallel_resistance(r1: float, r2: float | None) -> float:
 
 
 def _normalized_moments(net: NetworkConfig) -> tuple[float, float]:
-    """Mean-square end currents per unit 4kTB, series elements neglected."""
+    """Mean-square end currents per unit 4kTB, series elements neglected.
+
+    Raises ``ValueError`` naming the network when its resistances are so
+    extreme that a moment is not a finite positive float.
+    """
     ra, rb, r2 = net.r_alice, net.r_bob, net.r_shunt
-    if r2 is None:
-        m = 1.0 / (ra + rb)
-        return m, m
 
     def one_end(r_near: float, r_far: float) -> float:
+        if r2 is None:
+            return 1.0 / (ra + rb)
         # own generator driving the near loop, plus the far generator's
         # contribution after the shunt current divider
         own = r_near / (r_near + parallel_resistance(r_far, r2)) ** 2
@@ -114,7 +117,16 @@ def _normalized_moments(net: NetworkConfig) -> tuple[float, float]:
         coupled = divider**2 * r_far / (r_far + parallel_resistance(r_near, r2)) ** 2
         return own + coupled
 
-    return one_end(ra, rb), one_end(rb, ra)
+    try:
+        fa, fb = one_end(ra, rb), one_end(rb, ra)
+    except (ZeroDivisionError, OverflowError):
+        fa = fb = math.nan
+    if not (0.0 < fa < math.inf and 0.0 < fb < math.inf and fa / fb < math.inf and fb / fa < math.inf):
+        raise ValueError(
+            f"network (r_alice={ra!r}, r_bob={rb!r}, r_series={net.r_series!r}, r_shunt={r2!r}) "
+            "gives mean-square currents and a ratio that are not finite and > 0 in double precision"
+        )
+    return fa, fb
 
 
 def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> CurrentMoments:
@@ -172,7 +184,14 @@ def design_tee_pad(loss_db: float, z0: float) -> AttenuatorConfig:
         raise ValueError("z0 must be finite and > 0")
     if loss_db == 0:
         return AttenuatorConfig(r_series=0.0, r_shunt=None)
-    a = 10.0 ** (loss_db / 20.0)
+    try:
+        a = 10.0 ** (loss_db / 20.0)
+    except OverflowError:
+        a = math.inf
+    if not a * a < math.inf:
+        raise ValueError(f"loss_db must be finite with a finite gain squared 10**(loss_db/10); got {loss_db!r}")
+    if a * a == 1.0:
+        raise ValueError(f"loss_db {loss_db!r} is below double-precision resolution; use 0 for no pad")
     return AttenuatorConfig(
         r_series=z0 * (a - 1.0) / (a + 1.0),
         r_shunt=2.0 * z0 * a / (a * a - 1.0),

@@ -10,10 +10,11 @@ both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import ContextManager, Optional, Sequence, TextIO
 
 from .circuit import design_tee_pad
 from .config import ConfigError, load_config_file, resolve_config
@@ -67,11 +68,18 @@ def _env_seed() -> Optional[int]:
         raise ConfigError(f"KLJN_SEED must be an integer, got {raw!r}")
 
 
+def _report_file(path: Optional[str]) -> ContextManager[TextIO]:
+    """The report's destination, opened before any computation so an unwritable path fails fast."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     file_data = load_config_file(args.config) if args.config else None
     cfg = resolve_config(file_data, preset=args.preset, out=args.out)
-    report = build_report(cfg, empirical=False)
-    write_report(report, cfg.report_path)
+    with _report_file(cfg.report_path) as out:
+        write_report(build_report(cfg, empirical=False), out)
     return EXIT_OK
 
 
@@ -88,8 +96,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out=args.out,
         trace_csv=args.trace_csv,
     )
-    report = build_report(cfg, empirical=True)
-    write_report(report, cfg.report_path)
+    with _report_file(cfg.report_path) as out:
+        write_report(build_report(cfg, empirical=True), out)
     return EXIT_OK
 
 

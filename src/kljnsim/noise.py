@@ -10,9 +10,9 @@ temperature.  Two sampling modes are supported:
 * ``waveform`` -- oversampled band-limited waveform, kept around to
   sanity-check the correlation-time accounting of the independent mode.
 
-All randomness is derived from a single master seed through per-stream
-``SeedSequence`` keys, so results never depend on worker count or
-evaluation order.
+All randomness is derived from a single master seed through keyed
+``SeedSequence`` streams, one per fixed-size chunk of bit periods, so
+results never depend on worker count or evaluation order.
 """
 
 from __future__ import annotations
@@ -114,11 +114,11 @@ def johnson_rms(r: float, spec: NoiseSpec) -> float:
     return math.sqrt(spec.unit_scale * r)
 
 
-def gaussian_stream(stream: SeededStream, n: int) -> np.ndarray:
-    """``n`` i.i.d. standard-normal samples from a seeded substream."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return stream.generator().standard_normal(n)
+def gaussian_stream(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """``(rows, n)`` i.i.d. standard-normal samples drawn from ``rng``."""
+    if rows < 1 or n < 1:
+        raise ValueError("rows and n must be >= 1")
+    return rng.standard_normal((rows, n))
 
 
 def lowpass_kernel(oversample: int) -> np.ndarray:
@@ -137,17 +137,21 @@ def lowpass_kernel(oversample: int) -> np.ndarray:
     return h / math.sqrt(float(np.sum(h * h)))
 
 
-def band_limited_stream(stream: SeededStream, spec: NoiseSpec, n: int) -> np.ndarray:
-    """``n`` samples of unit-variance Gaussian noise band-limited to ``spec.bandwidth``.
+def band_limited_stream(rng: np.random.Generator, spec: NoiseSpec, rows: int, n: int) -> np.ndarray:
+    """``(rows, n)`` unit-variance Gaussian noise, each row band-limited to ``spec.bandwidth``.
 
-    Samples are spaced at ``spec.sample_rate``.  White noise is shaped by
+    Samples are spaced at ``spec.sample_rate``.  All rows' white noise is
+    drawn from ``rng`` in one call, then each row is shaped on its own by
     the unit-energy kernel, so every output sample has variance exactly 1
     regardless of the kernel choice.
     """
     if spec.mode != "waveform":
         raise ValueError("band_limited_stream requires a waveform-mode NoiseSpec")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if rows < 1 or n < 1:
+        raise ValueError("rows and n must be >= 1")
     h = lowpass_kernel(spec.oversample)
-    white = stream.generator().standard_normal(n + h.size - 1)
-    return np.convolve(white, h, mode="valid")
+    white = rng.standard_normal((rows, n + h.size - 1))
+    out = np.empty((rows, n))
+    for r in range(rows):
+        out[r] = np.convolve(white[r], h, mode="valid")
+    return out

@@ -7,13 +7,17 @@ picks are generated and then discarded, so secure-fraction statistics stay
 observable.  A current-comparison alarm watches for the broken-loop
 signature: sustained inequality of the two end currents, which an intact
 single loop can never produce.
+
+Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
+one ``(K, n)`` array per observable, drawn from one keyed random stream
+(RNG layout 2, see :func:`iter_period_blocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +39,11 @@ class LoopState(Enum):
     @property
     def secure(self) -> bool:
         return self in (LoopState.LH, LoopState.HL)
+
+    @property
+    def choices(self) -> tuple[Choice, Choice]:
+        """Alice's and Bob's resistor picks in this state."""
+        return tuple(Choice.LOW if c == "L" else Choice.HIGH for c in self.value)
 
 
 # Key-bit convention: 1 when Alice holds the high resistor, 0 when Bob does.
@@ -76,143 +85,185 @@ class AlarmPolicy:
             raise ValueError("window must be >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlarmReport:
-    """Outcome of the alarm sweep over one bit period.
+    """Outcome of the alarm sweep over a block of bit periods, one entry per row.
 
     ``rel_difference`` is the windowed |<i_A^2>-<i_B^2>|/max of the
     triggering window, or the largest value seen when nothing triggered.
     ``first_trigger_sample`` indexes the sample that completed the first
-    offending window.
+    offending window, and is -1 where nothing triggered.
     """
 
-    triggered: bool
-    first_trigger_sample: Optional[int]
-    rel_difference: float
+    triggered: np.ndarray
+    first_trigger_sample: np.ndarray
+    rel_difference: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class BitPeriodTrace:
-    """Everything observable (and the hidden truth) of one bit period.
+class PeriodBlock:
+    """Everything observable (and the hidden truth) of ``K`` bit periods.
 
-    Sample arrays hold the instantaneous end currents and shunt-node
-    voltage; ``measurement_stride`` is how many samples apart independent
-    attack readings sit (1 in independent mode, the oversampling factor in
+    ``alice_high``/``bob_high`` are the ``(K,)`` resistor picks (True for
+    the high resistor).  Sample arrays are ``(K, n)``: the instantaneous end
+    currents and shunt-node voltage, one row per period.
+    ``measurement_stride`` is how many samples apart independent attack
+    readings sit (1 in independent mode, the oversampling factor in
     waveform mode).
     """
 
-    alice_choice: Choice
-    bob_choice: Choice
-    state: LoopState
+    alice_high: np.ndarray
+    bob_high: np.ndarray
     i_alice: np.ndarray
     i_bob: np.ndarray
     v_node: np.ndarray
-    period_index: int = 0
     measurement_stride: int = 1
 
     @property
+    def n_periods(self) -> int:
+        return int(self.alice_high.size)
+
+    @property
     def n_samples(self) -> int:
-        return int(self.i_alice.size)
+        """Samples per period."""
+        return int(self.i_alice.shape[1])
+
+    @property
+    def secure(self) -> np.ndarray:
+        """``(K,)`` mask of the LH/HL rows."""
+        return self.alice_high != self.bob_high
+
+    def secure_rows(self) -> "PeriodBlock":
+        """The block restricted to its LH/HL rows (itself when every row is secure)."""
+        index = np.flatnonzero(self.secure)
+        if index.size == self.n_periods:
+            return self
+        return PeriodBlock(
+            self.alice_high[index],
+            self.bob_high[index],
+            self.i_alice[index],
+            self.i_bob[index],
+            self.v_node[index],
+            self.measurement_stride,
+        )
 
 
-_CHOICE_STREAM = 0
+# Version of the mapping from (master_seed, config) to Monte Carlo samples.
+# 1: one stream for all resistor picks plus two streams per period.
+# 2: one stream per chunk of CHUNK_SAMPLES samples (picks, then Alice's and
+#    Bob's noise for the whole chunk).
+RNG_LAYOUT = 2
+CHUNK_SAMPLES = 8192
 
 
-def _party_streams(master_seed: int, period_index: int) -> tuple[SeededStream, SeededStream]:
-    # stream 0 is reserved for the resistor choices; periods use 2p+1 / 2p+2
-    return (
-        SeededStream(master_seed, 2 * period_index + 1),
-        SeededStream(master_seed, 2 * period_index + 2),
-    )
-
-
-def run_bit_period(
-    alice_choice: Choice,
-    bob_choice: Choice,
+def run_periods(
+    alice_high: np.ndarray,
+    bob_high: np.ndarray,
     pair: ResistorPair,
     net_template: NetworkConfig,
     noise: NoiseSpec,
     n_samples: int,
-    master_seed: int,
-    period_index: int = 0,
-) -> BitPeriodTrace:
-    """Simulate one bit period; deterministic in ``(master_seed, period_index)``.
+    rng: np.random.Generator,
+) -> PeriodBlock:
+    """Simulate one block of periods with the given picks, drawing all noise from ``rng``.
 
-    Source voltages are drawn at the Johnson RMS of each party's connected
-    resistor from that party's own substream.  The pad elements are treated
-    as noiseless: their physical temperature is negligible against the
-    generators' effective one.
+    Alice's noise for every row is drawn first, then Bob's.  Source
+    voltages sit at the Johnson RMS of each party's connected resistor.
+    The pad elements are treated as noiseless: their physical temperature
+    is negligible against the generators' effective one.  The nodal solve
+    runs once per loop state present in the block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    r_a = pair.resistance(alice_choice)
-    r_b = pair.resistance(bob_choice)
-    net = net_template.with_resistors(r_a, r_b)
-    stream_a, stream_b = _party_streams(master_seed, period_index)
+    rows = int(alice_high.size)
     if noise.mode == "independent":
-        u_a = johnson_rms(r_a, noise) * gaussian_stream(stream_a, n_samples)
-        u_b = johnson_rms(r_b, noise) * gaussian_stream(stream_b, n_samples)
+        u_a = gaussian_stream(rng, rows, n_samples)
+        u_b = gaussian_stream(rng, rows, n_samples)
     else:
-        u_a = johnson_rms(r_a, noise) * band_limited_stream(stream_a, noise, n_samples)
-        u_b = johnson_rms(r_b, noise) * band_limited_stream(stream_b, noise, n_samples)
-    i_a, i_b, v = solve_network(u_a, u_b, net)
-    return BitPeriodTrace(
-        alice_choice=alice_choice,
-        bob_choice=bob_choice,
-        state=classify_state(alice_choice, bob_choice),
-        i_alice=np.asarray(i_a),
-        i_bob=np.asarray(i_b),
-        v_node=np.asarray(v),
-        period_index=period_index,
-        measurement_stride=noise.measurement_stride,
-    )
+        u_a = band_limited_stream(rng, noise, rows, n_samples)
+        u_b = band_limited_stream(rng, noise, rows, n_samples)
+    groups = []
+    for state in LoopState:
+        a, b = state.choices
+        mask = (alice_high == (a is Choice.HIGH)) & (bob_high == (b is Choice.HIGH))
+        if mask.any():
+            groups.append((pair.resistance(a), pair.resistance(b), mask))
+    if len(groups) == 1:  # every row in one state: solve in place, no row copies
+        r_a, r_b, _ = groups[0]
+        u_a *= johnson_rms(r_a, noise)
+        u_b *= johnson_rms(r_b, noise)
+        i_a, i_b, v = solve_network(u_a, u_b, net_template.with_resistors(r_a, r_b))
+    else:
+        i_a, i_b, v = np.empty_like(u_a), np.empty_like(u_a), np.empty_like(u_a)
+        for r_a, r_b, mask in groups:
+            i_a[mask], i_b[mask], v[mask] = solve_network(
+                johnson_rms(r_a, noise) * u_a[mask],
+                johnson_rms(r_b, noise) * u_b[mask],
+                net_template.with_resistors(r_a, r_b),
+            )
+    return PeriodBlock(alice_high, bob_high, i_a, i_b, v, noise.measurement_stride)
 
 
-def current_alarm(trace: BitPeriodTrace, policy: AlarmPolicy) -> AlarmReport:
-    """Slide a window over the squared end currents and compare their means.
-
-    Fires at the first window whose relative mean-square difference exceeds
-    the tolerance.  A true single loop can never fire for any tolerance,
-    because the two end currents are one and the same current.
-    """
-    w = policy.window
-    n = trace.n_samples
-    if n < w:
-        raise ValueError(f"trace has {n} samples but the alarm window needs {w}")
-    sq_a = np.concatenate(([0.0], np.cumsum(trace.i_alice * trace.i_alice)))
-    sq_b = np.concatenate(([0.0], np.cumsum(trace.i_bob * trace.i_bob)))
-    win_a = (sq_a[w:] - sq_a[:-w]) / w
-    win_b = (sq_b[w:] - sq_b[:-w]) / w
-    peak = np.maximum(win_a, win_b)
-    with np.errstate(invalid="ignore"):
-        rel = np.where(peak > 0, np.abs(win_a - win_b) / peak, 0.0)
-    hits = rel > policy.rel_tolerance
-    if hits.any():
-        k = int(np.argmax(hits))
-        return AlarmReport(True, k + w - 1, float(rel[k]))
-    return AlarmReport(False, None, float(rel.max()))
-
-
-def draw_choices(n_bits: int, master_seed: int) -> list[tuple[Choice, Choice]]:
-    """Fair independent resistor picks for both parties, from the reserved stream."""
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    rng = SeededStream(master_seed, _CHOICE_STREAM).generator()
-    bits = rng.integers(0, 2, size=(n_bits, 2))
-    return [
-        (Choice.HIGH if a else Choice.LOW, Choice.HIGH if b else Choice.LOW)
-        for a, b in bits
-    ]
-
-
-def iter_bit_periods(
+def iter_period_blocks(
     n_bits: int,
     pair: ResistorPair,
     net_template: NetworkConfig,
     noise: NoiseSpec,
     n_samples: int,
     master_seed: int,
-) -> Iterator[BitPeriodTrace]:
-    """Yield seeded bit periods one at a time (memory-light for large runs)."""
-    for p, (a, b) in enumerate(draw_choices(n_bits, master_seed)):
-        yield run_bit_period(a, b, pair, net_template, noise, n_samples, master_seed, period_index=p)
+) -> Iterator[PeriodBlock]:
+    """Yield ``n_bits`` seeded periods in order, one chunk at a time.
+
+    Chunk ``c`` holds periods ``c*K`` to ``(c+1)*K - 1`` with
+    ``K = max(1, CHUNK_SAMPLES // n_samples)`` (the last chunk may be
+    shorter).  Its stream ``(master_seed, c)`` draws the ``(K, 2)`` fair
+    resistor picks first, then the noise, so every chunk can be produced on
+    its own and the result depends only on the seed and the config, never
+    on the machine or the worker layout.
+    """
+    if n_bits < 1:
+        raise ValueError("n_bits must be >= 1")
+    k = max(1, CHUNK_SAMPLES // n_samples)
+    for chunk, first in enumerate(range(0, n_bits, k)):
+        rng = SeededStream(master_seed, chunk).generator()
+        picks = rng.integers(0, 2, size=(min(k, n_bits - first), 2)).astype(bool)
+        yield run_periods(picks[:, 0], picks[:, 1], pair, net_template, noise, n_samples, rng)
+
+
+def _window_means(x: np.ndarray, w: int) -> np.ndarray:
+    """Mean of ``x**2`` over every length-``w`` window along axis 1."""
+    c = np.cumsum(x * x, axis=1)
+    out = np.empty((c.shape[0], c.shape[1] - w + 1))
+    out[:, 0] = c[:, w - 1]
+    np.subtract(c[:, w:], c[:, :-w], out=out[:, 1:])
+    out /= w
+    return out
+
+
+def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
+    """Slide a window over each row's squared end currents and compare their means.
+
+    A row fires at the first window whose relative mean-square difference
+    exceeds the tolerance.  A true single loop can never fire for any
+    tolerance, because the two end currents are one and the same current.
+    """
+    w = policy.window
+    n = block.n_samples
+    if n < w:
+        raise ValueError(f"periods have {n} samples but the alarm window needs {w}")
+    win_a = _window_means(block.i_alice, w)
+    win_b = _window_means(block.i_bob, w)
+    rel = np.subtract(win_a, win_b)
+    np.abs(rel, out=rel)
+    peak = np.maximum(win_a, win_b, out=win_a)
+    np.divide(rel, peak, out=rel, where=peak > 0)  # |a-b| is already 0 where both are 0
+    del win_a, win_b, peak  # long periods are memory-bound: free before the reductions
+    hits = rel > policy.rel_tolerance
+    triggered = hits.any(axis=1)
+    first = hits.argmax(axis=1)
+    rows = np.arange(rel.shape[0])
+    return AlarmReport(
+        triggered=triggered,
+        first_trigger_sample=np.where(triggered, first + w - 1, -1),
+        rel_difference=np.where(triggered, rel[rows, first], rel.max(axis=1)),
+    )

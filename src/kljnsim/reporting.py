@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Optional
+from typing import Any, Optional, TextIO
+
+import numpy as np
 
 from . import __version__
 from .attack import CampaignTally, calibrate
 from .circuit import analytic_mean_square_currents
 from .config import ExperimentConfig
-from .protocol import KEY_BIT_BY_STATE, current_alarm, iter_bit_periods
+from .protocol import CHUNK_SAMPLES, RNG_LAYOUT, PeriodBlock, alarm_sweep, iter_period_blocks
 from .stats import Z99, analytic_attack_probabilities, wilson_ci
 
 SCHEMA_VERSION = 1
@@ -69,6 +70,24 @@ def _empirical_ratio(acc: _EmpiricalAccumulator) -> float:
     return acc.low_end_sq_sum / acc.high_end_sq_sum
 
 
+def _write_trace_rows(writer, block: PeriodBlock, first_period: int) -> None:
+    """One CSV row per sample, in period order.
+
+    Rows go out in ``writerows`` calls of at most ``CHUNK_SAMPLES`` rows, so
+    the Python lists built for one call stay small however long a period is.
+    """
+    k, n = block.i_alice.shape
+    columns = (
+        np.repeat(np.arange(first_period, first_period + k), n),
+        np.tile(np.arange(n), k),
+        block.i_alice.ravel(),
+        block.i_bob.ravel(),
+        block.v_node.ravel(),
+    )
+    for start in range(0, k * n, CHUNK_SAMPLES):
+        writer.writerows(zip(*(c[start : start + CHUNK_SAMPLES].tolist() for c in columns)))
+
+
 def empirical_section(cfg: ExperimentConfig, csv_writer=None) -> dict[str, Any]:
     """One streaming Monte Carlo pass: protocol, alarm, attack, optional CSV dump.
 
@@ -80,37 +99,26 @@ def empirical_section(cfg: ExperimentConfig, csv_writer=None) -> dict[str, Any]:
     tally = CampaignTally(max_measurements=cfg.max_measurements)
     acc = _EmpiricalAccumulator()
 
-    for trace in iter_bit_periods(
+    for block in iter_period_blocks(
         cfg.n_bits, cfg.pair, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed
     ):
-        acc.n_bits += 1
-        alarm = current_alarm(trace, cfg.alarm)
-        if alarm.triggered:
-            acc.n_alarms += 1
-        if trace.state.secure:
-            acc.n_secure += 1
-            acc.n_secure_samples += trace.n_samples
-            if alarm.triggered:
-                acc.n_alarms_secure += 1
-            acc.rel_difference_sum += alarm.rel_difference
-            if KEY_BIT_BY_STATE[trace.state] == 0:  # LH: Alice holds the low resistor
-                low_end, high_end = trace.i_alice, trace.i_bob
-            else:
-                low_end, high_end = trace.i_bob, trace.i_alice
-            acc.low_end_sq_sum += float(low_end @ low_end)
-            acc.high_end_sq_sum += float(high_end @ high_end)
-            tally.add_period(trace, cal)
+        alarm = alarm_sweep(block, cfg.alarm)
+        secure = block.secure
+        acc.n_alarms += int(np.count_nonzero(alarm.triggered))
+        acc.n_alarms_secure += int(np.count_nonzero(alarm.triggered & secure))
+        acc.rel_difference_sum += float(alarm.rel_difference[secure].sum())
+        sec = block.secure_rows()
+        acc.n_secure += sec.n_periods
+        acc.n_secure_samples += sec.n_periods * sec.n_samples
+        sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
+        sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
+        # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
+        acc.low_end_sq_sum += float(np.where(sec.alice_high, sq_b, sq_a).sum())
+        acc.high_end_sq_sum += float(np.where(sec.alice_high, sq_a, sq_b).sum())
+        tally.add_block(sec, cal)
         if csv_writer is not None:
-            for k in range(trace.n_samples):
-                csv_writer.writerow(
-                    (
-                        trace.period_index,
-                        k,
-                        float(trace.i_alice[k]),
-                        float(trace.i_bob[k]),
-                        float(trace.v_node[k]),
-                    )
-                )
+            _write_trace_rows(csv_writer, block, acc.n_bits)
+        acc.n_bits += block.n_periods
 
     secure_ci = wilson_ci(acc.n_secure, acc.n_bits, Z99)
     return {
@@ -203,6 +211,7 @@ def build_report(cfg: ExperimentConfig, *, empirical: bool) -> dict[str, Any]:
         "schema_version": SCHEMA_VERSION,
         "provenance": {
             "tool_version": __version__,
+            "rng_layout": RNG_LAYOUT,
             "master_seed": cfg.master_seed,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         },
@@ -236,10 +245,5 @@ def report_json(report: dict[str, Any]) -> str:
     return json.dumps(_sanitize(report), indent=2, allow_nan=False)
 
 
-def write_report(report: dict[str, Any], path: Optional[str]) -> None:
-    text = report_json(report)
-    if path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def write_report(report: dict[str, Any], out: TextIO) -> None:
+    out.write(report_json(report) + "\n")

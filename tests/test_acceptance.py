@@ -37,7 +37,7 @@ from kljnsim.circuit import (
 from kljnsim.cli import main
 from kljnsim.config import PRESETS
 from kljnsim.noise import NoiseSpec
-from kljnsim.protocol import AlarmPolicy, ResistorPair, current_alarm, iter_bit_periods
+from kljnsim.protocol import AlarmPolicy, ResistorPair, alarm_sweep, iter_period_blocks
 from kljnsim.stats import analytic_attack_probabilities, chi2_cdf_1
 
 NOISE = NoiseSpec()
@@ -202,14 +202,12 @@ def test_criterion_7_alarm_detection(capsys):
     n_secure = 0
     n_triggered = 0
     diffs = []
-    for trace in iter_bit_periods(20_500, PAIR, GAA, NOISE, 50, SEED + 2):
-        if not trace.state.secure:
-            continue
-        n_secure += 1
-        report = current_alarm(trace, policy)
-        if report.triggered:
-            n_triggered += 1
-        diffs.append(report.rel_difference)
+    for block in iter_period_blocks(20_500, PAIR, GAA, NOISE, 50, SEED + 2):
+        report = alarm_sweep(block, policy)
+        secure = block.secure
+        n_secure += int(secure.sum())
+        n_triggered += int(report.triggered[secure].sum())
+        diffs.extend(report.rel_difference[secure])
     rate = n_triggered / n_secure
     mean_diff = float(np.mean(diffs))
     ok = n_secure >= 10_000 and rate > 0.99 and abs(mean_diff - 0.80) <= 0.05

@@ -5,15 +5,8 @@ import pytest
 
 from kljnsim.attack import CampaignTally, EveCalibration, attack_campaign, calibrate
 from kljnsim.circuit import AttenuatorConfig, NetworkConfig
-from kljnsim.noise import NoiseSpec
-from kljnsim.protocol import (
-    BitPeriodTrace,
-    Choice,
-    LoopState,
-    ResistorPair,
-    iter_bit_periods,
-    run_bit_period,
-)
+from kljnsim.noise import NoiseSpec, SeededStream
+from kljnsim.protocol import LoopState, PeriodBlock, ResistorPair, iter_period_blocks, run_periods
 from kljnsim.stats import analytic_attack_probabilities, wilson_ci
 
 NOISE = NoiseSpec()
@@ -37,23 +30,33 @@ SIM_MEAN_MEASUREMENTS = 3.1111
 SIM_END_CORRELATION = 0.251511
 
 
+def one_period(net, n_samples, seed=0, period=0, alice_high=False, bob_high=True):
+    """A one-row block with fixed picks, drawn from stream (seed, period)."""
+    rng = SeededStream(seed, period).generator()
+    return run_periods(np.array([alice_high]), np.array([bob_high]), PAIR, net, NOISE, n_samples, rng)
+
+
 def secure_trace(net, n_samples, seed=0, period=0, state="LH"):
-    a, b = (Choice.LOW, Choice.HIGH) if state == "LH" else (Choice.HIGH, Choice.LOW)
-    return run_bit_period(a, b, PAIR, net, NOISE, n_samples, seed, period)
+    return one_period(net, n_samples, seed, period, alice_high=state == "HL", bob_high=state == "LH")
 
 
 def built_trace(x_alice, x_bob, state=LoopState.LH):
-    """A secure trace whose squared currents are exactly the given readings."""
-    a, b = (Choice.LOW, Choice.HIGH) if state is LoopState.LH else (Choice.HIGH, Choice.LOW)
-    i_alice = np.sqrt(np.asarray(x_alice, dtype=float))
-    i_bob = np.sqrt(np.asarray(x_bob, dtype=float))
-    return BitPeriodTrace(a, b, state, i_alice, i_bob, np.zeros_like(i_alice))
+    """A one-row secure block whose squared currents are exactly the given readings."""
+    alice_high = state is LoopState.HL
+    i_alice = np.sqrt(np.asarray([x_alice], dtype=float))
+    i_bob = np.sqrt(np.asarray([x_bob], dtype=float))
+    return PeriodBlock(np.array([alice_high]), np.array([not alice_high]), i_alice, i_bob, np.zeros_like(i_alice))
 
 
-def tally_of(traces, cal, max_measurements=64):
+def secure_blocks(n_bits, net, n_samples, seed):
+    for block in iter_period_blocks(n_bits, PAIR, net, NOISE, n_samples, seed):
+        yield block.secure_rows()
+
+
+def tally_of(blocks, cal, max_measurements=64):
     tally = CampaignTally(max_measurements=max_measurements)
-    for trace in traces:
-        tally.add_period(trace, cal)
+    for block in blocks:
+        tally.add_block(block, cal)
     return tally
 
 
@@ -122,9 +125,9 @@ class TestAttackBit:
     """The repeat-until-answer rule, one secure period at a time."""
 
     def test_rejects_insecure_period(self):
-        trace = run_bit_period(Choice.HIGH, Choice.HIGH, PAIR, GAA, NOISE, 16, 0)
+        block = one_period(GAA, 16, alice_high=True, bob_high=True)
         with pytest.raises(ValueError, match="secure"):
-            CampaignTally().add_period(trace, GAA_CAL)
+            CampaignTally().add_block(block, GAA_CAL)
 
     def test_lossless_always_gives_up(self):
         cal = calibrate(LOSSLESS, NOISE)
@@ -158,8 +161,7 @@ class TestAttackBit:
             assert tally.n_correct >= 27  # fidelity ~0.95 per answered bit
 
     def test_single_measurement_answer_rate(self):
-        traces = (t for t in iter_bit_periods(20_000, PAIR, GAA, NOISE, 1, 11) if t.state.secure)
-        tally = tally_of(traces, GAA_CAL, max_measurements=1)
+        tally = tally_of(secure_blocks(20_000, GAA, 1, 11), GAA_CAL, max_measurements=1)
         expected = SIM_P_SUCCESS + SIM_P_ERROR
         assert tally.n_answered / tally.n_attacked == pytest.approx(expected, abs=0.012)
 
@@ -219,8 +221,8 @@ class TestAttackCampaign:
         rho = cov / math.sqrt(ms_a * ms_b)
         assert rho == pytest.approx(SIM_END_CORRELATION, abs=1e-6)
 
-        trace = secure_trace(GAA, 400_000, seed=23)
-        empirical = float(np.corrcoef(trace.i_alice, trace.i_bob)[0, 1])
+        block = secure_trace(GAA, 400_000, seed=23)
+        empirical = float(np.corrcoef(block.i_alice[0], block.i_bob[0])[0, 1])
         assert empirical == pytest.approx(rho, abs=0.01)
 
     def test_orientation_fairness(self, campaign):
@@ -237,8 +239,7 @@ class TestAttackCampaign:
 
     def test_infinite_threshold_never_answers(self):
         cal = EveCalibration(norm_constant=GAA_CAL.norm_constant, threshold=math.inf)
-        traces = (t for t in iter_bit_periods(200, PAIR, GAA, NOISE, 20, 3) if t.state.secure)
-        tally = tally_of(traces, cal, max_measurements=16)
+        tally = tally_of(secure_blocks(200, GAA, 20, 3), cal, max_measurements=16)
         assert tally.p_no_answer == 1.0
         assert tally.n_answered == 0
 

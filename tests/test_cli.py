@@ -1,11 +1,15 @@
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from kljnsim import cli
 from kljnsim.cli import main
+from kljnsim.config import resolve_config
+from kljnsim.protocol import iter_period_blocks
 
 
 def run_cli(argv, capsys):
@@ -61,6 +65,22 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", "--config", str(cfg)], capsys)
         assert code == 1
         assert "network.r_alice" in err
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            {"r_alice": 1e-300, "r_bob": 1e-299, "pad": {"r_series": 0, "r_shunt": 1e-300}},
+            {"r_alice": 1e300, "r_bob": 1e299, "pad": {"r_series": 0, "r_shunt": 1e300}},
+        ],
+    )
+    def test_extreme_resistances_exit_one_naming_network(self, tmp_path, capsys, network):
+        # finite values whose moments under- or overflow in double precision
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"network": network}))
+        code, out, err = run_cli(["analyze", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error: network (r_alice=" in err
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -159,6 +179,7 @@ class TestSimulate:
             "mean_measurements_within_0p05",
         }
         assert report["provenance"]["master_seed"] == 4
+        assert report["provenance"]["rng_layout"] == 2
 
     def test_deterministic_apart_from_timestamp(self, capsys):
         code1, out1, _ = run_cli(SIM_ARGS, capsys)
@@ -211,6 +232,30 @@ class TestSimulate:
         assert rows[1][0] == "0" and rows[1][1] == "0"
         float(rows[1][2])  # numeric payload round-trips
 
+    @pytest.mark.parametrize("bits, samples", [(5, 3000), (2, 9000)])
+    def test_trace_csv_matches_per_row_writer(self, tmp_path, capsys, bits, samples):
+        # the block writer emits the same text as writing each sample's row
+        # on its own: over several chunks of two periods, and over periods
+        # longer than one write call
+        csv_path = tmp_path / "trace.csv"
+        args = ["simulate", "--preset", "gaa-1db", "--seed", "3", "--bits", str(bits)]
+        code, _, _ = run_cli(args + ["--samples-per-bit", str(samples), "--trace-csv", str(csv_path)], capsys)
+        assert code == 0
+
+        cfg = resolve_config(None, preset="gaa-1db", seed=3, bits=bits, samples_per_bit=samples)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
+        period = 0
+        for block in iter_period_blocks(bits, cfg.pair, cfg.network, cfg.noise, samples, 3):
+            for r in range(block.n_periods):
+                for k in range(block.n_samples):
+                    writer.writerow(
+                        (period, k, float(block.i_alice[r, k]), float(block.i_bob[r, k]), float(block.v_node[r, k]))
+                    )
+                period += 1
+        assert csv_path.read_bytes() == expected.getvalue().encode("utf-8")
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("KLJN_SEED", "77")
         args = ["simulate", "--preset", "lossless", "--bits", "60"]
@@ -247,6 +292,15 @@ class TestSimulate:
         )
         assert code == 2
         assert "runtime error" in err
+
+    def test_unwritable_report_fails_before_simulating(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "build_report", lambda *args, **kwargs: calls.append(args))
+        code, out, err = run_cli(SIM_ARGS + ["--out", "/nonexistent-dir/report.json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "runtime error" in err
+        assert calls == []
 
     def test_waveform_mode_runs(self, capsys):
         code, out, _ = run_cli(
@@ -293,13 +347,27 @@ class TestDesignPad:
 
     @pytest.mark.parametrize(
         "loss_db, z0, name",
-        [("nan", "50", "loss_db"), ("inf", "50", "loss_db"), ("1", "inf", "z0"), ("1", "nan", "z0")],
+        [
+            ("nan", "50", "loss_db"),
+            ("inf", "50", "loss_db"),
+            ("1", "inf", "z0"),
+            ("1", "nan", "z0"),
+            # finite losses whose gain 10**(loss_db/20), or its square, overflows
+            ("7000", "50", "loss_db"),
+            ("4000", "50", "loss_db"),
+        ],
     )
     def test_non_finite_input_exits_one(self, capsys, loss_db, z0, name):
         code, out, err = run_cli(["design-pad", "--loss-db", loss_db, "--z0", z0], capsys)
         assert code == 1
         assert out == ""
         assert f"{name} must be finite" in err
+
+    def test_loss_below_resolution_exits_one(self, capsys):
+        code, out, err = run_cli(["design-pad", "--loss-db", "1e-300", "--z0", "50"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "loss_db 1e-300 is below double-precision resolution" in err
 
 
 class TestEntryPoints:

@@ -71,34 +71,40 @@ class TestJohnsonRms:
         assert johnson_rms(4.0 * r, spec) == 2.0 * johnson_rms(r, spec)
 
 
+def gen(seed, stream_id):
+    return SeededStream(seed, stream_id).generator()
+
+
 class TestGaussianStream:
     def test_moments(self):
         n = 1_000_000
-        x = gaussian_stream(SeededStream(42, 0), n)
+        x = gaussian_stream(gen(42, 0), 1, n)[0]
         assert abs(x.mean()) < 4.0 / math.sqrt(n)
         assert abs(x.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
 
     def test_deterministic(self):
-        a = gaussian_stream(SeededStream(7, 3), 4096)
-        b = gaussian_stream(SeededStream(7, 3), 4096)
+        a = gaussian_stream(gen(7, 3), 4, 1024)
+        b = gaussian_stream(gen(7, 3), 4, 1024)
+        assert a.shape == (4, 1024)
         assert np.array_equal(a, b)
 
     def test_streams_differ_and_decorrelate(self):
         n = 200_000
-        a = gaussian_stream(SeededStream(7, 1), n)
-        b = gaussian_stream(SeededStream(7, 2), n)
+        a = gaussian_stream(gen(7, 1), 1, n)[0]
+        b = gaussian_stream(gen(7, 2), 1, n)[0]
         assert not np.array_equal(a, b)
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) < 4.0 / math.sqrt(n)
 
     def test_master_seed_changes_stream(self):
-        a = gaussian_stream(SeededStream(1, 5), 1024)
-        b = gaussian_stream(SeededStream(2, 5), 1024)
+        a = gaussian_stream(gen(1, 5), 1, 1024)
+        b = gaussian_stream(gen(2, 5), 1, 1024)
         assert not np.array_equal(a, b)
 
     def test_rejects_empty_request(self):
-        with pytest.raises(ValueError):
-            gaussian_stream(SeededStream(1, 0), 0)
+        for rows, n in [(1, 0), (0, 1)]:
+            with pytest.raises(ValueError):
+                gaussian_stream(gen(1, 0), rows, n)
 
     def test_negative_stream_id_rejected(self):
         with pytest.raises(ValueError):
@@ -107,33 +113,43 @@ class TestGaussianStream:
 
 class TestBandLimitedStream:
     def test_unit_variance(self):
-        x = band_limited_stream(SeededStream(11, 0), WAVE, 100_000)
+        x = band_limited_stream(gen(11, 0), WAVE, 1, 100_000)
         assert x.var() == pytest.approx(1.0, abs=0.03)
 
     def test_decorrelated_after_one_correlation_time(self):
         # one correlation time spans `oversample` samples at the waveform rate
         n = 100_000
-        x = band_limited_stream(SeededStream(11, 1), WAVE, n)
+        x = band_limited_stream(gen(11, 1), WAVE, 1, n)[0]
         lag = WAVE.oversample
         rho = float(np.corrcoef(x[:-lag], x[lag:])[0, 1])
         assert abs(rho) < 0.05
 
     def test_neighbor_samples_strongly_correlated(self):
-        x = band_limited_stream(SeededStream(11, 2), WAVE, 50_000)
+        x = band_limited_stream(gen(11, 2), WAVE, 1, 50_000)[0]
         rho = float(np.corrcoef(x[:-1], x[1:])[0, 1])
         assert rho > 0.9
 
     def test_deterministic(self):
-        a = band_limited_stream(SeededStream(0, 0), WAVE, 2048)
-        b = band_limited_stream(SeededStream(0, 0), WAVE, 2048)
+        a = band_limited_stream(gen(0, 0), WAVE, 2, 2048)
+        b = band_limited_stream(gen(0, 0), WAVE, 2, 2048)
         assert np.array_equal(a, b)
 
     def test_rejects_independent_mode(self):
         with pytest.raises(ValueError):
-            band_limited_stream(SeededStream(1, 0), NoiseSpec(), 100)
+            band_limited_stream(gen(1, 0), NoiseSpec(), 1, 100)
 
     def test_requested_length(self):
-        assert band_limited_stream(SeededStream(1, 0), WAVE, 777).size == 777
+        assert band_limited_stream(gen(1, 0), WAVE, 1, 777).shape == (1, 777)
+        assert band_limited_stream(gen(1, 0), WAVE, 3, 777).shape == (3, 777)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_rows_filtered_separately(self, rows):
+        # one draw of white noise for all rows, then each row on its own
+        h = lowpass_kernel(WAVE.oversample)
+        out = band_limited_stream(gen(3, 0), WAVE, rows, 100)
+        white = gen(3, 0).standard_normal((rows, 100 + h.size - 1))
+        for r in range(rows):
+            assert np.array_equal(out[r], np.convolve(white[r], h, mode="valid"))
 
 
 class TestLowpassKernel:

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from kljnsim.circuit import AttenuatorConfig, NetworkConfig
-from kljnsim.noise import NoiseSpec
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig, solve_network
+from kljnsim.noise import NoiseSpec, SeededStream, johnson_rms
 from kljnsim.protocol import (
+    CHUNK_SAMPLES,
     KEY_BIT_BY_STATE,
     AlarmPolicy,
     Choice,
     LoopState,
     ResistorPair,
+    alarm_sweep,
     classify_state,
-    current_alarm,
-    draw_choices,
-    iter_bit_periods,
-    run_bit_period,
+    iter_period_blocks,
+    run_periods,
 )
 from kljnsim.stats import wilson_ci
 
@@ -22,10 +22,18 @@ PAIR = ResistorPair(1000.0, 10000.0)
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0))
 LOSSLESS = NetworkConfig(1000.0, 10000.0, None)
 SERIES_ONLY = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, None))
+PICKS = {"LL": (False, False), "LH": (False, True), "HL": (True, False), "HH": (True, True)}
 
 
-def lh_period(net, n_samples, seed=0, period=0, noise=NOISE):
-    return run_bit_period(Choice.LOW, Choice.HIGH, PAIR, net, noise, n_samples, seed, period)
+def one_period(net, n_samples, seed=0, period=0, noise=NOISE, state="LH"):
+    """A one-row block with fixed picks, drawn from stream (seed, period)."""
+    a, b = PICKS[state]
+    rng = SeededStream(seed, period).generator()
+    return run_periods(np.array([a]), np.array([b]), PAIR, net, noise, n_samples, rng)
+
+
+def choice(high):
+    return Choice.HIGH if high else Choice.LOW
 
 
 class TestClassifyState:
@@ -42,6 +50,7 @@ class TestClassifyState:
         state = classify_state(alice, bob)
         assert state is expected
         assert state.secure is secure
+        assert state.choices == (alice, bob)
 
     def test_key_bit_convention(self):
         assert KEY_BIT_BY_STATE[LoopState.LH] == 0
@@ -60,52 +69,55 @@ class TestResistorPair:
 
 
 class TestRunBitPeriod:
+    """One period is a one-row block of ``run_periods``."""
+
     def test_single_loop_currents_identical(self):
-        trace = lh_period(LOSSLESS, 500)
-        assert np.array_equal(trace.i_alice, trace.i_bob)
+        block = one_period(LOSSLESS, 500)
+        assert np.array_equal(block.i_alice, block.i_bob)
 
     def test_one_sample_boundary(self):
-        trace = lh_period(GAA, 1)
-        assert trace.n_samples == 1
-        assert trace.i_alice.shape == trace.i_bob.shape == trace.v_node.shape == (1,)
-        assert trace.i_alice[0] != trace.i_bob[0]
+        block = one_period(GAA, 1)
+        assert block.n_samples == 1
+        assert block.i_alice.shape == block.i_bob.shape == block.v_node.shape == (1, 1)
+        assert block.i_alice[0, 0] != block.i_bob[0, 0]
 
     def test_gaa_moment_ratio(self):
-        trace = lh_period(GAA, 1_000_000, seed=3)
-        ratio = float(np.mean(trace.i_alice**2) / np.mean(trace.i_bob**2))
+        block = one_period(GAA, 1_000_000, seed=3)
+        ratio = float(np.mean(block.i_alice**2) / np.mean(block.i_bob**2))
         assert ratio == pytest.approx(4.95, rel=0.02)
 
     def test_deterministic(self):
-        a = lh_period(GAA, 256, seed=9, period=4)
-        b = lh_period(GAA, 256, seed=9, period=4)
+        a = one_period(GAA, 256, seed=9, period=4)
+        b = one_period(GAA, 256, seed=9, period=4)
         assert np.array_equal(a.i_alice, b.i_alice)
         assert np.array_equal(a.v_node, b.v_node)
 
     def test_periods_use_disjoint_streams(self):
-        a = lh_period(GAA, 256, seed=9, period=0)
-        b = lh_period(GAA, 256, seed=9, period=1)
+        a = one_period(GAA, 256, seed=9, period=0)
+        b = one_period(GAA, 256, seed=9, period=1)
         assert not np.array_equal(a.i_alice, b.i_alice)
 
     def test_state_recorded(self):
-        trace = run_bit_period(Choice.HIGH, Choice.LOW, PAIR, GAA, NOISE, 8, 0)
-        assert trace.state is LoopState.HL
-        assert trace.alice_choice is Choice.HIGH
+        block = one_period(GAA, 8, state="HL")
+        assert block.alice_high[0] and not block.bob_high[0]
+        assert block.secure[0]
+        assert classify_state(choice(block.alice_high[0]), choice(block.bob_high[0])) is LoopState.HL
 
     def test_rejects_empty_period(self):
         with pytest.raises(ValueError):
-            lh_period(GAA, 0)
+            one_period(GAA, 0)
 
     def test_waveform_mode_stride(self):
         wave = NoiseSpec(mode="waveform", oversample=4)
-        trace = lh_period(GAA, 64, noise=wave)
-        assert trace.measurement_stride == 4
+        block = one_period(GAA, 64, noise=wave)
+        assert block.measurement_stride == 4
 
     def test_lossless_state_mean_squares_agree(self):
         # wire current carries no resistor-arrangement information: LH and
         # HL mean squares match within statistics
         n = 100_000
-        lh = lh_period(LOSSLESS, n, seed=21, period=0)
-        hl = run_bit_period(Choice.HIGH, Choice.LOW, PAIR, LOSSLESS, NOISE, n, 21, 1)
+        lh = one_period(LOSSLESS, n, seed=21, period=0)
+        hl = one_period(LOSSLESS, n, seed=21, period=1, state="HL")
         ms_lh = float(np.mean(lh.i_alice**2))
         ms_hl = float(np.mean(hl.i_alice**2))
         expected = 1.0 / 11000.0
@@ -113,50 +125,77 @@ class TestRunBitPeriod:
         assert abs(ms_lh - ms_hl) < 3.0 * np.sqrt(2.0) * se
         assert ms_lh == pytest.approx(expected, rel=0.02)
 
+    @pytest.mark.parametrize("net", [GAA, LOSSLESS], ids=["gaa", "lossless"])
+    @pytest.mark.parametrize(
+        "alice_high, bob_high",
+        [
+            ([False, True, True, False, True, False], [True, False, True, False, False, True]),
+            ([True, True, True], [False, False, False]),
+        ],
+        ids=["four-states", "one-state"],
+    )
+    def test_block_matches_row_by_row_solve(self, net, alice_high, bob_high):
+        # the block solves once per loop state present; every row must equal
+        # the solve of its own scaled noise with its own resistors
+        alice_high, bob_high = np.array(alice_high), np.array(bob_high)
+        k = alice_high.size
+        block = run_periods(alice_high, bob_high, PAIR, net, NOISE, 32, SeededStream(5, 0).generator())
+        rng = SeededStream(5, 0).generator()
+        u_a, u_b = rng.standard_normal((k, 32)), rng.standard_normal((k, 32))
+        for r in range(k):
+            r_a = PAIR.resistance(choice(alice_high[r]))
+            r_b = PAIR.resistance(choice(bob_high[r]))
+            i_a, i_b, v = solve_network(
+                johnson_rms(r_a, NOISE) * u_a[r], johnson_rms(r_b, NOISE) * u_b[r], net.with_resistors(r_a, r_b)
+            )
+            assert np.array_equal(block.i_alice[r], i_a)
+            assert np.array_equal(block.i_bob[r], i_b)
+            assert np.array_equal(block.v_node[r], v)
+
 
 class TestCurrentAlarm:
+    """The alarm sweep, checked row by row."""
+
     def test_lossless_never_triggers(self):
         policy = AlarmPolicy(rel_tolerance=0.1, window=50)
         for seed in range(20):
-            trace = lh_period(LOSSLESS, 200, seed=seed)
-            report = current_alarm(trace, policy)
-            assert not report.triggered
-            assert report.first_trigger_sample is None
-            assert report.rel_difference == 0.0
+            report = alarm_sweep(one_period(LOSSLESS, 200, seed=seed), policy)
+            assert not report.triggered[0]
+            assert report.first_trigger_sample[0] == -1
+            assert report.rel_difference[0] == 0.0
 
     def test_lossless_robust_to_tiny_tolerance(self):
-        trace = lh_period(LOSSLESS, 100, seed=5)
-        report = current_alarm(trace, AlarmPolicy(rel_tolerance=1e-12, window=10))
-        assert not report.triggered
+        block = one_period(LOSSLESS, 100, seed=5)
+        report = alarm_sweep(block, AlarmPolicy(rel_tolerance=1e-12, window=10))
+        assert not report.triggered[0]
 
     def test_gaa_triggers_promptly(self):
         policy = AlarmPolicy(rel_tolerance=0.1, window=50)
         triggered = []
         diffs = []
         for seed in range(200):
-            trace = lh_period(GAA, 50, seed=seed)
-            report = current_alarm(trace, policy)
-            triggered.append(report.triggered)
-            diffs.append(report.rel_difference)
+            report = alarm_sweep(one_period(GAA, 50, seed=seed), policy)
+            triggered.append(report.triggered[0])
+            diffs.append(report.rel_difference[0])
         assert all(triggered)
         assert np.mean(diffs) == pytest.approx(0.80, abs=0.05)
 
     def test_trigger_sample_within_first_window(self):
-        trace = lh_period(GAA, 200, seed=1)
-        report = current_alarm(trace, AlarmPolicy(rel_tolerance=0.1, window=50))
-        assert report.triggered
-        assert report.first_trigger_sample == 49
+        block = one_period(GAA, 200, seed=1)
+        report = alarm_sweep(block, AlarmPolicy(rel_tolerance=0.1, window=50))
+        assert report.triggered[0]
+        assert report.first_trigger_sample[0] == 49
 
     def test_series_loss_alone_stays_silent(self):
         policy = AlarmPolicy(rel_tolerance=0.1, window=50)
         for seed in range(20):
-            report = current_alarm(lh_period(SERIES_ONLY, 100, seed=seed), policy)
-            assert not report.triggered
+            report = alarm_sweep(one_period(SERIES_ONLY, 100, seed=seed), policy)
+            assert not report.triggered[0]
 
     def test_short_trace_rejected(self):
-        trace = lh_period(GAA, 10)
+        block = one_period(GAA, 10)
         with pytest.raises(ValueError):
-            current_alarm(trace, AlarmPolicy(rel_tolerance=0.1, window=50))
+            alarm_sweep(block, AlarmPolicy(rel_tolerance=0.1, window=50))
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -165,61 +204,86 @@ class TestCurrentAlarm:
             AlarmPolicy(window=1)
 
 
+def picks(n_bits, seed, n_samples=10):
+    blocks = list(iter_period_blocks(n_bits, PAIR, LOSSLESS, NOISE, n_samples, seed))
+    return np.concatenate([b.alice_high for b in blocks]), np.concatenate([b.bob_high for b in blocks])
+
+
 class TestDrawChoices:
+    """Resistor picks, drawn per chunk from the chunk's stream."""
+
     def test_deterministic(self):
-        assert draw_choices(64, 5) == draw_choices(64, 5)
+        a_1, b_1 = picks(64, 5)
+        a_2, b_2 = picks(64, 5)
+        assert np.array_equal(a_1, a_2) and np.array_equal(b_1, b_2)
 
     def test_roughly_fair(self):
-        choices = draw_choices(4000, 123)
-        highs = sum(1 for a, _ in choices if a is Choice.HIGH)
-        lo, hi = wilson_ci(highs, 4000, 3.29)
-        assert lo <= 0.5 <= hi
+        alice_high, bob_high = picks(4000, 123)
+        for high in (alice_high, bob_high):
+            lo, hi = wilson_ci(int(high.sum()), 4000, 3.29)
+            assert lo <= 0.5 <= hi
 
 
 class TestRunKeyExchange:
-    """Whole exchanges: seeded periods from iter_bit_periods, each swept by the alarm."""
+    """Whole exchanges: seeded blocks from iter_period_blocks, each swept by the alarm."""
 
     @staticmethod
     def exchange(n_bits, net, n_samples, policy, seed):
-        traces = list(iter_bit_periods(n_bits, PAIR, net, NOISE, n_samples, seed))
-        return traces, [current_alarm(t, policy) for t in traces]
+        blocks = list(iter_period_blocks(n_bits, PAIR, net, NOISE, n_samples, seed))
+        return blocks, [alarm_sweep(b, policy) for b in blocks]
 
     def test_lossless_thousand_bits(self):
-        traces, alarms = self.exchange(1000, LOSSLESS, 100, AlarmPolicy(), 17)
-        assert len(traces) == 1000
-        assert not any(a.triggered for a in alarms)
-        n_secure = sum(t.state.secure for t in traces)
+        blocks, alarms = self.exchange(1000, LOSSLESS, 100, AlarmPolicy(), 17)
+        assert sum(b.n_periods for b in blocks) == 1000
+        assert not any(a.triggered.any() for a in alarms)
+        n_secure = sum(int(b.secure.sum()) for b in blocks)
         lo, hi = wilson_ci(n_secure, 1000, 2.576)
         assert lo <= 0.5 <= hi
 
     def test_gaa_alarms_on_secure_periods(self):
-        traces, alarms = self.exchange(300, GAA, 100, AlarmPolicy(), 2)
-        secure = [a for t, a in zip(traces, alarms) if t.state.secure]
-        assert secure
-        assert all(a.triggered for a in secure)
+        blocks, alarms = self.exchange(300, GAA, 100, AlarmPolicy(), 2)
+        assert any(b.secure.any() for b in blocks)
+        assert all(a.triggered[b.secure].all() for b, a in zip(blocks, alarms))
 
     def test_single_bit(self):
-        traces, alarms = self.exchange(1, LOSSLESS, 100, AlarmPolicy(), 0)
-        assert len(traces) == len(alarms) == 1
+        blocks, alarms = self.exchange(1, LOSSLESS, 100, AlarmPolicy(), 0)
+        assert len(blocks) == len(alarms) == 1
+        assert blocks[0].n_periods == alarms[0].triggered.size == 1
 
     def test_deterministic(self):
-        traces_a, alarms_a = self.exchange(50, GAA, 64, AlarmPolicy(window=32), 99)
-        traces_b, alarms_b = self.exchange(50, GAA, 64, AlarmPolicy(window=32), 99)
-        assert alarms_a == alarms_b
-        for ta, tb in zip(traces_a, traces_b):
-            assert ta.state is tb.state
-            assert np.array_equal(ta.i_alice, tb.i_alice)
+        blocks_a, alarms_a = self.exchange(50, GAA, 64, AlarmPolicy(window=32), 99)
+        blocks_b, alarms_b = self.exchange(50, GAA, 64, AlarmPolicy(window=32), 99)
+        for a, b in zip(alarms_a, alarms_b):
+            assert np.array_equal(a.first_trigger_sample, b.first_trigger_sample)
+            assert np.array_equal(a.rel_difference, b.rel_difference)
+        for ba, bb in zip(blocks_a, blocks_b):
+            assert np.array_equal(ba.alice_high, bb.alice_high)
+            assert np.array_equal(ba.i_alice, bb.i_alice)
 
     def test_key_bits_follow_states(self):
-        for trace in iter_bit_periods(80, PAIR, LOSSLESS, NOISE, 60, 31):
-            assert trace.state is classify_state(trace.alice_choice, trace.bob_choice)
-            assert (trace.state in KEY_BIT_BY_STATE) is trace.state.secure
+        for block in iter_period_blocks(80, PAIR, LOSSLESS, NOISE, 60, 31):
+            for r in range(block.n_periods):
+                state = classify_state(choice(block.alice_high[r]), choice(block.bob_high[r]))
+                assert state.secure == block.secure[r]
+                assert (state in KEY_BIT_BY_STATE) is state.secure
+                if state.secure:
+                    assert KEY_BIT_BY_STATE[state] == block.alice_high[r]
 
     def test_iter_matches_record(self):
-        # period p is run_bit_period on the p-th drawn choice pair
-        traces = list(iter_bit_periods(20, PAIR, GAA, NOISE, 16, 7))
-        for p, (a, b) in enumerate(draw_choices(20, 7)):
-            direct = run_bit_period(a, b, PAIR, GAA, NOISE, 16, 7, period_index=p)
-            assert traces[p].state is direct.state
-            assert traces[p].period_index == p
-            assert np.array_equal(traces[p].i_bob, direct.i_bob)
+        # chunk c is run_periods on the picks drawn first from stream (seed, c);
+        # 3000 samples per period give chunks of 2 periods, the last one short
+        n_samples = 3000
+        k = CHUNK_SAMPLES // n_samples
+        blocks = list(iter_period_blocks(5, PAIR, GAA, NOISE, n_samples, 7))
+        assert [b.n_periods for b in blocks] == [k, k, 1]
+        for c, block in enumerate(blocks):
+            rng = SeededStream(7, c).generator()
+            drawn = rng.integers(0, 2, size=(block.n_periods, 2)).astype(bool)
+            direct = run_periods(drawn[:, 0], drawn[:, 1], PAIR, GAA, NOISE, n_samples, rng)
+            assert np.array_equal(block.alice_high, direct.alice_high)
+            assert np.array_equal(block.bob_high, direct.bob_high)
+            assert np.array_equal(block.i_bob, direct.i_bob)
+
+    def test_long_periods_get_one_stream_each(self):
+        blocks = list(iter_period_blocks(3, PAIR, GAA, NOISE, CHUNK_SAMPLES + 1, 4))
+        assert [b.n_periods for b in blocks] == [1, 1, 1]
