@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuit import NetworkConfig, analytic_mean_square_currents
 from .noise import NoiseSpec
-from .protocol import PeriodBlock, ResistorPair, iter_period_blocks
+from .protocol import PeriodBlock
 from .stats import Z99, wilson_ci
 
 
@@ -100,7 +100,7 @@ def row_verdicts(block: PeriodBlock, cal: EveCalibration, budget: int) -> RowVer
     )
 
 
-def _ratio(count: int, total: int) -> float:
+def _ratio(count: float, total: float) -> float:
     return count / total if total else math.nan
 
 
@@ -209,24 +209,3 @@ class CampaignTally:
     def fidelity_ci(self) -> Optional[tuple[float, float]]:
         return _interval(self.n_correct, self.n_answered)
 
-
-def attack_campaign(
-    n_bits: int,
-    pair: ResistorPair,
-    net_template: NetworkConfig,
-    noise: NoiseSpec,
-    samples_per_bit: int,
-    master_seed: int,
-    max_measurements: int = 64,
-) -> CampaignTally:
-    """Protocol plus attack end to end over ``n_bits`` seeded periods.
-
-    Every secure period is attacked twice over: each measurement sample as
-    a standalone single-measurement trial, and once with the
-    repeat-until-answer rule under the measurement budget.
-    """
-    cal = calibrate(net_template.with_resistors(pair.r_low, pair.r_high), noise)
-    tally = CampaignTally(max_measurements=max_measurements)
-    for block in iter_period_blocks(n_bits, pair, net_template, noise, samples_per_bit, master_seed):
-        tally.add_block(block.secure_rows(), cal)
-    return tally

@@ -30,10 +30,10 @@ class AttenuatorConfig:
     r_shunt: float | None
 
     def __post_init__(self) -> None:
-        if self.r_series < 0:
-            raise ValueError("r_series must be >= 0")
-        if self.r_shunt is not None and self.r_shunt <= 0:
-            raise ValueError("r_shunt must be > 0 (use None for no shunt)")
+        if not 0 <= self.r_series < math.inf:
+            raise ValueError("r_series must be finite and >= 0")
+        if self.r_shunt is not None and not 0 < self.r_shunt < math.inf:
+            raise ValueError("r_shunt must be finite and > 0 (use None for no shunt)")
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,10 @@ class NetworkConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.r_alice <= 0:
-            raise ValueError("r_alice must be > 0")
-        if self.r_bob <= 0:
-            raise ValueError("r_bob must be > 0")
+        if not 0 < self.r_alice < math.inf:
+            raise ValueError("r_alice must be finite and > 0")
+        if not 0 < self.r_bob < math.inf:
+            raise ValueError("r_bob must be finite and > 0")
 
     @property
     def r_series(self) -> float:
@@ -81,18 +81,9 @@ class CurrentMoments:
     ratio: float
 
 
-@dataclass(frozen=True)
-class InstantState:
-    """One instantaneous solution: the two end currents and the shunt-node voltage."""
-
-    i_alice: float
-    i_bob: float
-    v_node: float
-
-
 def parallel_resistance(r1: float, r2: float | None) -> float:
     """r1*r2/(r1+r2); ``r2=None`` stands for an open branch and returns r1."""
-    if r2 is None or math.isinf(r2):
+    if r2 is None:
         return r1
     if r1 == 0.0 or r2 == 0.0:
         return 0.0
@@ -162,12 +153,6 @@ def solve_network(u_alice, u_bob, net: NetworkConfig):
     g_sum = 1.0 / ra + 1.0 / rb + 1.0 / r2
     v = (u_alice / ra + u_bob / rb) / g_sum
     return (u_alice - v) / ra, (v - u_bob) / rb, v
-
-
-def solve_network_sample(u_alice: float, u_bob: float, net: NetworkConfig) -> InstantState:
-    """Scalar convenience wrapper around :func:`solve_network`."""
-    i_a, i_b, v = solve_network(u_alice, u_bob, net)
-    return InstantState(i_alice=float(i_a), i_bob=float(i_b), v_node=float(v))
 
 
 def design_tee_pad(loss_db: float, z0: float) -> AttenuatorConfig:

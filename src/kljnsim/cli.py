@@ -18,6 +18,7 @@ from typing import ContextManager, Optional, Sequence, TextIO
 
 from .circuit import design_tee_pad
 from .config import ConfigError, load_config_file, resolve_config
+from .protocol import low_high_resistors
 from .reporting import build_report, write_report
 
 EXIT_OK = 0
@@ -96,6 +97,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out=args.out,
         trace_csv=args.trace_csv,
     )
+    low_high_resistors(cfg.network)  # fails before the report and trace files are opened
     with _report_file(cfg.report_path) as out:
         write_report(build_report(cfg, empirical=True), out)
     return EXIT_OK

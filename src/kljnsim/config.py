@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 from .circuit import AttenuatorConfig, NetworkConfig, design_tee_pad
 from .noise import NORMALIZED, NoiseSpec
-from .protocol import AlarmPolicy, ResistorPair
+from .protocol import AlarmPolicy
 
 
 class ConfigError(ValueError):
@@ -63,13 +63,6 @@ class ExperimentConfig:
             raise ConfigError("protocol.samples_per_bit must be >= protocol.alarm.window")
         if self.max_measurements < 1:
             raise ConfigError("attack.max_measurements must be >= 1")
-
-    @property
-    def pair(self) -> ResistorPair:
-        if self.network.r_alice == self.network.r_bob:
-            raise ConfigError("network.r_alice and network.r_bob must differ to form a resistor pair")
-        lo, hi = sorted((self.network.r_alice, self.network.r_bob))
-        return ResistorPair(lo, hi)
 
     def to_dict(self) -> dict[str, Any]:
         """Echo in the same shape the file schema uses (round-trippable)."""

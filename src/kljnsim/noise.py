@@ -48,10 +48,10 @@ class NoiseSpec:
         if isinstance(self.t_eff, str):
             if self.t_eff != NORMALIZED:
                 raise ValueError(f"t_eff must be a temperature in K or {NORMALIZED!r}")
-        elif self.t_eff <= 0:
-            raise ValueError("t_eff must be > 0")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
+        elif not 0 < self.t_eff < math.inf:
+            raise ValueError("t_eff must be finite and > 0")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and > 0")
         if self.mode not in ("independent", "waveform"):
             raise ValueError("mode must be 'independent' or 'waveform'")
         if self.oversample < 2:
@@ -77,11 +77,6 @@ class NoiseSpec:
     def correlation_time(self) -> float:
         """Time over which samples decorrelate, taken as 1/(2B)."""
         return 1.0 / (2.0 * self.bandwidth)
-
-    @property
-    def sample_rate(self) -> float:
-        """Waveform-mode sampling rate: oversample times the Nyquist rate."""
-        return 2.0 * self.bandwidth * self.oversample
 
     @property
     def measurement_stride(self) -> int:
@@ -140,10 +135,10 @@ def lowpass_kernel(oversample: int) -> np.ndarray:
 def band_limited_stream(rng: np.random.Generator, spec: NoiseSpec, rows: int, n: int) -> np.ndarray:
     """``(rows, n)`` unit-variance Gaussian noise, each row band-limited to ``spec.bandwidth``.
 
-    Samples are spaced at ``spec.sample_rate``.  All rows' white noise is
-    drawn from ``rng`` in one call, then each row is shaped on its own by
-    the unit-energy kernel, so every output sample has variance exactly 1
-    regardless of the kernel choice.
+    Each correlation time 1/(2B) holds ``spec.oversample`` samples.  All
+    rows' white noise is drawn from ``rng`` in one call, then each row is
+    shaped on its own by the unit-energy kernel, so every output sample has
+    variance exactly 1 regardless of the kernel choice.
     """
     if spec.mode != "waveform":
         raise ValueError("band_limited_stream requires a waveform-mode NoiseSpec")

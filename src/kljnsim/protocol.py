@@ -1,12 +1,13 @@
-"""KLJN bit-exchange state machine over the loop model.
+"""KLJN bit exchange over the loop model, with resistor picks as boolean arrays.
 
-Each bit period both parties connect one resistor of the shared pair at
-random and drive the loop with Johnson noise of the connected resistors.
-Opposite picks (LH/HL) are the secure states and carry key bits; equal
-picks are generated and then discarded, so secure-fraction statistics stay
-observable.  A current-comparison alarm watches for the broken-loop
-signature: sustained inequality of the two end currents, which an intact
-single loop can never produce.
+The two end resistors of the network are the public pair {R_low, R_high}.
+Each bit period both parties connect one of them at random (``alice_high``,
+``bob_high``) and drive the loop with Johnson noise of the connected
+resistors.  Opposite picks are the secure periods and carry the key bit
+``alice_high``; equal picks are generated and then discarded, so
+secure-fraction statistics stay observable.  A current-comparison alarm
+watches for the broken-loop signature: sustained inequality of the two end
+currents, which an intact single loop can never produce.
 
 Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
 one ``(K, n)`` array per observable, drawn from one keyed random stream
@@ -15,8 +16,8 @@ one ``(K, n)`` array per observable, drawn from one keyed random stream
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
@@ -25,50 +26,11 @@ from .circuit import NetworkConfig, solve_network
 from .noise import NoiseSpec, SeededStream, band_limited_stream, gaussian_stream, johnson_rms
 
 
-class Choice(Enum):
-    LOW = "low"
-    HIGH = "high"
-
-
-class LoopState(Enum):
-    LL = "LL"
-    LH = "LH"
-    HL = "HL"
-    HH = "HH"
-
-    @property
-    def secure(self) -> bool:
-        return self in (LoopState.LH, LoopState.HL)
-
-    @property
-    def choices(self) -> tuple[Choice, Choice]:
-        """Alice's and Bob's resistor picks in this state."""
-        return tuple(Choice.LOW if c == "L" else Choice.HIGH for c in self.value)
-
-
-# Key-bit convention: 1 when Alice holds the high resistor, 0 when Bob does.
-KEY_BIT_BY_STATE = {LoopState.LH: 0, LoopState.HL: 1}
-
-
-def classify_state(alice: Choice, bob: Choice) -> LoopState:
-    """Map the two resistor picks to a loop state; LH and HL are secure."""
-    name = ("L" if alice is Choice.LOW else "H") + ("L" if bob is Choice.LOW else "H")
-    return LoopState(name)
-
-
-@dataclass(frozen=True)
-class ResistorPair:
-    """The two publicly known resistance values both parties switch between."""
-
-    r_low: float
-    r_high: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.r_low < self.r_high:
-            raise ValueError("need 0 < r_low < r_high")
-
-    def resistance(self, choice: Choice) -> float:
-        return self.r_low if choice is Choice.LOW else self.r_high
+def low_high_resistors(net: NetworkConfig) -> tuple[float, float]:
+    """The public pair ``(r_low, r_high)``: the network's two end resistors, sorted."""
+    if net.r_alice == net.r_bob:
+        raise ValueError("network.r_alice and network.r_bob must differ to form a resistor pair")
+    return min(net.r_alice, net.r_bob), max(net.r_alice, net.r_bob)
 
 
 @dataclass(frozen=True)
@@ -79,8 +41,8 @@ class AlarmPolicy:
     window: int = 50
 
     def __post_init__(self) -> None:
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be > 0")
+        if not 0 < self.rel_tolerance < math.inf:
+            raise ValueError("rel_tolerance must be finite and > 0")
         if self.window < 2:
             raise ValueError("window must be >= 2")
 
@@ -130,7 +92,7 @@ class PeriodBlock:
 
     @property
     def secure(self) -> np.ndarray:
-        """``(K,)`` mask of the LH/HL rows."""
+        """``(K,)`` mask of the rows with opposite picks (LH/HL)."""
         return self.alice_high != self.bob_high
 
     def secure_rows(self) -> "PeriodBlock":
@@ -159,8 +121,7 @@ CHUNK_SAMPLES = 8192
 def run_periods(
     alice_high: np.ndarray,
     bob_high: np.ndarray,
-    pair: ResistorPair,
-    net_template: NetworkConfig,
+    net: NetworkConfig,
     noise: NoiseSpec,
     n_samples: int,
     rng: np.random.Generator,
@@ -171,10 +132,11 @@ def run_periods(
     voltages sit at the Johnson RMS of each party's connected resistor.
     The pad elements are treated as noiseless: their physical temperature
     is negligible against the generators' effective one.  The nodal solve
-    runs once per loop state present in the block.
+    runs once per pick combination present in the block.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    r_low, r_high = low_high_resistors(net)
     rows = int(alice_high.size)
     if noise.mode == "independent":
         u_a = gaussian_stream(rng, rows, n_samples)
@@ -183,31 +145,29 @@ def run_periods(
         u_a = band_limited_stream(rng, noise, rows, n_samples)
         u_b = band_limited_stream(rng, noise, rows, n_samples)
     groups = []
-    for state in LoopState:
-        a, b = state.choices
-        mask = (alice_high == (a is Choice.HIGH)) & (bob_high == (b is Choice.HIGH))
+    for a, b in ((False, False), (False, True), (True, False), (True, True)):
+        mask = (alice_high == a) & (bob_high == b)
         if mask.any():
-            groups.append((pair.resistance(a), pair.resistance(b), mask))
-    if len(groups) == 1:  # every row in one state: solve in place, no row copies
+            groups.append((r_high if a else r_low, r_high if b else r_low, mask))
+    if len(groups) == 1:  # every row has the same picks: solve in place, no row copies
         r_a, r_b, _ = groups[0]
         u_a *= johnson_rms(r_a, noise)
         u_b *= johnson_rms(r_b, noise)
-        i_a, i_b, v = solve_network(u_a, u_b, net_template.with_resistors(r_a, r_b))
+        i_a, i_b, v = solve_network(u_a, u_b, net.with_resistors(r_a, r_b))
     else:
         i_a, i_b, v = np.empty_like(u_a), np.empty_like(u_a), np.empty_like(u_a)
         for r_a, r_b, mask in groups:
             i_a[mask], i_b[mask], v[mask] = solve_network(
                 johnson_rms(r_a, noise) * u_a[mask],
                 johnson_rms(r_b, noise) * u_b[mask],
-                net_template.with_resistors(r_a, r_b),
+                net.with_resistors(r_a, r_b),
             )
     return PeriodBlock(alice_high, bob_high, i_a, i_b, v, noise.measurement_stride)
 
 
 def iter_period_blocks(
     n_bits: int,
-    pair: ResistorPair,
-    net_template: NetworkConfig,
+    net: NetworkConfig,
     noise: NoiseSpec,
     n_samples: int,
     master_seed: int,
@@ -227,7 +187,7 @@ def iter_period_blocks(
     for chunk, first in enumerate(range(0, n_bits, k)):
         rng = SeededStream(master_seed, chunk).generator()
         picks = rng.integers(0, 2, size=(min(k, n_bits - first), 2)).astype(bool)
-        yield run_periods(picks[:, 0], picks[:, 1], pair, net_template, noise, n_samples, rng)
+        yield run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng)
 
 
 def _window_means(x: np.ndarray, w: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Any, Optional, TextIO
 import numpy as np
 
 from . import __version__
-from .attack import CampaignTally, calibrate
+from .attack import CampaignTally, _ratio, calibrate
 from .circuit import analytic_mean_square_currents
 from .config import ExperimentConfig
 from .protocol import CHUNK_SAMPLES, RNG_LAYOUT, PeriodBlock, alarm_sweep, iter_period_blocks
@@ -52,24 +52,6 @@ def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-@dataclass
-class _EmpiricalAccumulator:
-    n_bits: int = 0
-    n_secure: int = 0
-    n_secure_samples: int = 0
-    low_end_sq_sum: float = 0.0
-    high_end_sq_sum: float = 0.0
-    n_alarms: int = 0
-    n_alarms_secure: int = 0
-    rel_difference_sum: float = 0.0  # over secure periods
-
-
-def _empirical_ratio(acc: _EmpiricalAccumulator) -> float:
-    if acc.n_secure_samples == 0 or acc.high_end_sq_sum == 0.0:
-        return float("nan")
-    return acc.low_end_sq_sum / acc.high_end_sq_sum
-
-
 def _write_trace_rows(writer, block: PeriodBlock, first_period: int) -> None:
     """One CSV row per sample, in period order.
 
@@ -88,61 +70,70 @@ def _write_trace_rows(writer, block: PeriodBlock, first_period: int) -> None:
         writer.writerows(zip(*(c[start : start + CHUNK_SAMPLES].tolist() for c in columns)))
 
 
-def empirical_section(cfg: ExperimentConfig, csv_writer=None) -> dict[str, Any]:
-    """One streaming Monte Carlo pass: protocol, alarm, attack, optional CSV dump.
+@dataclass
+class EmpiricalTotals:
+    """Totals of one Monte Carlo pass: periods, secure-period moments, alarms, attack tally.
 
-    The empirical moment ratio is orientation-aware: squared currents are
-    pooled at the low-resistor end and the high-resistor end across both
-    secure states, so LH and HL periods reinforce rather than cancel.
+    Squared currents are pooled at the low-resistor end and the
+    high-resistor end across both secure orientations, so LH and HL periods
+    reinforce rather than cancel.
     """
-    cal = calibrate(cfg.network.with_resistors(cfg.pair.r_low, cfg.pair.r_high), cfg.noise)
-    tally = CampaignTally(max_measurements=cfg.max_measurements)
-    acc = _EmpiricalAccumulator()
 
-    for block in iter_period_blocks(
-        cfg.n_bits, cfg.pair, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed
-    ):
+    tally: CampaignTally
+    n_bits: int = 0
+    n_secure: int = 0
+    n_secure_samples: int = 0
+    low_end_sq_sum: float = 0.0
+    high_end_sq_sum: float = 0.0
+    n_alarms: int = 0
+    n_alarms_secure: int = 0
+    rel_difference_sum: float = 0.0  # over secure periods
+
+
+def monte_carlo_pass(cfg: ExperimentConfig, csv_writer=None) -> EmpiricalTotals:
+    """One streaming pass over every seeded block: protocol, alarm, attack, optional CSV dump."""
+    cal = calibrate(cfg.network, cfg.noise)
+    totals = EmpiricalTotals(CampaignTally(max_measurements=cfg.max_measurements))
+    for block in iter_period_blocks(cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed):
         alarm = alarm_sweep(block, cfg.alarm)
         secure = block.secure
-        acc.n_alarms += int(np.count_nonzero(alarm.triggered))
-        acc.n_alarms_secure += int(np.count_nonzero(alarm.triggered & secure))
-        acc.rel_difference_sum += float(alarm.rel_difference[secure].sum())
+        totals.n_alarms += int(np.count_nonzero(alarm.triggered))
+        totals.n_alarms_secure += int(np.count_nonzero(alarm.triggered & secure))
+        totals.rel_difference_sum += float(alarm.rel_difference[secure].sum())
         sec = block.secure_rows()
-        acc.n_secure += sec.n_periods
-        acc.n_secure_samples += sec.n_periods * sec.n_samples
+        totals.n_secure += sec.n_periods
+        totals.n_secure_samples += sec.n_periods * sec.n_samples
         sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
         sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
         # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
-        acc.low_end_sq_sum += float(np.where(sec.alice_high, sq_b, sq_a).sum())
-        acc.high_end_sq_sum += float(np.where(sec.alice_high, sq_a, sq_b).sum())
-        tally.add_block(sec, cal)
+        totals.low_end_sq_sum += float(np.where(sec.alice_high, sq_b, sq_a).sum())
+        totals.high_end_sq_sum += float(np.where(sec.alice_high, sq_a, sq_b).sum())
+        totals.tally.add_block(sec, cal)
         if csv_writer is not None:
-            _write_trace_rows(csv_writer, block, acc.n_bits)
-        acc.n_bits += block.n_periods
+            _write_trace_rows(csv_writer, block, totals.n_bits)
+        totals.n_bits += block.n_periods
+    return totals
 
-    secure_ci = wilson_ci(acc.n_secure, acc.n_bits, Z99)
+
+def empirical_section(cfg: ExperimentConfig, csv_writer=None) -> dict[str, Any]:
+    """The report's empirical section: the totals of :func:`monte_carlo_pass`, as rates."""
+    t = monte_carlo_pass(cfg, csv_writer)
     return {
-        "n_bits": acc.n_bits,
-        "n_secure": acc.n_secure,
-        "secure_fraction": acc.n_secure / acc.n_bits,
-        "secure_fraction_ci99": list(secure_ci),
-        "n_secure_samples": acc.n_secure_samples,
-        "ratio": _empirical_ratio(acc),
-        "mean_square_low_end": acc.low_end_sq_sum / acc.n_secure_samples
-        if acc.n_secure_samples
-        else float("nan"),
-        "mean_square_high_end": acc.high_end_sq_sum / acc.n_secure_samples
-        if acc.n_secure_samples
-        else float("nan"),
+        "n_bits": t.n_bits,
+        "n_secure": t.n_secure,
+        "secure_fraction": t.n_secure / t.n_bits,
+        "secure_fraction_ci99": list(wilson_ci(t.n_secure, t.n_bits, Z99)),
+        "n_secure_samples": t.n_secure_samples,
+        "ratio": _ratio(t.low_end_sq_sum, t.high_end_sq_sum),
+        "mean_square_low_end": _ratio(t.low_end_sq_sum, t.n_secure_samples),
+        "mean_square_high_end": _ratio(t.high_end_sq_sum, t.n_secure_samples),
         "alarm": {
-            "n_triggered": acc.n_alarms,
-            "n_triggered_secure": acc.n_alarms_secure,
-            "trigger_rate_secure": acc.n_alarms_secure / acc.n_secure if acc.n_secure else float("nan"),
-            "mean_rel_difference_secure": acc.rel_difference_sum / acc.n_secure
-            if acc.n_secure
-            else float("nan"),
+            "n_triggered": t.n_alarms,
+            "n_triggered_secure": t.n_alarms_secure,
+            "trigger_rate_secure": _ratio(t.n_alarms_secure, t.n_secure),
+            "mean_rel_difference_secure": _ratio(t.rel_difference_sum, t.n_secure),
         },
-        "attack": _attack_dict(tally),
+        "attack": _attack_dict(t.tally),
     }
 
 

@@ -25,23 +25,23 @@ import json
 import numpy as np
 import pytest
 
-from kljnsim.attack import attack_campaign, calibrate
+from kljnsim.attack import calibrate
 from kljnsim.circuit import (
     AttenuatorConfig,
     NetworkConfig,
     analytic_mean_square_currents,
     design_tee_pad,
     parallel_resistance,
-    solve_network_sample,
+    solve_network,
 )
 from kljnsim.cli import main
-from kljnsim.config import PRESETS
+from kljnsim.config import PRESETS, ExperimentConfig
 from kljnsim.noise import NoiseSpec
-from kljnsim.protocol import AlarmPolicy, ResistorPair, alarm_sweep, iter_period_blocks
+from kljnsim.protocol import AlarmPolicy, alarm_sweep, iter_period_blocks
+from kljnsim.reporting import monte_carlo_pass
 from kljnsim.stats import analytic_attack_probabilities, chi2_cdf_1
 
 NOISE = NoiseSpec()
-PAIR = ResistorPair(1000.0, 10000.0)
 GAA = PRESETS["gaa-1db"]
 SEED = 20260810
 
@@ -54,6 +54,14 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+def attack_tally(n_bits, samples_per_bit, master_seed):
+    """The attack tally of the report's Monte Carlo pass on gaa-1db."""
+    cfg = ExperimentConfig(
+        network=GAA, n_bits=n_bits, samples_per_bit=samples_per_bit, master_seed=master_seed
+    )
+    return monte_carlo_pass(cfg).tally
+
+
 def run_cli_report(argv, capsys) -> dict:
     code = main(argv)
     out = capsys.readouterr().out
@@ -64,13 +72,13 @@ def run_cli_report(argv, capsys) -> dict:
 @pytest.fixture(scope="module")
 def trial_campaign():
     # ~10.5k secure periods x 100 samples -> ~1.05e6 single-measurement trials
-    return attack_campaign(21_000, PAIR, GAA, NOISE, samples_per_bit=100, master_seed=SEED)
+    return attack_tally(21_000, samples_per_bit=100, master_seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def measurement_campaign():
     # ~102.5k attacked bits for the measurements-per-answer statistic
-    return attack_campaign(205_000, PAIR, GAA, NOISE, samples_per_bit=64, master_seed=SEED + 1)
+    return attack_tally(205_000, samples_per_bit=64, master_seed=SEED + 1)
 
 
 def test_criterion_1_analytic_ratio(capsys):
@@ -202,7 +210,7 @@ def test_criterion_7_alarm_detection(capsys):
     n_secure = 0
     n_triggered = 0
     diffs = []
-    for block in iter_period_blocks(20_500, PAIR, GAA, NOISE, 50, SEED + 2):
+    for block in iter_period_blocks(20_500, GAA, NOISE, 50, SEED + 2):
         report = alarm_sweep(block, policy)
         secure = block.secure
         n_secure += int(secure.sum())
@@ -224,8 +232,8 @@ def test_criterion_8_property_suites(capsys):
 
     # superposition consistency at machine precision (no series element)
     net = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(0.0, 500.0))
-    g_aa = solve_network_sample(1.0, 0.0, net).i_alice
-    g_ab = solve_network_sample(0.0, 1.0, net).i_alice
+    g_aa = solve_network(1.0, 0.0, net)[0]
+    g_ab = solve_network(0.0, 1.0, net)[0]
     m = analytic_mean_square_currents(net, NOISE)
     ms_super = net.r_alice * g_aa**2 + net.r_bob * g_ab**2
     checks.append(abs(ms_super / m.ms_alice - 1.0) < 1e-12)
@@ -248,8 +256,8 @@ def test_criterion_8_property_suites(capsys):
 
     # determinism: identical seeds give identical campaign statistics and
     # identical report content (timestamp aside)
-    a = attack_campaign(300, PAIR, GAA, NOISE, samples_per_bit=60, master_seed=SEED)
-    b = attack_campaign(300, PAIR, GAA, NOISE, samples_per_bit=60, master_seed=SEED)
+    a = attack_tally(300, samples_per_bit=60, master_seed=SEED)
+    b = attack_tally(300, samples_per_bit=60, master_seed=SEED)
     checks.append(a == b)
     sim_args = ["simulate", "--preset", "gaa-1db", "--seed", str(SEED), "--bits", "60"]
     r1 = run_cli_report(sim_args, capsys)

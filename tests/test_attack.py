@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from kljnsim.attack import CampaignTally, EveCalibration, attack_campaign, calibrate
-from kljnsim.circuit import AttenuatorConfig, NetworkConfig
+from kljnsim.attack import CampaignTally, EveCalibration, calibrate
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig, solve_network
+from kljnsim.config import ExperimentConfig
 from kljnsim.noise import NoiseSpec, SeededStream
-from kljnsim.protocol import LoopState, PeriodBlock, ResistorPair, iter_period_blocks, run_periods
+from kljnsim.protocol import AlarmPolicy, PeriodBlock, iter_period_blocks, run_periods
+from kljnsim.reporting import monte_carlo_pass
 from kljnsim.stats import analytic_attack_probabilities, wilson_ci
 
 NOISE = NoiseSpec()
-PAIR = ResistorPair(1000.0, 10000.0)
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0))
 LOSSLESS = NetworkConfig(1000.0, 10000.0, None)
 GAA_CAL = calibrate(GAA, NOISE)
@@ -33,24 +34,36 @@ SIM_END_CORRELATION = 0.251511
 def one_period(net, n_samples, seed=0, period=0, alice_high=False, bob_high=True):
     """A one-row block with fixed picks, drawn from stream (seed, period)."""
     rng = SeededStream(seed, period).generator()
-    return run_periods(np.array([alice_high]), np.array([bob_high]), PAIR, net, NOISE, n_samples, rng)
+    return run_periods(np.array([alice_high]), np.array([bob_high]), net, NOISE, n_samples, rng)
 
 
 def secure_trace(net, n_samples, seed=0, period=0, state="LH"):
     return one_period(net, n_samples, seed, period, alice_high=state == "HL", bob_high=state == "LH")
 
 
-def built_trace(x_alice, x_bob, state=LoopState.LH):
+def built_trace(x_alice, x_bob, state="LH"):
     """A one-row secure block whose squared currents are exactly the given readings."""
-    alice_high = state is LoopState.HL
+    alice_high = state == "HL"
     i_alice = np.sqrt(np.asarray([x_alice], dtype=float))
     i_bob = np.sqrt(np.asarray([x_bob], dtype=float))
     return PeriodBlock(np.array([alice_high]), np.array([not alice_high]), i_alice, i_bob, np.zeros_like(i_alice))
 
 
 def secure_blocks(n_bits, net, n_samples, seed):
-    for block in iter_period_blocks(n_bits, PAIR, net, NOISE, n_samples, seed):
+    for block in iter_period_blocks(n_bits, net, NOISE, n_samples, seed):
         yield block.secure_rows()
+
+
+def campaign_tally(n_bits, net, samples_per_bit, master_seed):
+    """The attack tally of the report's Monte Carlo pass over ``n_bits`` seeded periods."""
+    cfg = ExperimentConfig(
+        network=net,
+        n_bits=n_bits,
+        samples_per_bit=samples_per_bit,
+        alarm=AlarmPolicy(window=min(50, samples_per_bit)),
+        master_seed=master_seed,
+    )
+    return monte_carlo_pass(cfg).tally
 
 
 def tally_of(blocks, cal, max_measurements=64):
@@ -114,7 +127,7 @@ class TestSingleSampleDecision:
     def test_guess_convention_consistent_with_key_bits(self):
         # the larger reading marks the low resistor: Alice's end on LH, Bob's on HL
         tally = tally_of(
-            [built_trace([6.0], [0.5], LoopState.LH), built_trace([0.5], [6.0], LoopState.HL)],
+            [built_trace([6.0], [0.5], "LH"), built_trace([0.5], [6.0], "HL")],
             UNIT_CAL,
         )
         assert tally.n_correct == tally.n_answered == 2
@@ -168,7 +181,7 @@ class TestAttackBit:
 
 @pytest.fixture(scope="module")
 def campaign():
-    return attack_campaign(4000, PAIR, GAA, NOISE, samples_per_bit=100, master_seed=13)
+    return campaign_tally(4000, GAA, samples_per_bit=100, master_seed=13)
 
 
 class TestAttackCampaign:
@@ -208,12 +221,10 @@ class TestAttackCampaign:
     def test_end_currents_correlated_through_shunt(self):
         # transfer-coefficient oracle for the cross-end correlation, checked
         # against one long simulated period
-        from kljnsim.circuit import solve_network_sample
-
-        g_aa = solve_network_sample(1.0, 0.0, GAA).i_alice
-        g_ab = solve_network_sample(0.0, 1.0, GAA).i_alice
-        g_ba = solve_network_sample(1.0, 0.0, GAA).i_bob
-        g_bb = solve_network_sample(0.0, 1.0, GAA).i_bob
+        g_aa = solve_network(1.0, 0.0, GAA)[0]
+        g_ab = solve_network(0.0, 1.0, GAA)[0]
+        g_ba = solve_network(1.0, 0.0, GAA)[1]
+        g_bb = solve_network(0.0, 1.0, GAA)[1]
         var_a, var_b = GAA.r_alice, GAA.r_bob
         cov = var_a * g_aa * g_ba + var_b * g_ab * g_bb
         ms_a = var_a * g_aa**2 + var_b * g_ab**2
@@ -231,7 +242,7 @@ class TestAttackCampaign:
         assert max(lo_lh, lo_hl) <= min(hi_lh, hi_hl)  # intervals overlap
 
     def test_lossless_campaign_never_answers(self):
-        stats = attack_campaign(400, PAIR, LOSSLESS, NOISE, samples_per_bit=50, master_seed=7)
+        stats = campaign_tally(400, LOSSLESS, samples_per_bit=50, master_seed=7)
         assert stats.p_no_answer == 1.0
         assert stats.n_answered == 0
         assert stats.n_gave_up == stats.n_attacked > 0
@@ -249,6 +260,6 @@ class TestAttackCampaign:
         assert tally.success_ci is None and tally.fidelity_ci is None
 
     def test_deterministic(self):
-        a = attack_campaign(200, PAIR, GAA, NOISE, samples_per_bit=30, master_seed=5)
-        b = attack_campaign(200, PAIR, GAA, NOISE, samples_per_bit=30, master_seed=5)
+        a = campaign_tally(200, GAA, samples_per_bit=30, master_seed=5)
+        b = campaign_tally(200, GAA, samples_per_bit=30, master_seed=5)
         assert a == b

@@ -12,7 +12,6 @@ from kljnsim.circuit import (
     design_tee_pad,
     parallel_resistance,
     solve_network,
-    solve_network_sample,
 )
 from kljnsim.noise import NoiseSpec
 
@@ -68,6 +67,11 @@ class TestAnalyticMoments:
             NetworkConfig(0.0, 10000.0)
         with pytest.raises(ValueError):
             NetworkConfig(1000.0, -5.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="r_alice must be finite"):
+                NetworkConfig(bad, 10000.0)
+            with pytest.raises(ValueError, match="r_bob must be finite"):
+                NetworkConfig(1000.0, bad)
 
     @given(ra=resistances, rb=resistances, r2=resistances)
     @settings(max_examples=60)
@@ -106,10 +110,10 @@ class TestAnalyticMoments:
         # by the generator variances, exactly, when no series element hides
         # inside the loop
         net = GAA_NO_SERIES
-        g_aa = solve_network_sample(1.0, 0.0, net).i_alice
-        g_ab = solve_network_sample(0.0, 1.0, net).i_alice
-        g_ba = solve_network_sample(1.0, 0.0, net).i_bob
-        g_bb = solve_network_sample(0.0, 1.0, net).i_bob
+        g_aa = solve_network(1.0, 0.0, net)[0]
+        g_ab = solve_network(0.0, 1.0, net)[0]
+        g_ba = solve_network(1.0, 0.0, net)[1]
+        g_bb = solve_network(0.0, 1.0, net)[1]
         m = analytic_mean_square_currents(net, NOISE)
         ms_alice = net.r_alice * g_aa**2 + net.r_bob * g_ab**2
         ms_bob = net.r_alice * g_ba**2 + net.r_bob * g_bb**2
@@ -134,45 +138,42 @@ class TestCurrentRatio:
 
 class TestSolveNetwork:
     def test_single_loop_ohms_law(self):
-        state = solve_network_sample(1.0, 0.0, LOSSLESS)
-        assert state.i_alice == state.i_bob == pytest.approx(1.0 / 11000.0, rel=1e-14)
+        i_a, i_b, _ = solve_network(1.0, 0.0, LOSSLESS)
+        assert i_a == i_b == pytest.approx(1.0 / 11000.0, rel=1e-14)
 
     def test_zero_drive(self):
-        state = solve_network_sample(0.0, 0.0, GAA)
-        assert state.i_alice == state.i_bob == state.v_node == 0.0
+        i_a, i_b, v = solve_network(0.0, 0.0, GAA)
+        assert i_a == i_b == v == 0.0
 
     def test_two_loop_hand_nodal_analysis(self):
         # independent hand solution: v = 10/31 V for 1 V at Alice's end
-        state = solve_network_sample(1.0, 0.0, GAA_NO_SERIES)
-        assert state.v_node == pytest.approx(10.0 / 31.0, rel=1e-13)
-        assert state.i_alice == pytest.approx(21.0 / 31.0 / 1000.0, rel=1e-13)
-        assert state.i_bob == pytest.approx(10.0 / 31.0 / 10000.0, rel=1e-13)
+        i_a, i_b, v = solve_network(1.0, 0.0, GAA_NO_SERIES)
+        assert v == pytest.approx(10.0 / 31.0, rel=1e-13)
+        assert i_a == pytest.approx(21.0 / 31.0 / 1000.0, rel=1e-13)
+        assert i_b == pytest.approx(10.0 / 31.0 / 10000.0, rel=1e-13)
 
     def test_series_elements_kept_exactly(self):
         net = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, None))
-        state = solve_network_sample(1.0, 0.0, net)
-        assert state.i_alice == state.i_bob == pytest.approx(1.0 / 11005.8, rel=1e-14)
+        i_a, i_b, _ = solve_network(1.0, 0.0, net)
+        assert i_a == i_b == pytest.approx(1.0 / 11005.8, rel=1e-14)
 
     @given(u_a=st.floats(-100, 100), u_b=st.floats(-100, 100))
     @settings(max_examples=60)
     def test_single_loop_current_identity(self, u_a, u_b):
-        state = solve_network_sample(u_a, u_b, LOSSLESS)
-        assert state.i_alice == state.i_bob
+        i_a, i_b, _ = solve_network(u_a, u_b, LOSSLESS)
+        assert i_a == i_b
 
     def test_node_current_conservation(self):
-        state = solve_network_sample(0.7, -1.3, GAA)
-        shunt_current = state.v_node / GAA.r_shunt
-        assert state.i_alice - state.i_bob == pytest.approx(shunt_current, rel=1e-12)
+        i_a, i_b, v = solve_network(0.7, -1.3, GAA)
+        shunt_current = v / GAA.r_shunt
+        assert i_a - i_b == pytest.approx(shunt_current, rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
         u_a = np.array([1.0, 0.0, 0.7])
         u_b = np.array([0.0, 1.0, -1.3])
         i_a, i_b, v = solve_network(u_a, u_b, GAA)
         for k in range(3):
-            state = solve_network_sample(float(u_a[k]), float(u_b[k]), GAA)
-            assert state.i_alice == i_a[k]
-            assert state.i_bob == i_b[k]
-            assert state.v_node == v[k]
+            assert solve_network(float(u_a[k]), float(u_b[k]), GAA) == (i_a[k], i_b[k], v[k])
 
 
 def _pad_residuals(pad: AttenuatorConfig, z0: float, loss_db: float) -> tuple[float, float]:
@@ -221,10 +222,17 @@ class TestAttenuatorConfig:
     def test_rejects_negative_series(self):
         with pytest.raises(ValueError):
             AttenuatorConfig(-1.0, 500.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r_series must be finite"):
+                AttenuatorConfig(bad, 500.0)
 
     def test_rejects_nonpositive_shunt(self):
         with pytest.raises(ValueError):
             AttenuatorConfig(0.0, 0.0)
+        # an open shunt is None, never a float infinity
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="r_shunt must be finite"):
+                AttenuatorConfig(0.0, bad)
 
     def test_no_shunt_is_single_loop(self):
         net = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, None))

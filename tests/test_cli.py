@@ -247,7 +247,7 @@ class TestSimulate:
         writer = csv.writer(expected)
         writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
         period = 0
-        for block in iter_period_blocks(bits, cfg.pair, cfg.network, cfg.noise, samples, 3):
+        for block in iter_period_blocks(bits, cfg.network, cfg.noise, samples, 3):
             for r in range(block.n_periods):
                 for k in range(block.n_samples):
                     writer.writerow(
@@ -301,6 +301,24 @@ class TestSimulate:
         assert out == ""
         assert "runtime error" in err
         assert calls == []
+
+    def test_equal_resistors_exit_one_before_touching_outputs(self, tmp_path, capsys):
+        config = tmp_path / "equal.json"
+        config.write_text(json.dumps({"network": {"r_alice": 1000, "r_bob": 1000}}))
+        report = tmp_path / "report.json"
+        report.write_bytes(b"previous report\n")
+        trace = tmp_path / "trace.csv"
+        args = ["--config", str(config), "--out", str(report)]
+        code, out, err = run_cli(["simulate", *args, "--bits", "10", "--trace-csv", str(trace)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "network.r_alice and network.r_bob must differ" in err
+        assert report.read_bytes() == b"previous report\n"
+        assert not trace.exists()
+        # the closed form needs no pair
+        code, _, _ = run_cli(["analyze", *args], capsys)
+        assert code == 0
+        assert json.loads(report.read_text())["analytic"]["moments"]["ratio"] == 1.0
 
     def test_waveform_mode_runs(self, capsys):
         code, out, _ = run_cli(

@@ -11,6 +11,7 @@ from kljnsim.config import (
     parse_config,
     resolve_config,
 )
+from kljnsim.protocol import low_high_resistors
 
 
 class TestPresets:
@@ -213,12 +214,12 @@ class TestResolveConfig:
 
     def test_pair_requires_distinct_resistors(self):
         cfg = resolve_config({"network": {"r_alice": 1000, "r_bob": 1000}})
-        with pytest.raises(ConfigError, match="differ"):
-            _ = cfg.pair
+        with pytest.raises(ValueError, match="network.r_alice and network.r_bob must differ"):
+            low_high_resistors(cfg.network)
 
     def test_pair_orients_low_high(self):
         cfg = resolve_config({"network": {"r_alice": 10000, "r_bob": 1000}})
-        assert (cfg.pair.r_low, cfg.pair.r_high) == (1000.0, 10000.0)
+        assert low_high_resistors(cfg.network) == (1000.0, 10000.0)
 
 
 class TestExperimentConfig:

@@ -45,6 +45,12 @@ class TestNoiseSpec:
             # the noise scale 4*k*T*B overflows to inf, or underflows to 0
             {"t_eff": 1e300, "bandwidth": 1e300},
             {"t_eff": 1e-300, "bandwidth": 1e-300},
+            # non-finite fields, also where the normalized scale would hide them
+            {"t_eff": math.nan},
+            {"t_eff": math.inf},
+            {"bandwidth": math.nan},
+            {"bandwidth": math.inf},
+            {"bandwidth": -math.inf},
         ],
     )
     def test_validation(self, kwargs):

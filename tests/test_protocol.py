@@ -1,24 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
+from kljnsim.attack import EveCalibration, row_verdicts
 from kljnsim.circuit import AttenuatorConfig, NetworkConfig, solve_network
 from kljnsim.noise import NoiseSpec, SeededStream, johnson_rms
 from kljnsim.protocol import (
     CHUNK_SAMPLES,
-    KEY_BIT_BY_STATE,
     AlarmPolicy,
-    Choice,
-    LoopState,
-    ResistorPair,
+    PeriodBlock,
     alarm_sweep,
-    classify_state,
     iter_period_blocks,
+    low_high_resistors,
     run_periods,
 )
 from kljnsim.stats import wilson_ci
 
 NOISE = NoiseSpec()
-PAIR = ResistorPair(1000.0, 10000.0)
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0))
 LOSSLESS = NetworkConfig(1000.0, 10000.0, None)
 SERIES_ONLY = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, None))
@@ -29,43 +28,49 @@ def one_period(net, n_samples, seed=0, period=0, noise=NOISE, state="LH"):
     """A one-row block with fixed picks, drawn from stream (seed, period)."""
     a, b = PICKS[state]
     rng = SeededStream(seed, period).generator()
-    return run_periods(np.array([a]), np.array([b]), PAIR, net, noise, n_samples, rng)
-
-
-def choice(high):
-    return Choice.HIGH if high else Choice.LOW
+    return run_periods(np.array([a]), np.array([b]), net, noise, n_samples, rng)
 
 
 class TestClassifyState:
+    """Picks as boolean arrays: the secure mask and the key bit."""
+
     @pytest.mark.parametrize(
-        "alice, bob, expected, secure",
-        [
-            (Choice.LOW, Choice.HIGH, LoopState.LH, True),
-            (Choice.HIGH, Choice.LOW, LoopState.HL, True),
-            (Choice.HIGH, Choice.HIGH, LoopState.HH, False),
-            (Choice.LOW, Choice.LOW, LoopState.LL, False),
-        ],
+        "state, secure", [("LL", False), ("LH", True), ("HL", True), ("HH", False)]
     )
-    def test_mapping(self, alice, bob, expected, secure):
-        state = classify_state(alice, bob)
-        assert state is expected
-        assert state.secure is secure
-        assert state.choices == (alice, bob)
+    def test_mapping(self, state, secure):
+        block = one_period(GAA, 4, state=state)
+        assert (block.alice_high[0], block.bob_high[0]) == PICKS[state]
+        assert bool(block.secure[0]) is secure
+        assert (block.secure_rows().n_periods == 1) is secure
 
     def test_key_bit_convention(self):
-        assert KEY_BIT_BY_STATE[LoopState.LH] == 0
-        assert KEY_BIT_BY_STATE[LoopState.HL] == 1
+        # the key bit is alice_high: Eve's guess names the end she reads as
+        # low, and on LH that is Alice's end (bit 0), on HL Bob's (bit 1);
+        # the low resistor's end reads above the threshold, the other below
+        at_low_end, at_high_end = np.sqrt([[6.0], [6.0]]), np.sqrt([[0.5], [0.5]])
+        alice_high = np.array([False, True])
+        i_alice = np.where(alice_high[:, None], at_high_end, at_low_end)
+        i_bob = np.where(alice_high[:, None], at_low_end, at_high_end)
+        block = PeriodBlock(alice_high, ~alice_high, i_alice, i_bob, np.zeros_like(i_alice))
+        guess = row_verdicts(block, EveCalibration(norm_constant=1.0, threshold=4.95), 1).guess
+        assert guess.tolist() == [0, 1] == alice_high.astype(int).tolist()
 
 
-class TestResistorPair:
+class TestLowHighResistors:
+    """The public pair is the network's two end resistors, sorted."""
+
     def test_lookup(self):
-        assert PAIR.resistance(Choice.LOW) == 1000.0
-        assert PAIR.resistance(Choice.HIGH) == 10000.0
+        assert low_high_resistors(GAA) == (1000.0, 10000.0)
 
-    @pytest.mark.parametrize("lo, hi", [(0.0, 10.0), (10.0, 10.0), (100.0, 10.0)])
-    def test_validation(self, lo, hi):
-        with pytest.raises(ValueError):
-            ResistorPair(lo, hi)
+    def test_swapped_ends_give_the_same_pair(self):
+        assert low_high_resistors(GAA.with_resistors(10000.0, 1000.0)) == (1000.0, 10000.0)
+
+    def test_equal_ends_rejected(self):
+        with pytest.raises(ValueError, match="network.r_alice and network.r_bob must differ"):
+            low_high_resistors(GAA.with_resistors(10.0, 10.0))
+        equal = LOSSLESS.with_resistors(10.0, 10.0)
+        with pytest.raises(ValueError, match="must differ"):
+            run_periods(np.array([True]), np.array([False]), equal, NOISE, 8, SeededStream(0).generator())
 
 
 class TestRunBitPeriod:
@@ -101,7 +106,6 @@ class TestRunBitPeriod:
         block = one_period(GAA, 8, state="HL")
         assert block.alice_high[0] and not block.bob_high[0]
         assert block.secure[0]
-        assert classify_state(choice(block.alice_high[0]), choice(block.bob_high[0])) is LoopState.HL
 
     def test_rejects_empty_period(self):
         with pytest.raises(ValueError):
@@ -135,16 +139,16 @@ class TestRunBitPeriod:
         ids=["four-states", "one-state"],
     )
     def test_block_matches_row_by_row_solve(self, net, alice_high, bob_high):
-        # the block solves once per loop state present; every row must equal
-        # the solve of its own scaled noise with its own resistors
+        # the block solves once per pick combination present; every row must
+        # equal the solve of its own scaled noise with its own resistors
         alice_high, bob_high = np.array(alice_high), np.array(bob_high)
         k = alice_high.size
-        block = run_periods(alice_high, bob_high, PAIR, net, NOISE, 32, SeededStream(5, 0).generator())
+        block = run_periods(alice_high, bob_high, net, NOISE, 32, SeededStream(5, 0).generator())
         rng = SeededStream(5, 0).generator()
         u_a, u_b = rng.standard_normal((k, 32)), rng.standard_normal((k, 32))
         for r in range(k):
-            r_a = PAIR.resistance(choice(alice_high[r]))
-            r_b = PAIR.resistance(choice(bob_high[r]))
+            r_a = 10000.0 if alice_high[r] else 1000.0
+            r_b = 10000.0 if bob_high[r] else 1000.0
             i_a, i_b, v = solve_network(
                 johnson_rms(r_a, NOISE) * u_a[r], johnson_rms(r_b, NOISE) * u_b[r], net.with_resistors(r_a, r_b)
             )
@@ -202,10 +206,13 @@ class TestCurrentAlarm:
             AlarmPolicy(rel_tolerance=0.0)
         with pytest.raises(ValueError):
             AlarmPolicy(window=1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="rel_tolerance must be finite"):
+                AlarmPolicy(rel_tolerance=bad)
 
 
 def picks(n_bits, seed, n_samples=10):
-    blocks = list(iter_period_blocks(n_bits, PAIR, LOSSLESS, NOISE, n_samples, seed))
+    blocks = list(iter_period_blocks(n_bits, LOSSLESS, NOISE, n_samples, seed))
     return np.concatenate([b.alice_high for b in blocks]), np.concatenate([b.bob_high for b in blocks])
 
 
@@ -229,7 +236,7 @@ class TestRunKeyExchange:
 
     @staticmethod
     def exchange(n_bits, net, n_samples, policy, seed):
-        blocks = list(iter_period_blocks(n_bits, PAIR, net, NOISE, n_samples, seed))
+        blocks = list(iter_period_blocks(n_bits, net, NOISE, n_samples, seed))
         return blocks, [alarm_sweep(b, policy) for b in blocks]
 
     def test_lossless_thousand_bits(self):
@@ -261,29 +268,30 @@ class TestRunKeyExchange:
             assert np.array_equal(ba.i_alice, bb.i_alice)
 
     def test_key_bits_follow_states(self):
-        for block in iter_period_blocks(80, PAIR, LOSSLESS, NOISE, 60, 31):
-            for r in range(block.n_periods):
-                state = classify_state(choice(block.alice_high[r]), choice(block.bob_high[r]))
-                assert state.secure == block.secure[r]
-                assert (state in KEY_BIT_BY_STATE) is state.secure
-                if state.secure:
-                    assert KEY_BIT_BY_STATE[state] == block.alice_high[r]
+        # secure rows are exactly those with opposite picks, and secure_rows
+        # keeps their picks, so the key bits alice_high stay with their rows
+        for block in iter_period_blocks(80, LOSSLESS, NOISE, 60, 31):
+            assert np.array_equal(block.secure, block.alice_high ^ block.bob_high)
+            sec = block.secure_rows()
+            assert np.array_equal(sec.alice_high, block.alice_high[block.secure])
+            assert np.array_equal(sec.bob_high, ~sec.alice_high)
+            assert np.array_equal(sec.i_alice, block.i_alice[block.secure])
 
     def test_iter_matches_record(self):
         # chunk c is run_periods on the picks drawn first from stream (seed, c);
         # 3000 samples per period give chunks of 2 periods, the last one short
         n_samples = 3000
         k = CHUNK_SAMPLES // n_samples
-        blocks = list(iter_period_blocks(5, PAIR, GAA, NOISE, n_samples, 7))
+        blocks = list(iter_period_blocks(5, GAA, NOISE, n_samples, 7))
         assert [b.n_periods for b in blocks] == [k, k, 1]
         for c, block in enumerate(blocks):
             rng = SeededStream(7, c).generator()
             drawn = rng.integers(0, 2, size=(block.n_periods, 2)).astype(bool)
-            direct = run_periods(drawn[:, 0], drawn[:, 1], PAIR, GAA, NOISE, n_samples, rng)
+            direct = run_periods(drawn[:, 0], drawn[:, 1], GAA, NOISE, n_samples, rng)
             assert np.array_equal(block.alice_high, direct.alice_high)
             assert np.array_equal(block.bob_high, direct.bob_high)
             assert np.array_equal(block.i_bob, direct.i_bob)
 
     def test_long_periods_get_one_stream_each(self):
-        blocks = list(iter_period_blocks(3, PAIR, GAA, NOISE, CHUNK_SAMPLES + 1, 4))
+        blocks = list(iter_period_blocks(3, GAA, NOISE, CHUNK_SAMPLES + 1, 4))
         assert [b.n_periods for b in blocks] == [1, 1, 1]
