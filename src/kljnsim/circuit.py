@@ -13,7 +13,7 @@ exactly, which lets tests measure the size of that approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .noise import NoiseSpec
 
@@ -26,8 +26,8 @@ class AttenuatorConfig:
     single.  The open branch is never encoded as a float infinity.
     """
 
-    r_series: float
-    r_shunt: float | None
+    r_series: float = 0.0
+    r_shunt: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.r_series < math.inf:
@@ -62,14 +62,6 @@ class NetworkConfig:
     @property
     def r_shunt(self) -> float | None:
         return self.pad.r_shunt if self.pad is not None else None
-
-    @property
-    def single_loop(self) -> bool:
-        """True when no shunt leg exists and the end currents are forced equal."""
-        return self.r_shunt is None
-
-    def with_resistors(self, r_alice: float, r_bob: float) -> "NetworkConfig":
-        return replace(self, r_alice=r_alice, r_bob=r_bob)
 
 
 @dataclass(frozen=True)
@@ -137,16 +129,19 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
     )
 
 
-def solve_network(u_alice, u_bob, net: NetworkConfig):
+def solve_network(u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None):
     """End currents and shunt-node voltage for instantaneous source values.
 
+    ``r_alice``/``r_bob`` are the end resistors connected behind ``pad``.
     Keeps the pad's series elements exactly.  Accepts scalars or numpy
-    arrays (elementwise); returns ``(i_alice, i_bob, v_node)``.  Without a
-    shunt the same current flows at both ends by construction.
+    arrays that broadcast together (elementwise); returns
+    ``(i_alice, i_bob, v_node)``.  Without a shunt the same current flows at
+    both ends by construction.
     """
-    ra = net.r_alice + net.r_series
-    rb = net.r_bob + net.r_series
-    r2 = net.r_shunt
+    pad = pad if pad is not None else AttenuatorConfig()
+    ra = r_alice + pad.r_series
+    rb = r_bob + pad.r_series
+    r2 = pad.r_shunt
     if r2 is None:
         i = (u_alice - u_bob) / (ra + rb)
         return i, i, u_alice - i * ra

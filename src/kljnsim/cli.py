@@ -14,7 +14,7 @@ import contextlib
 import json
 import os
 import sys
-from typing import ContextManager, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .circuit import design_tee_pad
 from .config import ConfigError, load_config_file, resolve_config
@@ -69,17 +69,29 @@ def _env_seed() -> Optional[int]:
         raise ConfigError(f"KLJN_SEED must be an integer, got {raw!r}")
 
 
-def _report_file(path: Optional[str]) -> ContextManager[TextIO]:
-    """The report's destination, opened before any computation so an unwritable path fails fast."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+@contextlib.contextmanager
+def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tuple[TextIO, Optional[TextIO]]]:
+    """The report's destination (standard output without a path) and the optional trace CSV.
+
+    Both are opened before any computation, so an unwritable path fails
+    fast; neither file is truncated until both are open, so that failure
+    leaves an existing report or trace as it was.
+    """
+    with contextlib.ExitStack() as stack:
+        files = [
+            None if path is None else stack.enter_context(open(path, "a", newline=newline, encoding="utf-8"))
+            for path, newline in ((report, None), (trace, ""))
+        ]
+        for fh in filter(None, files):
+            fh.seek(0)
+            fh.truncate()
+        yield sys.stdout if files[0] is None else files[0], files[1]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     file_data = load_config_file(args.config) if args.config else None
     cfg = resolve_config(file_data, preset=args.preset, out=args.out)
-    with _report_file(cfg.report_path) as out:
+    with _outputs(cfg.report_path) as (out, _):
         write_report(build_report(cfg, empirical=False), out)
     return EXIT_OK
 
@@ -98,8 +110,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace_csv=args.trace_csv,
     )
     low_high_resistors(cfg.network)  # fails before the report and trace files are opened
-    with _report_file(cfg.report_path) as out:
-        write_report(build_report(cfg, empirical=True), out)
+    with _outputs(cfg.report_path, cfg.trace_csv) as (out, trace):
+        write_report(build_report(cfg, empirical=True, trace=trace), out)
     return EXIT_OK
 
 

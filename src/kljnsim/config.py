@@ -2,18 +2,20 @@
 
 The config file is one JSON document.  Every key is optional except that a
 network must be resolvable (explicit values or a preset); unknown keys are
-rejected before any computation, with the offending key named.
+rejected before any computation, with the offending key named.  A key that
+is absent takes the model class's default.  Command-line overrides are
+written into the document at their keys, so one parser validates both.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Optional
 
 from .circuit import AttenuatorConfig, NetworkConfig, design_tee_pad
-from .noise import NORMALIZED, NoiseSpec
+from .noise import NoiseSpec
 from .protocol import AlarmPolicy
 
 
@@ -52,7 +54,6 @@ class ExperimentConfig:
     master_seed: int = 0
     report_path: Optional[str] = None
     trace_csv: Optional[str] = None
-    preset: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n_bits < 1:
@@ -63,33 +64,19 @@ class ExperimentConfig:
             raise ConfigError("protocol.samples_per_bit must be >= protocol.alarm.window")
         if self.max_measurements < 1:
             raise ConfigError("attack.max_measurements must be >= 1")
+        if not -(1 << 63) <= self.master_seed < 1 << 63:
+            # the signed 64-bit range, on which each seed keys its own stream
+            raise ConfigError("master_seed must be in the signed 64-bit range [-2**63, 2**63)")
 
     def to_dict(self) -> dict[str, Any]:
         """Echo in the same shape the file schema uses (round-trippable)."""
-        net = self.network
-        pad = None
-        if net.pad is not None:
-            pad = {"r_series": net.pad.r_series, "r_shunt": net.pad.r_shunt}
         return {
-            "network": {
-                "r_alice": net.r_alice,
-                "r_bob": net.r_bob,
-                "pad": pad,
-                "label": net.label,
-            },
-            "noise": {
-                "t_eff": self.noise.t_eff,
-                "bandwidth": self.noise.bandwidth,
-                "mode": self.noise.mode,
-                "oversample": self.noise.oversample,
-            },
+            "network": asdict(self.network),
+            "noise": asdict(self.noise),
             "protocol": {
                 "n_bits": self.n_bits,
                 "samples_per_bit": self.samples_per_bit,
-                "alarm": {
-                    "rel_tolerance": self.alarm.rel_tolerance,
-                    "window": self.alarm.window,
-                },
+                "alarm": asdict(self.alarm),
             },
             "attack": {"max_measurements": self.max_measurements},
             "master_seed": self.master_seed,
@@ -97,21 +84,35 @@ class ExperimentConfig:
         }
 
 
-def _check_keys(section: dict, allowed: set[str], path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key: {_join(path, key)}")
-
-
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _object(data: Any, path: str, allowed: set[str]) -> dict:
+Reader = Callable[[Any, str], Any]
+# document key -> (keyword of the enclosing class, reader of the value); a
+# keyword of None merges a grouping section's keywords into the enclosing ones
+Table = dict[str, tuple[Optional[str], Reader]]
+
+
+def _fields(data: Any, path: str, table: Table) -> dict[str, Any]:
+    """Read the keys of one object section that the document has, as keyword arguments.
+
+    A key that is absent stays absent, so the model class's default applies;
+    a key that is not in ``table`` is unknown.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be an object")
-    _check_keys(data, allowed, path)
-    return data
+    kwargs: dict[str, Any] = {}
+    for key, value in data.items():
+        if key not in table:
+            raise ConfigError(f"unknown key: {_join(path, key)}")
+        name, read = table[key]
+        value = read(value, _join(path, key))
+        if name is None:
+            kwargs.update(value)
+        else:
+            kwargs[name] = value
+    return kwargs
 
 
 def _number(value: Any, path: str) -> float:
@@ -132,7 +133,25 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
-def _build(cls: type, path: str, **kwargs: Any) -> Any:
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string")
+    return value
+
+
+def _as_is(value: Any, path: str) -> Any:
+    return value
+
+
+def _temperature(value: Any, path: str) -> float | str:
+    return value if isinstance(value, str) else _number(value, path)
+
+
+def _or_null(read: Reader) -> Reader:
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _build(cls: type, path: str, kwargs: dict[str, Any]) -> Any:
     """Construct ``cls``, whose range checks name the offending field first.
 
     Ranges are checked only by the model classes; this prefixes the section
@@ -144,121 +163,106 @@ def _build(cls: type, path: str, **kwargs: Any) -> Any:
         raise ConfigError(f"{path}.{exc}") from None
 
 
-def _parse_pad(data: Any, path: str) -> Optional[AttenuatorConfig]:
-    if data is None:
-        return None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be an object or null")
-    _check_keys(data, {"r_series", "r_shunt"}, path)
-    r_shunt = data.get("r_shunt")
-    return _build(
-        AttenuatorConfig,
-        path,
-        r_series=_number(data.get("r_series", 0.0), _join(path, "r_series")),
-        r_shunt=None if r_shunt is None else _number(r_shunt, _join(path, "r_shunt")),
-    )
+def _section(table: Table, cls: Optional[type] = None) -> Reader:
+    """Reader of an object section: its keyword arguments, built into ``cls`` when given."""
+
+    def read(data: Any, path: str) -> Any:
+        kwargs = _fields(data, path, table)
+        return kwargs if cls is None else _build(cls, path, kwargs)
+
+    return read
 
 
-def _parse_network(data: Any, path: str = "network") -> tuple[NetworkConfig, Optional[str]]:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be an object")
-    if "preset" in data:
-        _check_keys(data, {"preset"}, path)
-        name = data["preset"]
-        if not isinstance(name, str) or name not in PRESETS:
-            raise ConfigError(
-                f"{_join(path, 'preset')}: unknown preset {name!r} "
-                f"(available: {', '.join(sorted(PRESETS))})"
-            )
-        return PRESETS[name], name
-    _check_keys(data, {"r_alice", "r_bob", "pad", "label"}, path)
-    if "r_alice" not in data or "r_bob" not in data:
+def _preset(name: Any, path: str) -> NetworkConfig:
+    if not isinstance(name, str) or name not in PRESETS:
+        raise ConfigError(f"{path}: unknown preset {name!r} (available: {', '.join(sorted(PRESETS))})")
+    return PRESETS[name]
+
+
+_PAD: Table = {
+    "r_series": ("r_series", _number),
+    "r_shunt": ("r_shunt", _or_null(_number)),
+}
+_NETWORK: Table = {
+    "r_alice": ("r_alice", _number),
+    "r_bob": ("r_bob", _number),
+    "pad": ("pad", _or_null(_section(_PAD, AttenuatorConfig))),
+    "label": ("label", _string),
+}
+
+
+def _network(data: Any, path: str) -> NetworkConfig:
+    if isinstance(data, dict) and "preset" in data:
+        return _fields(data, path, {"preset": ("network", _preset)})["network"]
+    kwargs = _fields(data, path, _NETWORK)
+    if "r_alice" not in kwargs or "r_bob" not in kwargs:
         raise ConfigError(f"{path} needs r_alice and r_bob (or a preset)")
-    network = _build(
-        NetworkConfig,
-        path,
-        r_alice=_number(data["r_alice"], _join(path, "r_alice")),
-        r_bob=_number(data["r_bob"], _join(path, "r_bob")),
-        pad=_parse_pad(data.get("pad"), _join(path, "pad")),
-        label=str(data.get("label", "")),
-    )
-    return network, None
+    return _build(NetworkConfig, path, kwargs)
 
 
-def _parse_noise(data: Any, path: str = "noise") -> NoiseSpec:
-    _object(data, path, {"t_eff", "bandwidth", "mode", "oversample"})
-    t_eff = data.get("t_eff", NORMALIZED)
-    return _build(
-        NoiseSpec,
-        path,
-        t_eff=t_eff if isinstance(t_eff, str) else _number(t_eff, _join(path, "t_eff")),
-        bandwidth=_number(data.get("bandwidth", 1.0), _join(path, "bandwidth")),
-        mode=data.get("mode", "independent"),
-        oversample=_integer(data.get("oversample", 8), _join(path, "oversample")),
-    )
+_NOISE: Table = {
+    "t_eff": ("t_eff", _temperature),
+    "bandwidth": ("bandwidth", _number),
+    "mode": ("mode", _as_is),
+    "oversample": ("oversample", _integer),
+}
+_ALARM: Table = {
+    "rel_tolerance": ("rel_tolerance", _number),
+    "window": ("window", _integer),
+}
+_PROTOCOL: Table = {
+    "n_bits": ("n_bits", _integer),
+    "samples_per_bit": ("samples_per_bit", _integer),
+    "alarm": ("alarm", _section(_ALARM, AlarmPolicy)),
+}
+_OUTPUT: Table = {
+    "report": ("report_path", _or_null(_string)),
+    "trace_csv": ("trace_csv", _or_null(_string)),
+}
+_ROOT: Table = {
+    "network": ("network", _network),
+    "noise": ("noise", _section(_NOISE, NoiseSpec)),
+    "protocol": (None, _section(_PROTOCOL)),
+    "attack": (None, _section({"max_measurements": ("max_measurements", _integer)})),
+    "master_seed": ("master_seed", _integer),
+    "output": (None, _section(_OUTPUT)),
+}
 
 
-def parse_config(data: dict[str, Any]) -> ExperimentConfig:
+def parse_config(data: Any) -> ExperimentConfig:
     """Validate one JSON document against the strict schema."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(data, {"network", "noise", "protocol", "attack", "master_seed", "output"}, "")
-    if "network" not in data:
-        raise ConfigError("config needs a network section (explicit values or a preset)")
-    network, preset = _parse_network(data["network"])
-    noise = _parse_noise(data.get("noise", {}))
-
-    protocol = _object(data.get("protocol", {}), "protocol", {"n_bits", "samples_per_bit", "alarm"})
-    alarm_data = _object(protocol.get("alarm", {}), "protocol.alarm", {"rel_tolerance", "window"})
-    alarm = _build(
-        AlarmPolicy,
-        "protocol.alarm",
-        rel_tolerance=_number(alarm_data.get("rel_tolerance", 0.1), "protocol.alarm.rel_tolerance"),
-        window=_integer(alarm_data.get("window", 50), "protocol.alarm.window"),
-    )
-    attack = _object(data.get("attack", {}), "attack", {"max_measurements"})
-    output = _object(data.get("output", {}), "output", {"report", "trace_csv"})
-    master_seed = _integer(data.get("master_seed", 0), "master_seed")
-    if master_seed < -(1 << 63):
-        raise ConfigError(f"master_seed must be >= {-(1 << 63)}")
-
-    return ExperimentConfig(
-        network=network,
-        noise=noise,
-        n_bits=_integer(protocol.get("n_bits", 1000), "protocol.n_bits"),
-        samples_per_bit=_integer(protocol.get("samples_per_bit", 100), "protocol.samples_per_bit"),
-        alarm=alarm,
-        max_measurements=_integer(attack.get("max_measurements", 64), "attack.max_measurements"),
-        master_seed=master_seed,
-        report_path=_optional_str(output.get("report"), "output.report"),
-        trace_csv=_optional_str(output.get("trace_csv"), "output.trace_csv"),
-        preset=preset,
-    )
+    kwargs = _fields(data, "", _ROOT)
+    if "network" not in kwargs:
+        raise ConfigError("no network given: pass --preset, or a network section (explicit values or a preset)")
+    return ExperimentConfig(**kwargs)
 
 
-def _optional_str(value: Any, path: str) -> Optional[str]:
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise ConfigError(f"{path} must be a string or null")
-    return value
-
-
-def load_config_file(path: str) -> dict[str, Any]:
+def load_config_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+
+
+def _with(data: Any, keys: list[str], value: Any) -> Any:
+    """A copy of ``data`` with ``value`` at the key path ``keys``.
+
+    A section that is not an object is returned as it is, so the parser
+    rejects it with its own message.
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path}: root must be a JSON object")
-    return data
+        return data
+    head, *rest = keys
+    return {**data, head: _with(data.get(head, {}), rest, value) if rest else value}
 
 
 def resolve_config(
-    file_data: Optional[dict[str, Any]] = None,
+    file_data: Any = None,
     *,
     preset: Optional[str] = None,
     seed: Optional[int] = None,
@@ -268,23 +272,22 @@ def resolve_config(
     out: Optional[str] = None,
     trace_csv: Optional[str] = None,
 ) -> ExperimentConfig:
-    """Merge a config file with command-line overrides (flags win)."""
-    data = dict(file_data) if file_data else {}
-    if preset is not None:
-        data["network"] = {"preset": preset}
-    if "network" not in data:
-        raise ConfigError("no network given: pass --preset, or a config file with a network section")
-    cfg = parse_config(data)
-    if seed is not None:
-        cfg = replace(cfg, master_seed=seed)
-    if bits is not None:
-        cfg = replace(cfg, n_bits=bits)
-    if samples_per_bit is not None:
-        cfg = replace(cfg, samples_per_bit=samples_per_bit)
-    if mode is not None:
-        cfg = replace(cfg, noise=replace(cfg.noise, mode=mode))
-    if out is not None:
-        cfg = replace(cfg, report_path=out)
-    if trace_csv is not None:
-        cfg = replace(cfg, trace_csv=trace_csv)
-    return cfg
+    """Write command-line overrides into the config document at their keys (flags win), then parse it.
+
+    ``file_data`` is the config file's document, or ``None`` when there is no
+    file; it is not modified.
+    """
+    data = {} if file_data is None else file_data
+    overrides = {
+        "network": None if preset is None else {"preset": preset},
+        "master_seed": seed,
+        "protocol.n_bits": bits,
+        "protocol.samples_per_bit": samples_per_bit,
+        "noise.mode": mode,
+        "output.report": out,
+        "output.trace_csv": trace_csv,
+    }
+    for key, value in overrides.items():
+        if value is not None:
+            data = _with(data, key.split("."), value)
+    return parse_config(data)

@@ -74,11 +74,6 @@ class NoiseSpec:
         return 4.0 * BOLTZMANN * self.t_eff * self.bandwidth
 
     @property
-    def correlation_time(self) -> float:
-        """Time over which samples decorrelate, taken as 1/(2B)."""
-        return 1.0 / (2.0 * self.bandwidth)
-
-    @property
     def measurement_stride(self) -> int:
         """Samples per correlation time, i.e. spacing of independent readings."""
         return 1 if self.mode == "independent" else self.oversample
@@ -104,9 +99,9 @@ class SeededStream:
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def johnson_rms(r: float, spec: NoiseSpec) -> float:
-    """RMS voltage of the thermal source of a resistance ``r``: sqrt(4kTrB)."""
-    return math.sqrt(spec.unit_scale * r)
+def johnson_rms(r, spec: NoiseSpec):
+    """RMS voltage of the thermal source of a resistance ``r`` (scalar or array): sqrt(4kTrB)."""
+    return np.sqrt(spec.unit_scale * r)
 
 
 def gaussian_stream(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:

@@ -132,7 +132,7 @@ def run_periods(
     voltages sit at the Johnson RMS of each party's connected resistor.
     The pad elements are treated as noiseless: their physical temperature
     is negligible against the generators' effective one.  The nodal solve
-    runs once per pick combination present in the block.
+    runs once over the whole block, with each row's end resistors.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -144,24 +144,11 @@ def run_periods(
     else:
         u_a = band_limited_stream(rng, noise, rows, n_samples)
         u_b = band_limited_stream(rng, noise, rows, n_samples)
-    groups = []
-    for a, b in ((False, False), (False, True), (True, False), (True, True)):
-        mask = (alice_high == a) & (bob_high == b)
-        if mask.any():
-            groups.append((r_high if a else r_low, r_high if b else r_low, mask))
-    if len(groups) == 1:  # every row has the same picks: solve in place, no row copies
-        r_a, r_b, _ = groups[0]
-        u_a *= johnson_rms(r_a, noise)
-        u_b *= johnson_rms(r_b, noise)
-        i_a, i_b, v = solve_network(u_a, u_b, net.with_resistors(r_a, r_b))
-    else:
-        i_a, i_b, v = np.empty_like(u_a), np.empty_like(u_a), np.empty_like(u_a)
-        for r_a, r_b, mask in groups:
-            i_a[mask], i_b[mask], v[mask] = solve_network(
-                johnson_rms(r_a, noise) * u_a[mask],
-                johnson_rms(r_b, noise) * u_b[mask],
-                net.with_resistors(r_a, r_b),
-            )
+    r_a = np.where(alice_high, r_high, r_low)[:, None]
+    r_b = np.where(bob_high, r_high, r_low)[:, None]
+    u_a *= johnson_rms(r_a, noise)
+    u_b *= johnson_rms(r_b, noise)
+    i_a, i_b, v = solve_network(u_a, u_b, r_a, r_b, net.pad)
     return PeriodBlock(alice_high, bob_high, i_a, i_b, v, noise.measurement_stride)
 
 

@@ -196,8 +196,12 @@ def agreement_section(analytic: dict[str, Any], empirical: dict[str, Any]) -> di
     }
 
 
-def build_report(cfg: ExperimentConfig, *, empirical: bool) -> dict[str, Any]:
-    """Assemble the full run report; runs the Monte Carlo pass when asked to."""
+def build_report(cfg: ExperimentConfig, *, empirical: bool, trace: Optional[TextIO] = None) -> dict[str, Any]:
+    """Assemble the full run report; runs the Monte Carlo pass when asked to.
+
+    With ``trace``, an open text stream, the pass also dumps every sample
+    there as CSV.
+    """
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
@@ -210,13 +214,11 @@ def build_report(cfg: ExperimentConfig, *, empirical: bool) -> dict[str, Any]:
         "analytic": analytic_section(cfg),
     }
     if empirical:
-        if cfg.trace_csv:
-            with open(cfg.trace_csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
-                report["empirical"] = empirical_section(cfg, writer)
-        else:
-            report["empirical"] = empirical_section(cfg)
+        writer = None
+        if trace is not None:
+            writer = csv.writer(trace)
+            writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
+        report["empirical"] = empirical_section(cfg, writer)
         report["agreement"] = agreement_section(report["analytic"], report["empirical"])
     return report
 

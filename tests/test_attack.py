@@ -221,10 +221,10 @@ class TestAttackCampaign:
     def test_end_currents_correlated_through_shunt(self):
         # transfer-coefficient oracle for the cross-end correlation, checked
         # against one long simulated period
-        g_aa = solve_network(1.0, 0.0, GAA)[0]
-        g_ab = solve_network(0.0, 1.0, GAA)[0]
-        g_ba = solve_network(1.0, 0.0, GAA)[1]
-        g_bb = solve_network(0.0, 1.0, GAA)[1]
+        g_aa = solve_network(1.0, 0.0, GAA.r_alice, GAA.r_bob, GAA.pad)[0]
+        g_ab = solve_network(0.0, 1.0, GAA.r_alice, GAA.r_bob, GAA.pad)[0]
+        g_ba = solve_network(1.0, 0.0, GAA.r_alice, GAA.r_bob, GAA.pad)[1]
+        g_bb = solve_network(0.0, 1.0, GAA.r_alice, GAA.r_bob, GAA.pad)[1]
         var_a, var_b = GAA.r_alice, GAA.r_bob
         cov = var_a * g_aa * g_ba + var_b * g_ab * g_bb
         ms_a = var_a * g_aa**2 + var_b * g_ab**2

@@ -20,6 +20,12 @@ GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0), label="gaa-1d
 GAA_NO_SERIES = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(0.0, 500.0))
 LOSSLESS = NetworkConfig(1000.0, 10000.0, None)
 
+
+
+def solve(u_alice, u_bob, net: NetworkConfig):
+    return solve_network(u_alice, u_bob, net.r_alice, net.r_bob, net.pad)
+
+
 resistances = st.floats(min_value=1.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -110,10 +116,10 @@ class TestAnalyticMoments:
         # by the generator variances, exactly, when no series element hides
         # inside the loop
         net = GAA_NO_SERIES
-        g_aa = solve_network(1.0, 0.0, net)[0]
-        g_ab = solve_network(0.0, 1.0, net)[0]
-        g_ba = solve_network(1.0, 0.0, net)[1]
-        g_bb = solve_network(0.0, 1.0, net)[1]
+        g_aa = solve(1.0, 0.0, net)[0]
+        g_ab = solve(0.0, 1.0, net)[0]
+        g_ba = solve(1.0, 0.0, net)[1]
+        g_bb = solve(0.0, 1.0, net)[1]
         m = analytic_mean_square_currents(net, NOISE)
         ms_alice = net.r_alice * g_aa**2 + net.r_bob * g_ab**2
         ms_bob = net.r_alice * g_ba**2 + net.r_bob * g_bb**2
@@ -138,42 +144,53 @@ class TestCurrentRatio:
 
 class TestSolveNetwork:
     def test_single_loop_ohms_law(self):
-        i_a, i_b, _ = solve_network(1.0, 0.0, LOSSLESS)
+        i_a, i_b, _ = solve(1.0, 0.0, LOSSLESS)
         assert i_a == i_b == pytest.approx(1.0 / 11000.0, rel=1e-14)
 
     def test_zero_drive(self):
-        i_a, i_b, v = solve_network(0.0, 0.0, GAA)
+        i_a, i_b, v = solve(0.0, 0.0, GAA)
         assert i_a == i_b == v == 0.0
 
     def test_two_loop_hand_nodal_analysis(self):
         # independent hand solution: v = 10/31 V for 1 V at Alice's end
-        i_a, i_b, v = solve_network(1.0, 0.0, GAA_NO_SERIES)
+        i_a, i_b, v = solve(1.0, 0.0, GAA_NO_SERIES)
         assert v == pytest.approx(10.0 / 31.0, rel=1e-13)
         assert i_a == pytest.approx(21.0 / 31.0 / 1000.0, rel=1e-13)
         assert i_b == pytest.approx(10.0 / 31.0 / 10000.0, rel=1e-13)
 
     def test_series_elements_kept_exactly(self):
         net = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, None))
-        i_a, i_b, _ = solve_network(1.0, 0.0, net)
+        i_a, i_b, _ = solve(1.0, 0.0, net)
         assert i_a == i_b == pytest.approx(1.0 / 11005.8, rel=1e-14)
 
     @given(u_a=st.floats(-100, 100), u_b=st.floats(-100, 100))
     @settings(max_examples=60)
     def test_single_loop_current_identity(self, u_a, u_b):
-        i_a, i_b, _ = solve_network(u_a, u_b, LOSSLESS)
+        i_a, i_b, _ = solve(u_a, u_b, LOSSLESS)
         assert i_a == i_b
 
     def test_node_current_conservation(self):
-        i_a, i_b, v = solve_network(0.7, -1.3, GAA)
+        i_a, i_b, v = solve(0.7, -1.3, GAA)
         shunt_current = v / GAA.r_shunt
         assert i_a - i_b == pytest.approx(shunt_current, rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
         u_a = np.array([1.0, 0.0, 0.7])
         u_b = np.array([0.0, 1.0, -1.3])
-        i_a, i_b, v = solve_network(u_a, u_b, GAA)
+        i_a, i_b, v = solve(u_a, u_b, GAA)
         for k in range(3):
-            assert solve_network(float(u_a[k]), float(u_b[k]), GAA) == (i_a[k], i_b[k], v[k])
+            assert solve(float(u_a[k]), float(u_b[k]), GAA) == (i_a[k], i_b[k], v[k])
+
+    @pytest.mark.parametrize("pad", [GAA.pad, None, AttenuatorConfig(2.9, None)], ids=["shunt", "no-pad", "no-shunt"])
+    def test_per_row_resistors_match_scalar_solves(self, pad):
+        # one broadcast solve over a block whose rows have their own end resistors
+        r_a = np.array([1000.0, 10000.0, 1000.0])[:, None]
+        r_b = np.array([10000.0, 10000.0, 1000.0])[:, None]
+        u = np.random.default_rng(3).standard_normal((2, 3, 4))
+        i_a, i_b, v = solve_network(u[0], u[1], r_a, r_b, pad)
+        for k in range(3):
+            row = solve_network(u[0][k], u[1][k], float(r_a[k, 0]), float(r_b[k, 0]), pad)
+            assert all(np.array_equal(x[k], y) for x, y in zip((i_a, i_b, v), row))
 
 
 def _pad_residuals(pad: AttenuatorConfig, z0: float, loss_db: float) -> tuple[float, float]:
@@ -236,5 +253,8 @@ class TestAttenuatorConfig:
 
     def test_no_shunt_is_single_loop(self):
         net = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, None))
-        assert net.single_loop
-        assert not GAA.single_loop
+        assert net.r_shunt is None
+        assert GAA.r_shunt is not None
+
+    def test_defaults_are_a_straight_through_pad(self):
+        assert AttenuatorConfig() == AttenuatorConfig(0.0, None)

@@ -320,6 +320,63 @@ class TestSimulate:
         assert code == 0
         assert json.loads(report.read_text())["analytic"]["moments"]["ratio"] == 1.0
 
+    @pytest.mark.parametrize("seed", ["-18446744073709551611", "18446744073709551621", str(2**63)])
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    def test_seed_outside_signed_64_bits_exits_one_before_opening_outputs(
+        self, tmp_path, capsys, monkeypatch, seed, source
+    ):
+        monkeypatch.delenv("KLJN_SEED", raising=False)
+        document = {"network": {"preset": "gaa-1db"}}
+        if source == "file":
+            document["master_seed"] = int(seed)
+        elif source == "env":
+            monkeypatch.setenv("KLJN_SEED", seed)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(document))
+        report = tmp_path / "report.json"
+        report.write_bytes(b"previous report\n")
+        trace = tmp_path / "trace.csv"
+        args = ["simulate", "--config", str(config), "--bits", "10", "--out", str(report), "--trace-csv", str(trace)]
+        code, out, err = run_cli(args + ([f"--seed={seed}"] if source == "flag" else []), capsys)
+        assert code == 1
+        assert out == ""
+        assert "master_seed must be in the signed 64-bit range" in err
+        assert report.read_bytes() == b"previous report\n"
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_seed_range_ends_run(self, capsys, seed):
+        code, out, _ = run_cli(["simulate", "--preset", "gaa-1db", "--bits", "20", f"--seed={seed}"], capsys)
+        assert code == 0
+        assert load_report(out)["provenance"]["master_seed"] == seed
+
+    @pytest.mark.parametrize("unwritable", ["report", "trace"])
+    def test_unwritable_output_leaves_the_other_file_unchanged(self, tmp_path, capsys, unwritable):
+        report, trace = tmp_path / "prior.json", tmp_path / "prior.csv"
+        report.write_bytes(b"previous report\n")
+        trace.write_bytes(b"previous,trace\n")
+        paths = {"report": report, "trace": trace, unwritable: tmp_path / "missing-dir" / "out"}
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "50"]
+        code, out, err = run_cli(args + ["--out", str(paths["report"]), "--trace-csv", str(paths["trace"])], capsys)
+        assert code == 2
+        assert out == ""
+        assert "runtime error" in err
+        assert report.read_bytes() == b"previous report\n"
+        assert trace.read_bytes() == b"previous,trace\n"
+
+    def test_existing_outputs_are_replaced(self, tmp_path, capsys):
+        report, trace = tmp_path / "prior.json", tmp_path / "prior.csv"
+        report.write_text("x" * 100_000)
+        trace.write_text("y" * 100_000)
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "2", "--samples-per-bit", "50"]
+        code, _, _ = run_cli(args + ["--out", str(report), "--trace-csv", str(trace)], capsys)
+        assert code == 0
+        assert load_report(report.read_text())["empirical"]["n_bits"] == 2
+        with open(trace, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["period", "sample", "i_alice", "i_bob", "v_node"]
+        assert len(rows) == 1 + 2 * 50
+
     def test_waveform_mode_runs(self, capsys):
         code, out, _ = run_cli(
             [

