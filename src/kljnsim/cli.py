@@ -13,8 +13,9 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Any, Iterator, Optional, Sequence, TextIO
 
 from .circuit import design_tee_pad
 from .config import ConfigError, load_config_file, resolve_config
@@ -75,7 +76,8 @@ def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tup
 
     Both are opened before any computation, so an unwritable path fails
     fast; neither file is truncated until both are open, so that failure
-    leaves an existing report or trace as it was.
+    leaves an existing report or trace as it was.  Only regular files are
+    truncated: devices, pipes and terminals are written as they are.
     """
     with contextlib.ExitStack() as stack:
         files = [
@@ -83,24 +85,30 @@ def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tup
             for path, newline in ((report, None), (trace, ""))
         ]
         for fh in filter(None, files):
-            fh.seek(0)
-            fh.truncate()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.seek(0)
+                fh.truncate()
         yield sys.stdout if files[0] is None else files[0], files[1]
 
 
+def _document(args: argparse.Namespace) -> Any:
+    """The config file's document, or ``None`` when no file is given."""
+    if not args.config and args.preset is None:
+        raise ConfigError("no network given: pass --preset, or --config with a network section")
+    return load_config_file(args.config) if args.config else None
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    file_data = load_config_file(args.config) if args.config else None
-    cfg = resolve_config(file_data, preset=args.preset, out=args.out)
+    cfg = resolve_config(_document(args), preset=args.preset, out=args.out)
     with _outputs(cfg.report_path) as (out, _):
         write_report(build_report(cfg, empirical=False), out)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    file_data = load_config_file(args.config) if args.config else None
     seed = args.seed if args.seed is not None else _env_seed()
     cfg = resolve_config(
-        file_data,
+        _document(args),
         preset=args.preset,
         seed=seed,
         bits=args.bits,

@@ -89,30 +89,20 @@ def _join(path: str, key: str) -> str:
 
 
 Reader = Callable[[Any, str], Any]
-# document key -> (keyword of the enclosing class, reader of the value); a
-# keyword of None merges a grouping section's keywords into the enclosing ones
-Table = dict[str, tuple[Optional[str], Reader]]
 
 
-def _fields(data: Any, path: str, table: Table) -> dict[str, Any]:
-    """Read the keys of one object section that the document has, as keyword arguments.
+def _fields(data: Any, path: str, table: dict[str, Reader]) -> dict[str, Any]:
+    """The keys of one object section that the document has, each read by its reader in ``table``.
 
     A key that is absent stays absent, so the model class's default applies;
     a key that is not in ``table`` is unknown.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be an object")
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
+    for key in data:
         if key not in table:
             raise ConfigError(f"unknown key: {_join(path, key)}")
-        name, read = table[key]
-        value = read(value, _join(path, key))
-        if name is None:
-            kwargs.update(value)
-        else:
-            kwargs[name] = value
-    return kwargs
+    return {key: table[key](value, _join(path, key)) for key, value in data.items()}
 
 
 def _number(value: Any, path: str) -> float:
@@ -139,10 +129,6 @@ def _string(value: Any, path: str) -> str:
     return value
 
 
-def _as_is(value: Any, path: str) -> Any:
-    return value
-
-
 def _temperature(value: Any, path: str) -> float | str:
     return value if isinstance(value, str) else _number(value, path)
 
@@ -163,69 +149,46 @@ def _build(cls: type, path: str, kwargs: dict[str, Any]) -> Any:
         raise ConfigError(f"{path}.{exc}") from None
 
 
-def _section(table: Table, cls: Optional[type] = None) -> Reader:
-    """Reader of an object section: its keyword arguments, built into ``cls`` when given."""
-
-    def read(data: Any, path: str) -> Any:
-        kwargs = _fields(data, path, table)
-        return kwargs if cls is None else _build(cls, path, kwargs)
-
-    return read
-
-
 def _preset(name: Any, path: str) -> NetworkConfig:
     if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"{path}: unknown preset {name!r} (available: {', '.join(sorted(PRESETS))})")
     return PRESETS[name]
 
 
-_PAD: Table = {
-    "r_series": ("r_series", _number),
-    "r_shunt": ("r_shunt", _or_null(_number)),
-}
-_NETWORK: Table = {
-    "r_alice": ("r_alice", _number),
-    "r_bob": ("r_bob", _number),
-    "pad": ("pad", _or_null(_section(_PAD, AttenuatorConfig))),
-    "label": ("label", _string),
-}
+def _pad(data: Any, path: str) -> AttenuatorConfig:
+    table = {"r_series": _number, "r_shunt": _or_null(_number)}
+    return _build(AttenuatorConfig, path, _fields(data, path, table))
+
+
+_NETWORK = {"preset": _preset, "r_alice": _number, "r_bob": _number, "pad": _or_null(_pad), "label": _string}
 
 
 def _network(data: Any, path: str) -> NetworkConfig:
-    if isinstance(data, dict) and "preset" in data:
-        return _fields(data, path, {"preset": ("network", _preset)})["network"]
     kwargs = _fields(data, path, _NETWORK)
+    if "preset" in kwargs:
+        if len(kwargs) > 1:
+            raise ConfigError(f"{path}: a preset takes no other keys")
+        return kwargs["preset"]
     if "r_alice" not in kwargs or "r_bob" not in kwargs:
         raise ConfigError(f"{path} needs r_alice and r_bob (or a preset)")
     return _build(NetworkConfig, path, kwargs)
 
 
-_NOISE: Table = {
-    "t_eff": ("t_eff", _temperature),
-    "bandwidth": ("bandwidth", _number),
-    "mode": ("mode", _as_is),
-    "oversample": ("oversample", _integer),
+_NOISE = {"t_eff": _temperature, "bandwidth": _number, "mode": _string, "oversample": _integer}
+_ALARM = {"rel_tolerance": _number, "window": _integer}
+_PROTOCOL: dict[str, Reader] = {
+    "n_bits": _integer,
+    "samples_per_bit": _integer,
+    "alarm": lambda data, path: _build(AlarmPolicy, path, _fields(data, path, _ALARM)),
 }
-_ALARM: Table = {
-    "rel_tolerance": ("rel_tolerance", _number),
-    "window": ("window", _integer),
-}
-_PROTOCOL: Table = {
-    "n_bits": ("n_bits", _integer),
-    "samples_per_bit": ("samples_per_bit", _integer),
-    "alarm": ("alarm", _section(_ALARM, AlarmPolicy)),
-}
-_OUTPUT: Table = {
-    "report": ("report_path", _or_null(_string)),
-    "trace_csv": ("trace_csv", _or_null(_string)),
-}
-_ROOT: Table = {
-    "network": ("network", _network),
-    "noise": ("noise", _section(_NOISE, NoiseSpec)),
-    "protocol": (None, _section(_PROTOCOL)),
-    "attack": (None, _section({"max_measurements": ("max_measurements", _integer)})),
-    "master_seed": ("master_seed", _integer),
-    "output": (None, _section(_OUTPUT)),
+_OUTPUT = {"report": _or_null(_string), "trace_csv": _or_null(_string)}
+_ROOT: dict[str, Reader] = {
+    "network": _network,
+    "noise": lambda data, path: _build(NoiseSpec, path, _fields(data, path, _NOISE)),
+    "protocol": lambda data, path: _fields(data, path, _PROTOCOL),
+    "attack": lambda data, path: _fields(data, path, {"max_measurements": _integer}),
+    "master_seed": _integer,
+    "output": lambda data, path: _fields(data, path, _OUTPUT),
 }
 
 
@@ -235,8 +198,12 @@ def parse_config(data: Any) -> ExperimentConfig:
         raise ConfigError("config root must be an object")
     kwargs = _fields(data, "", _ROOT)
     if "network" not in kwargs:
-        raise ConfigError("no network given: pass --preset, or a network section (explicit values or a preset)")
-    return ExperimentConfig(**kwargs)
+        raise ConfigError("config needs a network section (explicit values or a preset)")
+    # the protocol, attack and output sections group fields of ExperimentConfig itself
+    protocol, attack, output = [kwargs.pop(name, {}) for name in ("protocol", "attack", "output")]
+    if "report" in output:
+        output["report_path"] = output.pop("report")
+    return ExperimentConfig(**kwargs, **protocol, **attack, **output)
 
 
 def load_config_file(path: str) -> Any:

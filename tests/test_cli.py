@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -93,6 +94,7 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze"], capsys)
         assert code == 1
         assert "network" in err
+        assert "--preset" in err
 
     @pytest.mark.parametrize(
         "text",
@@ -376,6 +378,27 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["period", "sample", "i_alice", "i_bob", "v_node"]
         assert len(rows) == 1 + 2 * 50
+
+    def test_null_device_outputs(self, capsys):
+        # a character device can be neither truncated nor rewound
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "5"]
+        assert run_cli(args + ["--out", os.devnull, "--trace-csv", os.devnull], capsys) == (0, "", "")
+        assert run_cli(["analyze", "--preset", "gaa-1db", "--out", os.devnull], capsys) == (0, "", "")
+
+    def test_outputs_to_pipes(self):
+        # standard output and error are pipes here, which cannot be sought
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "5", "--samples-per-bit", "50"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kljnsim", *args, "--out", "/dev/stdout", "--trace-csv", "/dev/stderr"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert load_report(proc.stdout)["empirical"]["n_bits"] == 5
+        rows = list(csv.reader(io.StringIO(proc.stderr)))
+        assert rows[0] == ["period", "sample", "i_alice", "i_bob", "v_node"]
+        assert len(rows) == 1 + 5 * 50
 
     def test_waveform_mode_runs(self, capsys):
         code, out, _ = run_cli(

@@ -118,11 +118,12 @@ class TestParseConfig:
             parse_config({"network": {"preset": "gaa-9db"}})
 
     def test_preset_mixed_with_explicit_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^network: a preset takes no other keys$"):
             parse_config({"network": {"preset": "lossless", "r_alice": 1000}})
 
     def test_missing_network(self):
-        with pytest.raises(ConfigError, match="network"):
+        # the document's own message: parse_config has no command line
+        with pytest.raises(ConfigError, match=r"^config needs a network section \(explicit values or a preset\)$"):
             parse_config({})
 
     def test_t_eff_token_or_number(self):
