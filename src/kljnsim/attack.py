@@ -11,7 +11,7 @@ attack extracts nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -172,6 +172,15 @@ class CampaignTally:
             if count:
                 self.measurements_hist[k] = self.measurements_hist.get(k, 0) + count
                 self.measurements_sum += k * count
+
+    def merge(self, other: "CampaignTally") -> None:
+        """Add the counts of ``other``, a tally under the same budget."""
+        for f in fields(self)[1:]:  # every field after the budget
+            if f.name == "measurements_hist":
+                for k, count in other.measurements_hist.items():
+                    self.measurements_hist[k] = self.measurements_hist.get(k, 0) + count
+            else:
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     @property
     def p_success(self) -> float:

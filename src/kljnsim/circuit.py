@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .noise import NoiseSpec
 
 
@@ -129,7 +131,9 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
     )
 
 
-def solve_network(u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None):
+def solve_network(
+    u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None, *, overwrite_sources: bool = False
+):
     """End currents and shunt-node voltage for instantaneous source values.
 
     ``r_alice``/``r_bob`` are the end resistors connected behind ``pad``.
@@ -137,17 +141,24 @@ def solve_network(u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None):
     arrays that broadcast together (elementwise); returns
     ``(i_alice, i_bob, v_node)``.  Without a shunt the same current flows at
     both ends by construction.
+
+    With ``overwrite_sources`` the source arrays, which must have the
+    shape of the result, become result buffers: the same operations run in
+    the same order, so every value is bit-identical, but a long block needs
+    two fewer arrays.
     """
     pad = pad if pad is not None else AttenuatorConfig()
     ra = r_alice + pad.r_series
     rb = r_bob + pad.r_series
     r2 = pad.r_shunt
+    out_a, out_b = (u_alice, u_bob) if overwrite_sources else (None, None)
     if r2 is None:
-        i = (u_alice - u_bob) / (ra + rb)
-        return i, i, u_alice - i * ra
+        i = np.divide(np.subtract(u_alice, u_bob, out=out_b), ra + rb, out=out_b)
+        return i, i, np.subtract(u_alice, i * ra, out=out_a)
     g_sum = 1.0 / ra + 1.0 / rb + 1.0 / r2
     v = (u_alice / ra + u_bob / rb) / g_sum
-    return (u_alice - v) / ra, (v - u_bob) / rb, v
+    i_a = np.divide(np.subtract(u_alice, v, out=out_a), ra, out=out_a)
+    return i_a, np.divide(np.subtract(v, u_bob, out=out_b), rb, out=out_b), v
 
 
 def design_tee_pad(loss_db: float, z0: float) -> AttenuatorConfig:

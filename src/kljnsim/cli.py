@@ -20,7 +20,7 @@ from typing import Any, Iterator, Optional, Sequence, TextIO
 from .circuit import design_tee_pad
 from .config import ConfigError, load_config_file, resolve_config
 from .protocol import low_high_resistors
-from .reporting import build_report, write_report
+from .reporting import analytic_section, build_report, write_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -100,8 +100,9 @@ def _document(args: argparse.Namespace) -> Any:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = resolve_config(_document(args), preset=args.preset, out=args.out)
+    report = build_report(cfg, empirical=False)  # every network check, before the output is truncated
     with _outputs(cfg.report_path) as (out, _):
-        write_report(build_report(cfg, empirical=False), out)
+        write_report(report, out)
     return EXIT_OK
 
 
@@ -117,7 +118,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out=args.out,
         trace_csv=args.trace_csv,
     )
-    low_high_resistors(cfg.network)  # fails before the report and trace files are opened
+    # every check of the network runs before the report and trace files are
+    # opened: the resistor pair, the moments and Eve's calibration
+    low_high_resistors(cfg.network)
+    analytic_section(cfg)
     with _outputs(cfg.report_path, cfg.trace_csv) as (out, trace):
         write_report(build_report(cfg, empirical=True, trace=trace), out)
     return EXIT_OK

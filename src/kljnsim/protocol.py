@@ -11,14 +11,20 @@ currents, which an intact single loop can never produce.
 
 Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
 one ``(K, n)`` array per observable, drawn from one keyed random stream
-(RNG layout 2, see :func:`iter_period_blocks`).
+(RNG layout 2, see :func:`iter_period_blocks`).  Chunks of at least
+``POOL_MIN_SAMPLES`` samples (single periods that long) are computed on a
+thread pool, one thread per CPU that the process may run on, at most
+``POOL_MAX_WORKERS``; ``taskset`` limits them further.  Results come back in chunk order and are tested bit-identical
+at any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -116,6 +122,23 @@ class PeriodBlock:
 #    Bob's noise for the whole chunk).
 RNG_LAYOUT = 2
 CHUNK_SAMPLES = 8192
+# Smallest chunk worth a thread.  Going from 1 to 2 threads, the Monte Carlo
+# pass ran 0.92-1.33x on chunks of about 8192 samples, 1.06-1.54x on 16384
+# and 1.40-1.72x from 32768 up (two crossover tables in BENCH_6.json).
+# Every multi-period chunk holds at most CHUNK_SAMPLES samples, so only long
+# single periods reach the pool.
+POOL_MIN_SAMPLES = 4 * CHUNK_SAMPLES
+# Most threads a pool gets.  Speedup and peak memory were measured up to 2
+# threads only; each extra thread holds one more chunk's working set.
+POOL_MAX_WORKERS = 2
+
+
+def available_workers() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset`` sets."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_periods(
@@ -148,7 +171,7 @@ def run_periods(
     r_b = np.where(bob_high, r_high, r_low)[:, None]
     u_a *= johnson_rms(r_a, noise)
     u_b *= johnson_rms(r_b, noise)
-    i_a, i_b, v = solve_network(u_a, u_b, r_a, r_b, net.pad)
+    i_a, i_b, v = solve_network(u_a, u_b, r_a, r_b, net.pad, overwrite_sources=True)
     return PeriodBlock(alice_high, bob_high, i_a, i_b, v, noise.measurement_stride)
 
 
@@ -158,7 +181,8 @@ def iter_period_blocks(
     noise: NoiseSpec,
     n_samples: int,
     master_seed: int,
-) -> Iterator[PeriodBlock]:
+    per_chunk: Optional[Callable[[PeriodBlock], object]] = None,
+) -> Iterator:
     """Yield ``n_bits`` seeded periods in order, one chunk at a time.
 
     Chunk ``c`` holds periods ``c*K`` to ``(c+1)*K - 1`` with
@@ -167,24 +191,63 @@ def iter_period_blocks(
     resistor picks first, then the noise, so every chunk can be produced on
     its own and the result depends only on the seed and the config, never
     on the machine or the worker layout.
+
+    With ``per_chunk``, each chunk's block is passed to it on the thread
+    that computed the block, and its results are yielded instead.  Chunks
+    of at least ``POOL_MIN_SAMPLES`` samples run on a pool of
+    :func:`available_workers` threads, capped at ``POOL_MAX_WORKERS`` and at
+    the number of chunks, with at most one chunk more than threads in
+    flight; shorter chunks run inline.  Either way results are yielded in
+    chunk order.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
     k = max(1, CHUNK_SAMPLES // n_samples)
-    for chunk, first in enumerate(range(0, n_bits, k)):
-        rng = SeededStream(master_seed, chunk).generator()
-        picks = rng.integers(0, 2, size=(min(k, n_bits - first), 2)).astype(bool)
-        yield run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng)
+    firsts = range(0, n_bits, k)
+
+    def chunk(c: int):
+        rng = SeededStream(master_seed, c).generator()
+        picks = rng.integers(0, 2, size=(min(k, n_bits - firsts[c]), 2)).astype(bool)
+        block = run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng)
+        return block if per_chunk is None else per_chunk(block)
+
+    workers = min(available_workers(), POOL_MAX_WORKERS, len(firsts))
+    if workers < 2 or k * n_samples < POOL_MIN_SAMPLES:
+        yield from map(chunk, range(len(firsts)))
+        return
+    from concurrent.futures import ThreadPoolExecutor  # short runs skip this import
+
+    pool = ThreadPoolExecutor(workers)
+    pending: deque = deque()
+    try:
+        for c in range(len(firsts)):
+            pending.append(pool.submit(chunk, c))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)  # an abandoned pass starts no further chunk
 
 
-def _window_means(x: np.ndarray, w: int) -> np.ndarray:
-    """Mean of ``x**2`` over every length-``w`` window along axis 1."""
-    c = np.cumsum(x * x, axis=1)
-    out = np.empty((c.shape[0], c.shape[1] - w + 1))
-    out[:, 0] = c[:, w - 1]
-    np.subtract(c[:, w:], c[:, :-w], out=out[:, 1:])
+def _window_means(
+    x: np.ndarray, w: int, start: int, stop: int, carry: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means of ``x**2`` over the length-``w`` windows ``start <= j < stop`` along axis 1.
+
+    ``carry`` is the running sum of ``x**2`` up to sample ``start - 1``
+    (zeros when ``start`` is 0).  Returns the means and the carry for the
+    windows that start at ``stop``.  The running sum is accumulated sample by
+    sample from the carry, so it is bit-identical to one cumsum over the row.
+    """
+    c = np.empty((x.shape[0], stop - start + w))
+    c[:, 0] = carry
+    seg = x[:, start : stop + w - 1]
+    np.multiply(seg, seg, out=c[:, 1:])
+    np.cumsum(c, axis=1, out=c)
+    out = np.subtract(c[:, w:], c[:, :-w])
     out /= w
-    return out
+    return out, c[:, stop - start]
 
 
 def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
@@ -193,24 +256,32 @@ def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
     A row fires at the first window whose relative mean-square difference
     exceeds the tolerance.  A true single loop can never fire for any
     tolerance, because the two end currents are one and the same current.
+    Windows are compared ``CHUNK_SAMPLES`` at a time, so a long period
+    needs no full-length work array.
     """
     w = policy.window
     n = block.n_samples
     if n < w:
         raise ValueError(f"periods have {n} samples but the alarm window needs {w}")
-    win_a = _window_means(block.i_alice, w)
-    win_b = _window_means(block.i_bob, w)
-    rel = np.subtract(win_a, win_b)
-    np.abs(rel, out=rel)
-    peak = np.maximum(win_a, win_b, out=win_a)
-    np.divide(rel, peak, out=rel, where=peak > 0)  # |a-b| is already 0 where both are 0
-    del win_a, win_b, peak  # long periods are memory-bound: free before the reductions
-    hits = rel > policy.rel_tolerance
-    triggered = hits.any(axis=1)
-    first = hits.argmax(axis=1)
-    rows = np.arange(rel.shape[0])
-    return AlarmReport(
-        triggered=triggered,
-        first_trigger_sample=np.where(triggered, first + w - 1, -1),
-        rel_difference=np.where(triggered, rel[rows, first], rel.max(axis=1)),
-    )
+    rows = np.arange(block.n_periods)
+    triggered = np.zeros(rows.size, dtype=bool)
+    first = np.full(rows.size, -1)
+    rel_difference = np.full(rows.size, -np.inf)
+    carry_a = carry_b = np.zeros(rows.size)
+    for start in range(0, n - w + 1, CHUNK_SAMPLES):
+        stop = min(start + CHUNK_SAMPLES, n - w + 1)
+        win_a, carry_a = _window_means(block.i_alice, w, start, stop, carry_a)
+        win_b, carry_b = _window_means(block.i_bob, w, start, stop, carry_b)
+        rel = np.subtract(win_a, win_b)
+        np.abs(rel, out=rel)
+        peak = np.maximum(win_a, win_b, out=win_a)
+        np.divide(rel, peak, out=rel, where=peak > 0)  # |a-b| is already 0 where both are 0
+        hits = rel > policy.rel_tolerance
+        fires = hits.any(axis=1) & ~triggered
+        at = hits.argmax(axis=1)
+        first = np.where(fires, at + (start + w - 1), first)
+        # a row that has not fired reports the largest difference seen so far
+        seen = np.maximum(rel_difference, rel.max(axis=1))
+        rel_difference = np.where(triggered, rel_difference, np.where(fires, rel[rows, at], seen))
+        triggered |= fires
+    return AlarmReport(triggered=triggered, first_trigger_sample=first, rel_difference=rel_difference)

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Any, Optional, TextIO
 
 import numpy as np
 
 from . import __version__
-from .attack import CampaignTally, _ratio, calibrate
+from .attack import CampaignTally, EveCalibration, _ratio, calibrate
 from .circuit import analytic_mean_square_currents
 from .config import ExperimentConfig
 from .protocol import CHUNK_SAMPLES, RNG_LAYOUT, PeriodBlock, alarm_sweep, iter_period_blocks
@@ -89,29 +90,58 @@ class EmpiricalTotals:
     n_alarms_secure: int = 0
     rel_difference_sum: float = 0.0  # over secure periods
 
+    def merge(self, part: "EmpiricalTotals") -> None:
+        """Add one chunk's totals; merging in chunk order fixes the order of every float sum."""
+        self.tally.merge(part.tally)
+        for f in fields(self)[1:]:  # the counts and sums after the tally
+            setattr(self, f.name, getattr(self, f.name) + getattr(part, f.name))
+
+
+def _chunk_totals(block: PeriodBlock, cfg: ExperimentConfig, cal: EveCalibration) -> EmpiricalTotals:
+    """Alarm sweep, secure-row moments and attack verdicts of one chunk."""
+    alarm = alarm_sweep(block, cfg.alarm)
+    secure = block.secure
+    sec = block.secure_rows()
+    sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
+    sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
+    tally = CampaignTally(max_measurements=cfg.max_measurements)
+    tally.add_block(sec, cal)
+    return EmpiricalTotals(
+        tally,
+        n_bits=block.n_periods,
+        n_secure=sec.n_periods,
+        n_secure_samples=sec.n_periods * sec.n_samples,
+        # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
+        low_end_sq_sum=float(np.where(sec.alice_high, sq_b, sq_a).sum()),
+        high_end_sq_sum=float(np.where(sec.alice_high, sq_a, sq_b).sum()),
+        n_alarms=int(np.count_nonzero(alarm.triggered)),
+        n_alarms_secure=int(np.count_nonzero(alarm.triggered & secure)),
+        rel_difference_sum=float(alarm.rel_difference[secure].sum()),
+    )
+
 
 def monte_carlo_pass(cfg: ExperimentConfig, csv_writer=None) -> EmpiricalTotals:
-    """One streaming pass over every seeded block: protocol, alarm, attack, optional CSV dump."""
+    """One streaming pass over every seeded block: protocol, alarm, attack, optional CSV dump.
+
+    Each chunk is reduced to its totals on the thread that computed it (see
+    :func:`iter_period_blocks` for when that is a pool thread); this thread
+    merges them and writes the CSV rows in chunk order, so the thread
+    layout cannot change a bit of the result.
+    """
     cal = calibrate(cfg.network, cfg.noise)
+    keep_block = csv_writer is not None
+
+    def per_chunk(block: PeriodBlock) -> tuple[EmpiricalTotals, Optional[PeriodBlock]]:
+        return _chunk_totals(block, cfg, cal), block if keep_block else None
+
     totals = EmpiricalTotals(CampaignTally(max_measurements=cfg.max_measurements))
-    for block in iter_period_blocks(cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed):
-        alarm = alarm_sweep(block, cfg.alarm)
-        secure = block.secure
-        totals.n_alarms += int(np.count_nonzero(alarm.triggered))
-        totals.n_alarms_secure += int(np.count_nonzero(alarm.triggered & secure))
-        totals.rel_difference_sum += float(alarm.rel_difference[secure].sum())
-        sec = block.secure_rows()
-        totals.n_secure += sec.n_periods
-        totals.n_secure_samples += sec.n_periods * sec.n_samples
-        sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
-        sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
-        # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
-        totals.low_end_sq_sum += float(np.where(sec.alice_high, sq_b, sq_a).sum())
-        totals.high_end_sq_sum += float(np.where(sec.alice_high, sq_a, sq_b).sum())
-        totals.tally.add_block(sec, cal)
-        if csv_writer is not None:
+    chunks = iter_period_blocks(
+        cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk
+    )
+    for part, block in chunks:
+        if block is not None:
             _write_trace_rows(csv_writer, block, totals.n_bits)
-        totals.n_bits += block.n_periods
+        totals.merge(part)
     return totals
 
 
@@ -224,12 +254,16 @@ def build_report(cfg: ExperimentConfig, *, empirical: bool, trace: Optional[Text
 
 
 def _sanitize(value: Any) -> Any:
-    """Replace NaNs by nulls so the emitted document stays strict JSON."""
+    """Replace non-finite numbers by nulls so the emitted document stays strict JSON.
+
+    NaN is a rate without a denominator; an infinity is a sum of squared
+    currents that overflowed double precision.
+    """
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
-    if isinstance(value, float) and value != value:
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 

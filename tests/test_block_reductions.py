@@ -5,6 +5,8 @@ attack, one reading) at a time.  They use the same floating-point operations
 in the same order, so results must match exactly.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kljnsim.attack import CampaignTally, EveCalibration, row_verdicts
+from kljnsim import protocol
 from kljnsim.protocol import AlarmPolicy, PeriodBlock, alarm_sweep
 
 # readings drawn partly from a small grid, so squares land exactly on the
@@ -77,12 +80,34 @@ def test_alarm_matches_per_row_reference(stride, data):
     n = block.n_samples
     window = data.draw(st.one_of(st.just(n), st.integers(2, n)))
     policy = AlarmPolicy(rel_tolerance=data.draw(st.sampled_from([1e-12, 0.1, 0.5, 2.0])), window=window)
-    report = alarm_sweep(block, policy)
+    # windows compared per step: all of these short rows at once, or a few
+    # at a time, as in periods longer than CHUNK_SAMPLES
+    step = data.draw(st.sampled_from([protocol.CHUNK_SAMPLES, 1, 3, 7]))
+    with mock.patch.object(protocol, "CHUNK_SAMPLES", step):
+        report = alarm_sweep(block, policy)
     for r in range(block.n_periods):
         triggered, first, rel = reference_alarm(block.i_alice[r], block.i_bob[r], policy)
         assert report.triggered[r] == triggered
         assert report.first_trigger_sample[r] == first
         assert report.rel_difference[r] == rel
+
+
+def test_alarm_over_long_periods_matches_per_row_reference():
+    # rows whose end currents drift apart at different rates fire in the
+    # first, in a later or in no step of CHUNK_SAMPLES windows
+    n = 3 * protocol.CHUNK_SAMPLES + 17
+    rng = np.random.default_rng(5)
+    i_alice = rng.standard_normal((4, n))
+    drift = np.array([[0.3], [0.08], [0.01], [0.0]]) * np.arange(n) / n
+    i_bob = i_alice * (1.0 + drift)
+    block = PeriodBlock(np.array([False, True, False, True]), np.array([True] * 4), i_alice, i_bob, i_alice)
+    policy = AlarmPolicy(rel_tolerance=0.1, window=50)
+    report = alarm_sweep(block, policy)
+    expected = [reference_alarm(i_alice[r], i_bob[r], policy) for r in range(4)]
+    assert report.triggered.tolist() == [e[0] for e in expected] == [True, True, False, False]
+    assert report.first_trigger_sample.tolist() == [e[1] for e in expected]
+    assert report.rel_difference.tolist() == [e[2] for e in expected]
+    assert protocol.CHUNK_SAMPLES < expected[1][1] < n - 50
 
 
 @pytest.mark.parametrize("stride", [1, 3, 8])

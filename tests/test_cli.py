@@ -400,6 +400,18 @@ class TestSimulate:
         assert rows[0] == ["period", "sample", "i_alice", "i_bob", "v_node"]
         assert len(rows) == 1 + 5 * 50
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_sums_that_overflow_are_null(self, tmp_path, capsys):
+        # finite moments, but squared currents near 3e305 overflow a sum of a thousand samples
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"network": {"r_alice": 1e-306, "r_bob": 2e-306}}))
+        code, out, _ = run_cli(["simulate", "--config", str(config), "--bits", "100"], capsys)
+        assert code == 0
+        strict = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+        empirical = strict["empirical"]
+        assert empirical["mean_square_low_end"] is None
+        assert empirical["ratio"] is None
+
     def test_waveform_mode_runs(self, capsys):
         code, out, _ = run_cli(
             [
@@ -421,6 +433,45 @@ class TestSimulate:
         report = load_report(out)
         assert report["config"]["noise"]["mode"] == "waveform"
         assert report["empirical"]["attack"]["n_trials"] > 0
+
+
+class TestConfigErrorsKeepOutputs:
+    """A config error leaves an existing report and trace CSV byte-identical."""
+
+    DOCUMENTS = {
+        # moments that under- or overflow double precision
+        "moments-underflow": {
+            "network": {"r_alice": 1e-300, "r_bob": 1e-299, "pad": {"r_series": 0, "r_shunt": 1e-300}}
+        },
+        "moments-overflow": {
+            "network": {"r_alice": 1e300, "r_bob": 1e299, "pad": {"r_series": 0, "r_shunt": 1e300}}
+        },
+        # finite unit-free moments whose noise-scaled values overflow, so Eve's calibration fails
+        "scaled-moments-overflow": {
+            "network": {"r_alice": 1e-200, "r_bob": 2e-200},
+            "noise": {"t_eff": 1e172, "bandwidth": 2.0},
+        },
+        "window-longer-than-period": {"network": {"preset": "gaa-1db"}, "protocol": {"samples_per_bit": 10}},
+        "unknown-key": {"network": {"preset": "gaa-1db"}, "noize": {}},
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("name", sorted(DOCUMENTS))
+    def test_outputs_unchanged(self, tmp_path, capsys, command, name):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(self.DOCUMENTS[name]))
+        report, trace = tmp_path / "prior.json", tmp_path / "prior.csv"
+        report.write_bytes(b"previous report\n")
+        trace.write_bytes(b"previous,trace\n")
+        args = [command, "--config", str(config), "--out", str(report)]
+        if command == "simulate":
+            args += ["--bits", "10", "--trace-csv", str(trace)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert "config error" in err
+        assert report.read_bytes() == b"previous report\n"
+        assert trace.read_bytes() == b"previous,trace\n"
 
 
 class TestDesignPad:
