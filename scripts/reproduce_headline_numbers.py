@@ -9,15 +9,9 @@ and the alarm behaviour, each next to a seeded empirical estimate.
 
 import argparse
 
-from kljnsim import (
-    NoiseSpec,
-    PRESETS,
-    analytic_attack_probabilities,
-    analytic_mean_square_currents,
-    chi2_cdf_1,
-)
-from kljnsim.config import ExperimentConfig
-from kljnsim.reporting import empirical_section
+from kljnsim.config import PRESETS, resolve_config
+from kljnsim.reporting import build_report
+from kljnsim.stats import chi2_cdf_1
 
 
 def main() -> None:
@@ -28,32 +22,29 @@ def main() -> None:
     ap.add_argument("--samples-per-bit", type=int, default=100)
     args = ap.parse_args()
 
-    net = PRESETS[args.preset]
-    noise = NoiseSpec()
-    moments = analytic_mean_square_currents(net, noise)
-    probs = analytic_attack_probabilities(moments.ratio)
+    cfg = resolve_config(None, {"network": {"preset": args.preset}, "master_seed": args.seed,
+                                "protocol.n_bits": args.bits, "protocol.samples_per_bit": args.samples_per_bit})
+    # every number printed comes from this report, the one `kljnsim simulate` writes, except the
+    # two chi-squared CDF values, which the report does not carry
+    report = build_report(cfg, empirical=True)
+    net = cfg.network
+    moments = report["analytic"]["moments"]
+    probs = report["analytic"]["probabilities"]
 
     print(f"network: {args.preset}  (r_alice={net.r_alice:g}, r_bob={net.r_bob:g}, "
           f"r_series={net.r_series:g}, r_shunt={net.r_shunt})")
     print()
     print("analytic")
-    print(f"  <i_alice^2> = {moments.ms_alice:.6e}   <i_bob^2> = {moments.ms_bob:.6e}")
-    print(f"  ratio       = {moments.ratio:.4f}")
-    print(f"  chi2_cdf_1(ratio) = {chi2_cdf_1(moments.ratio):.4f}   chi2_cdf_1(1) = {chi2_cdf_1(1.0):.4f}")
-    print(f"  p_success = {probs.p_success:.4f}  p_error = {probs.p_error:.4f}  "
-          f"p_no_answer = {probs.p_no_answer:.4f}")
-    print(f"  expected measurements per answered bit = {probs.expected_measurements:.3f}")
-    print(f"  fidelity of an emitted guess           = {probs.conditional_fidelity:.4f}")
+    print(f"  <i_alice^2> = {moments['ms_alice']:.6e}   <i_bob^2> = {moments['ms_bob']:.6e}")
+    print(f"  ratio       = {moments['ratio']:.4f}")
+    print(f"  chi2_cdf_1(ratio) = {chi2_cdf_1(moments['ratio']):.4f}   chi2_cdf_1(1) = {chi2_cdf_1(1.0):.4f}")
+    print(f"  p_success = {probs['p_success']:.4f}  p_error = {probs['p_error']:.4f}  "
+          f"p_no_answer = {probs['p_no_answer']:.4f}")
+    print(f"  expected measurements per answered bit = {probs['expected_measurements']:.3f}")
+    print(f"  fidelity of an emitted guess           = {probs['conditional_fidelity']:.4f}")
     print()
 
-    cfg = ExperimentConfig(
-        network=net,
-        noise=noise,
-        n_bits=args.bits,
-        samples_per_bit=args.samples_per_bit,
-        master_seed=args.seed,
-    )
-    emp = empirical_section(cfg)
+    emp = report["empirical"]
     att = emp["attack"]
     rep = att["repeat_until_answer"]
     print(f"monte carlo  (bits={args.bits}, samples/bit={args.samples_per_bit}, seed={args.seed})")

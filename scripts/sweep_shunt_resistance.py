@@ -13,13 +13,9 @@ import sys
 
 import numpy as np
 
-from kljnsim import (
-    AttenuatorConfig,
-    NetworkConfig,
-    NoiseSpec,
-    analytic_attack_probabilities,
-    analytic_mean_square_currents,
-)
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig
+from kljnsim.config import ExperimentConfig
+from kljnsim.reporting import analytic_section
 
 
 def main() -> None:
@@ -32,7 +28,6 @@ def main() -> None:
     ap.add_argument("--points", type=int, default=36)
     args = ap.parse_args()
 
-    noise = NoiseSpec()
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ("r_shunt", "ratio", "p_success", "p_error", "p_no_answer", "expected_measurements")
@@ -43,16 +38,16 @@ def main() -> None:
             args.r_bob,
             AttenuatorConfig(r_series=args.r_series, r_shunt=float(r_shunt)),
         )
-        moments = analytic_mean_square_currents(net, noise)
-        probs = analytic_attack_probabilities(moments.ratio)
+        analytic = analytic_section(ExperimentConfig(network=net))
+        probs = analytic["probabilities"]
         writer.writerow(
             (
                 f"{r_shunt:.6g}",
-                f"{moments.ratio:.6f}",
-                f"{probs.p_success:.6f}",
-                f"{probs.p_error:.6f}",
-                f"{probs.p_no_answer:.6f}",
-                f"{probs.expected_measurements:.4f}",
+                f"{analytic['moments']['ratio']:.6f}",
+                f"{probs['p_success']:.6f}",
+                f"{probs['p_error']:.6f}",
+                f"{probs['p_no_answer']:.6f}",
+                f"{probs['expected_measurements']:.4f}",
             )
         )
 

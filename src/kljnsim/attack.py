@@ -35,8 +35,8 @@ class EveCalibration:
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.norm_constant <= 0 or self.threshold <= 0:
-            raise ValueError("calibration constants must be > 0")
+        if not (0 < self.norm_constant < math.inf and 0 < self.threshold < math.inf):
+            raise ValueError("calibration constants must be finite and > 0")
 
 
 def calibrate(net: NetworkConfig, noise: NoiseSpec) -> EveCalibration:

@@ -85,11 +85,7 @@ def parallel_resistance(r1: float, r2: float | None) -> float:
 
 
 def _normalized_moments(net: NetworkConfig) -> tuple[float, float]:
-    """Mean-square end currents per unit 4kTB, series elements neglected.
-
-    Raises ``ValueError`` naming the network when its resistances are so
-    extreme that a moment is not a finite positive float.
-    """
+    """Mean-square end currents per unit 4kTB, series elements neglected; NaN where they do not compute."""
     ra, rb, r2 = net.r_alice, net.r_bob, net.r_shunt
 
     def one_end(r_near: float, r_far: float) -> float:
@@ -103,15 +99,9 @@ def _normalized_moments(net: NetworkConfig) -> tuple[float, float]:
         return own + coupled
 
     try:
-        fa, fb = one_end(ra, rb), one_end(rb, ra)
+        return one_end(ra, rb), one_end(rb, ra)
     except (ZeroDivisionError, OverflowError):
-        fa = fb = math.nan
-    if not (0.0 < fa < math.inf and 0.0 < fb < math.inf and fa / fb < math.inf and fb / fa < math.inf):
-        raise ValueError(
-            f"network (r_alice={ra!r}, r_bob={rb!r}, r_series={net.r_series!r}, r_shunt={r2!r}) "
-            "gives mean-square currents and a ratio that are not finite and > 0 in double precision"
-        )
-    return fa, fb
+        return math.nan, math.nan
 
 
 def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> CurrentMoments:
@@ -121,14 +111,24 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
     on the unscaled values, so it is bit-identical under any positive
     rescaling of the noise intensity.  With no pad both ends see the same
     4kT_eff*B/(r_alice+r_bob).
+
+    Raises ``ValueError`` naming the network and the noise when resistances
+    or noise scale are so extreme that a moment, scaled or not, the ratio
+    or the reciprocal of the smaller scaled moment (Eve's normalization) is
+    not a finite positive float.
     """
     fa, fb = _normalized_moments(net)
     scale = noise.unit_scale
-    return CurrentMoments(
-        ms_alice=scale * fa,
-        ms_bob=scale * fb,
-        ratio=max(fa, fb) / min(fa, fb),
-    )
+    ms_alice, ms_bob = scale * fa, scale * fb
+    finite = all(0.0 < x < math.inf for x in (fa, fb, ms_alice, ms_bob))
+    if not (finite and max(fa, fb) / min(fa, fb) < math.inf and 1.0 / min(ms_alice, ms_bob) < math.inf):
+        raise ValueError(
+            f"network (r_alice={net.r_alice!r}, r_bob={net.r_bob!r}, r_series={net.r_series!r}, "
+            f"r_shunt={net.r_shunt!r}) with noise (t_eff={noise.t_eff!r}, bandwidth={noise.bandwidth!r}) gives "
+            f"mean-square currents {ms_alice!r} and {ms_bob!r}; they, their ratio and the reciprocal of the "
+            "smaller must be finite and > 0 in double precision"
+        )
+    return CurrentMoments(ms_alice=ms_alice, ms_bob=ms_bob, ratio=max(fa, fb) / min(fa, fb))
 
 
 def solve_network(

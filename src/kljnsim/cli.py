@@ -18,7 +18,7 @@ import sys
 from typing import Any, Iterator, Optional, Sequence, TextIO
 
 from .circuit import design_tee_pad
-from .config import ConfigError, load_config_file, resolve_config
+from .config import ConfigError, ExperimentConfig, load_config_file, resolve_config
 from .protocol import low_high_resistors
 from .reporting import analytic_section, build_report, write_report
 
@@ -34,30 +34,44 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _preset(name: str) -> dict[str, str]:
+    return {"preset": name}
+
+
 def build_parser() -> _Parser:
+    """The command-line parser.  Each flag of a config key has that key as its ``dest``."""
     parser = _Parser(prog="kljnsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help="built-in network preset (overrides the file's network)")
-        p.add_argument("--out", help="report path (default: standard output)")
+        p.add_argument("--preset", dest="network", metavar="PRESET", type=_preset,
+                       help="built-in network preset (overrides the file's network)")
+        p.add_argument("--out", dest="output.report", metavar="OUT", help="report path (default: standard output)")
 
     p_an = sub.add_parser("analyze", help="closed-form moments, ratio and attack probabilities")
     add_common(p_an)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo key exchange, alarm and attack campaign")
     add_common(p_sim)
-    p_sim.add_argument("--seed", type=int, help="master seed (fallback: KLJN_SEED, then config file)")
-    p_sim.add_argument("--bits", type=int, help="number of bit periods")
-    p_sim.add_argument("--samples-per-bit", type=int, help="samples per bit period")
-    p_sim.add_argument("--mode", choices=("independent", "waveform"), help="sampling mode")
-    p_sim.add_argument("--trace-csv", help="dump per-sample currents to this CSV file")
+    p_sim.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                       help="master seed (fallback: KLJN_SEED, then config file)")
+    p_sim.add_argument("--bits", dest="protocol.n_bits", metavar="BITS", type=int, help="number of bit periods")
+    p_sim.add_argument("--samples-per-bit", dest="protocol.samples_per_bit", metavar="SAMPLES_PER_BIT", type=int,
+                       help="samples per bit period")
+    p_sim.add_argument("--mode", dest="noise.mode", choices=("independent", "waveform"), help="sampling mode")
+    p_sim.add_argument("--trace-csv", dest="output.trace_csv", metavar="TRACE_CSV",
+                       help="dump per-sample currents to this CSV file")
 
     p_pad = sub.add_parser("design-pad", help="matched symmetric T-pad resistor values")
     p_pad.add_argument("--loss-db", type=float, required=True)
     p_pad.add_argument("--z0", type=float, required=True)
     return parser
+
+
+def document_flags(args: argparse.Namespace) -> dict[str, Any]:
+    """The parsed ``analyze``/``simulate`` flags by config key (their ``dest``); ``None`` where not given."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "config")}
 
 
 def _env_seed() -> Optional[int]:
@@ -91,15 +105,21 @@ def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tup
         yield sys.stdout if files[0] is None else files[0], files[1]
 
 
-def _document(args: argparse.Namespace) -> Any:
-    """The config file's document, or ``None`` when no file is given."""
-    if not args.config and args.preset is None:
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's document with every flag that is given written in at its key, parsed.
+
+    ``KLJN_SEED`` stands in for ``--seed`` where the command has that flag.
+    """
+    overrides = document_flags(args)
+    if "master_seed" in overrides and overrides["master_seed"] is None:
+        overrides["master_seed"] = _env_seed()
+    if not args.config and args.network is None:
         raise ConfigError("no network given: pass --preset, or --config with a network section")
-    return load_config_file(args.config) if args.config else None
+    return resolve_config(load_config_file(args.config) if args.config else None, overrides)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = resolve_config(_document(args), preset=args.preset, out=args.out)
+    cfg = _config(args)
     report = build_report(cfg, empirical=False)  # every network check, before the output is truncated
     with _outputs(cfg.report_path) as (out, _):
         write_report(report, out)
@@ -107,17 +127,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
-    cfg = resolve_config(
-        _document(args),
-        preset=args.preset,
-        seed=seed,
-        bits=args.bits,
-        samples_per_bit=args.samples_per_bit,
-        mode=args.mode,
-        out=args.out,
-        trace_csv=args.trace_csv,
-    )
+    cfg = _config(args)
     # every check of the network runs before the report and trace files are
     # opened: the resistor pair, the moments and Eve's calibration
     low_high_resistors(cfg.network)

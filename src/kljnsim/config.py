@@ -4,7 +4,8 @@ The config file is one JSON document.  Every key is optional except that a
 network must be resolvable (explicit values or a preset); unknown keys are
 rejected before any computation, with the offending key named.  A key that
 is absent takes the model class's default.  Command-line overrides are
-written into the document at their keys, so one parser validates both.
+written into the document at their keys (each flag's ``dest`` in
+``cli.build_parser``), so one parser validates both.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .circuit import AttenuatorConfig, NetworkConfig, design_tee_pad
 from .noise import NoiseSpec
@@ -228,32 +229,13 @@ def _with(data: Any, keys: list[str], value: Any) -> Any:
     return {**data, head: _with(data.get(head, {}), rest, value) if rest else value}
 
 
-def resolve_config(
-    file_data: Any = None,
-    *,
-    preset: Optional[str] = None,
-    seed: Optional[int] = None,
-    bits: Optional[int] = None,
-    samples_per_bit: Optional[int] = None,
-    mode: Optional[str] = None,
-    out: Optional[str] = None,
-    trace_csv: Optional[str] = None,
-) -> ExperimentConfig:
-    """Write command-line overrides into the config document at their keys (flags win), then parse it.
+def resolve_config(file_data: Any, overrides: Mapping[str, Any]) -> ExperimentConfig:
+    """Write ``overrides``, values by dotted document key, into the config document (they win), then parse it.
 
     ``file_data`` is the config file's document, or ``None`` when there is no
-    file; it is not modified.
+    file; it is not modified.  An override whose value is ``None`` is not set.
     """
     data = {} if file_data is None else file_data
-    overrides = {
-        "network": None if preset is None else {"preset": preset},
-        "master_seed": seed,
-        "protocol.n_bits": bits,
-        "protocol.samples_per_bit": samples_per_bit,
-        "noise.mode": mode,
-        "output.report": out,
-        "output.trace_csv": trace_csv,
-    }
     for key, value in overrides.items():
         if value is not None:
             data = _with(data, key.split("."), value)

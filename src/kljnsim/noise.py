@@ -12,12 +12,8 @@ temperature.  Two sampling modes are supported:
 
 All randomness is derived from a single master seed through keyed
 ``SeedSequence`` streams, one per fixed-size chunk of bit periods, so
-results never depend on worker count or evaluation order.  Chunks that
-each hold one period of at least ``protocol.POOL_MIN_SAMPLES`` samples are
-drawn and filtered on a thread pool, one thread per CPU the process may run
-on and at most ``protocol.POOL_MAX_WORKERS`` (``taskset -c 0`` keeps them on
-one); numpy releases the GIL in the normal draws and in ``np.convolve``.
-Reports are tested identical at 1, 2 and 3 threads.
+results never depend on worker count or evaluation order.  Long chunks are
+drawn and filtered on a thread pool; :mod:`kljnsim.protocol` describes it.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ one ``(K, n)`` array per observable, drawn from one keyed random stream
 (RNG layout 2, see :func:`iter_period_blocks`).  Chunks of at least
 ``POOL_MIN_SAMPLES`` samples (single periods that long) are computed on a
 thread pool, one thread per CPU that the process may run on, at most
-``POOL_MAX_WORKERS``; ``taskset`` limits them further.  Results come back in chunk order and are tested bit-identical
-at any worker count.
+``POOL_MAX_WORKERS``; ``taskset`` limits them further.  numpy releases the
+GIL in the normal draws, the waveform filter and the large array
+operations.  Results come back in chunk order and are tested
+bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -181,9 +183,9 @@ def iter_period_blocks(
     noise: NoiseSpec,
     n_samples: int,
     master_seed: int,
-    per_chunk: Optional[Callable[[PeriodBlock], object]] = None,
+    per_chunk: Callable[[PeriodBlock], object],
 ) -> Iterator:
-    """Yield ``n_bits`` seeded periods in order, one chunk at a time.
+    """Yield ``per_chunk`` of each chunk of ``n_bits`` seeded periods, in chunk order.
 
     Chunk ``c`` holds periods ``c*K`` to ``(c+1)*K - 1`` with
     ``K = max(1, CHUNK_SAMPLES // n_samples)`` (the last chunk may be
@@ -192,9 +194,8 @@ def iter_period_blocks(
     its own and the result depends only on the seed and the config, never
     on the machine or the worker layout.
 
-    With ``per_chunk``, each chunk's block is passed to it on the thread
-    that computed the block, and its results are yielded instead.  Chunks
-    of at least ``POOL_MIN_SAMPLES`` samples run on a pool of
+    ``per_chunk`` runs on the thread that computed the chunk's block.
+    Chunks of at least ``POOL_MIN_SAMPLES`` samples run on a pool of
     :func:`available_workers` threads, capped at ``POOL_MAX_WORKERS`` and at
     the number of chunks, with at most one chunk more than threads in
     flight; shorter chunks run inline.  Either way results are yielded in
@@ -208,8 +209,7 @@ def iter_period_blocks(
     def chunk(c: int):
         rng = SeededStream(master_seed, c).generator()
         picks = rng.integers(0, 2, size=(min(k, n_bits - firsts[c]), 2)).astype(bool)
-        block = run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng)
-        return block if per_chunk is None else per_chunk(block)
+        return per_chunk(run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng))
 
     workers = min(available_workers(), POOL_MAX_WORKERS, len(firsts))
     if workers < 2 or k * n_samples < POOL_MIN_SAMPLES:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,8 +51,7 @@ def built_trace(x_alice, x_bob, state="LH"):
 
 
 def secure_blocks(n_bits, net, n_samples, seed):
-    for block in iter_period_blocks(n_bits, net, NOISE, n_samples, seed):
-        yield block.secure_rows()
+    return iter_period_blocks(n_bits, net, NOISE, n_samples, seed, PeriodBlock.secure_rows)
 
 
 def campaign_tally(n_bits, net, samples_per_bit, master_seed):
@@ -91,6 +91,11 @@ class TestCalibrate:
             EveCalibration(norm_constant=0.0, threshold=2.0)
         with pytest.raises(ValueError):
             EveCalibration(norm_constant=1.0, threshold=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="calibration constants must be finite and > 0"):
+                EveCalibration(norm_constant=bad, threshold=2.0)
+            with pytest.raises(ValueError, match="calibration constants must be finite and > 0"):
+                EveCalibration(norm_constant=1.0, threshold=bad)
 
 
 class TestSingleSampleDecision:
@@ -249,7 +254,8 @@ class TestAttackCampaign:
         assert math.isnan(stats.conditional_fidelity)
 
     def test_infinite_threshold_never_answers(self):
-        cal = EveCalibration(norm_constant=GAA_CAL.norm_constant, threshold=math.inf)
+        # the largest threshold a calibration accepts: no reading exceeds it
+        cal = EveCalibration(norm_constant=GAA_CAL.norm_constant, threshold=sys.float_info.max)
         tally = tally_of(secure_blocks(200, GAA, 20, 3), cal, max_measurements=16)
         assert tally.p_no_answer == 1.0
         assert tally.n_answered == 0

@@ -244,12 +244,12 @@ class TestSimulate:
         code, _, _ = run_cli(args + ["--samples-per-bit", str(samples), "--trace-csv", str(csv_path)], capsys)
         assert code == 0
 
-        cfg = resolve_config(None, preset="gaa-1db", seed=3, bits=bits, samples_per_bit=samples)
+        cfg = resolve_config(None, {"network": {"preset": "gaa-1db"}})
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
         period = 0
-        for block in iter_period_blocks(bits, cfg.network, cfg.noise, samples, 3):
+        for block in iter_period_blocks(bits, cfg.network, cfg.noise, samples, 3, lambda block: block):
             for r in range(block.n_periods):
                 for k in range(block.n_samples):
                     writer.writerow(
@@ -438,28 +438,40 @@ class TestSimulate:
 class TestConfigErrorsKeepOutputs:
     """A config error leaves an existing report and trace CSV byte-identical."""
 
+    # name: (config document, part of the error message)
     DOCUMENTS = {
         # moments that under- or overflow double precision
-        "moments-underflow": {
-            "network": {"r_alice": 1e-300, "r_bob": 1e-299, "pad": {"r_series": 0, "r_shunt": 1e-300}}
-        },
-        "moments-overflow": {
-            "network": {"r_alice": 1e300, "r_bob": 1e299, "pad": {"r_series": 0, "r_shunt": 1e300}}
-        },
-        # finite unit-free moments whose noise-scaled values overflow, so Eve's calibration fails
-        "scaled-moments-overflow": {
-            "network": {"r_alice": 1e-200, "r_bob": 2e-200},
-            "noise": {"t_eff": 1e172, "bandwidth": 2.0},
-        },
-        "window-longer-than-period": {"network": {"preset": "gaa-1db"}, "protocol": {"samples_per_bit": 10}},
-        "unknown-key": {"network": {"preset": "gaa-1db"}, "noize": {}},
+        "moments-underflow": (
+            {"network": {"r_alice": 1e-300, "r_bob": 1e-299, "pad": {"r_series": 0, "r_shunt": 1e-300}}},
+            "config error: network (r_alice=1e-300, ",
+        ),
+        "moments-overflow": (
+            {"network": {"r_alice": 1e300, "r_bob": 1e299, "pad": {"r_series": 0, "r_shunt": 1e300}}},
+            "config error: network (r_alice=1e+300, ",
+        ),
+        # finite unit-free moments whose noise-scaled values overflow
+        "scaled-moments-overflow": (
+            {"network": {"r_alice": 1e-200, "r_bob": 2e-200}, "noise": {"t_eff": 1e172, "bandwidth": 2.0}},
+            "with noise (t_eff=1e+172, bandwidth=2.0) gives mean-square currents inf and inf;",
+        ),
+        # scaled moments so small that Eve's normalization 1/min overflows
+        "scaled-moments-underflow": (
+            {"network": {"preset": "gaa-1db"}, "noise": {"t_eff": 1e-290, "bandwidth": 1.0}},
+            "with noise (t_eff=1e-290, bandwidth=1.0) gives mean-square currents ",
+        ),
+        "window-longer-than-period": (
+            {"network": {"preset": "gaa-1db"}, "protocol": {"samples_per_bit": 10}},
+            "config error: protocol.samples_per_bit must be >= protocol.alarm.window",
+        ),
+        "unknown-key": ({"network": {"preset": "gaa-1db"}, "noize": {}}, "config error: unknown key: noize"),
     }
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     @pytest.mark.parametrize("name", sorted(DOCUMENTS))
     def test_outputs_unchanged(self, tmp_path, capsys, command, name):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(self.DOCUMENTS[name]))
+        document, message = self.DOCUMENTS[name]
+        config.write_text(json.dumps(document))
         report, trace = tmp_path / "prior.json", tmp_path / "prior.csv"
         report.write_bytes(b"previous report\n")
         trace.write_bytes(b"previous,trace\n")
@@ -469,7 +481,7 @@ class TestConfigErrorsKeepOutputs:
         code, out, err = run_cli(args, capsys)
         assert code == 1
         assert out == ""
-        assert "config error" in err
+        assert message in err
         assert report.read_bytes() == b"previous report\n"
         assert trace.read_bytes() == b"previous,trace\n"
 
@@ -517,6 +529,73 @@ class TestDesignPad:
         assert code == 1
         assert out == ""
         assert "loss_db 1e-300 is below double-precision resolution" in err
+
+
+# --help of each command, as argparse prints it at 80 columns
+HELP = {
+    "kljnsim": """\
+usage: kljnsim [-h] {analyze,simulate,design-pad} ...
+
+Command-line harness: ``analyze``, ``simulate`` and ``design-pad``.
+
+positional arguments:
+  {analyze,simulate,design-pad}
+    analyze             closed-form moments, ratio and attack probabilities
+    simulate            Monte Carlo key exchange, alarm and attack campaign
+    design-pad          matched symmetric T-pad resistor values
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "analyze": """\
+usage: kljnsim analyze [-h] [--config CONFIG] [--preset PRESET] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON config file
+  --preset PRESET  built-in network preset (overrides the file's network)
+  --out OUT        report path (default: standard output)
+""",
+    "simulate": """\
+usage: kljnsim simulate [-h] [--config CONFIG] [--preset PRESET] [--out OUT]
+                        [--seed SEED] [--bits BITS]
+                        [--samples-per-bit SAMPLES_PER_BIT]
+                        [--mode {independent,waveform}]
+                        [--trace-csv TRACE_CSV]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file
+  --preset PRESET       built-in network preset (overrides the file's network)
+  --out OUT             report path (default: standard output)
+  --seed SEED           master seed (fallback: KLJN_SEED, then config file)
+  --bits BITS           number of bit periods
+  --samples-per-bit SAMPLES_PER_BIT
+                        samples per bit period
+  --mode {independent,waveform}
+                        sampling mode
+  --trace-csv TRACE_CSV
+                        dump per-sample currents to this CSV file
+""",
+    "design-pad": """\
+usage: kljnsim design-pad [-h] --loss-db LOSS_DB --z0 Z0
+
+options:
+  -h, --help         show this help message and exit
+  --loss-db LOSS_DB
+  --z0 Z0
+""",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(([] if command == "kljnsim" else [command]) + ["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
 
 
 class TestEntryPoints:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from kljnsim import cli
 from kljnsim.circuit import AttenuatorConfig, NetworkConfig
 from kljnsim.config import (
     PRESETS,
@@ -217,27 +218,43 @@ class TestParseConfig:
         assert again == cfg
 
 
+def resolve_flags(file_data, *flags):
+    """Resolve ``simulate`` flags over ``file_data`` through the CLI's parser, which declares each flag's key."""
+    args = cli.build_parser().parse_args(["simulate", *flags])
+    return resolve_config(file_data, cli.document_flags(args))
+
+
+FLAGS = {
+    "seed": "--seed",
+    "bits": "--bits",
+    "samples_per_bit": "--samples-per-bit",
+    "mode": "--mode",
+    "preset": "--preset",
+    "out": "--out",
+}
+
+
 class TestResolveConfig:
     def test_preset_flag_wins_over_file_network(self):
         file_data = {"network": {"r_alice": 7.0, "r_bob": 70.0}}
-        cfg = resolve_config(file_data, preset="gaa-1db")
+        cfg = resolve_flags(file_data, "--preset", "gaa-1db")
         assert cfg.network == PRESETS["gaa-1db"]
 
     def test_flag_overrides(self):
         file_data = {"network": {"preset": "lossless"}, "master_seed": 5}
-        cfg = resolve_config(file_data, seed=9, bits=123, samples_per_bit=77, mode="waveform")
+        cfg = resolve_flags(file_data, "--seed", "9", "--bits", "123", "--samples-per-bit", "77", "--mode", "waveform")
         assert cfg.master_seed == 9
         assert cfg.n_bits == 123
         assert cfg.samples_per_bit == 77
         assert cfg.noise.mode == "waveform"
 
     def test_file_seed_survives_without_flag(self):
-        cfg = resolve_config({"network": {"preset": "lossless"}, "master_seed": 5})
+        cfg = resolve_flags({"network": {"preset": "lossless"}, "master_seed": 5})
         assert cfg.master_seed == 5
 
     def test_no_network_anywhere(self):
         with pytest.raises(ConfigError, match="network"):
-            resolve_config(None)
+            resolve_config(None, {})
 
     @pytest.mark.parametrize(
         "flag, value, document",
@@ -246,7 +263,6 @@ class TestResolveConfig:
             ("seed", -18446744073709551611, {"master_seed": -18446744073709551611}),
             ("bits", 0, {"protocol": {"n_bits": 0}}),
             ("samples_per_bit", 10, {"protocol": {"samples_per_bit": 10}}),
-            ("mode", "continuous", {"noise": {"mode": "continuous"}}),
             ("preset", "gaa-9db", {"network": {"preset": "gaa-9db"}}),
         ],
     )
@@ -254,8 +270,17 @@ class TestResolveConfig:
         with pytest.raises(ConfigError) as from_file:
             parse_config({"network": {"preset": "lossless"}, **document})
         with pytest.raises(ConfigError) as from_flag:
-            resolve_config({"network": {"preset": "lossless"}}, **{flag: value})
+            resolve_flags({"network": {"preset": "lossless"}}, f"{FLAGS[flag]}={value}")
         assert str(from_flag.value) == str(from_file.value)
+
+    def test_mode_flag_takes_only_the_file_values(self):
+        # the parser offers the modes the file accepts, and rejects any other value itself
+        with pytest.raises(ConfigError, match="noise.mode must be 'independent' or 'waveform'"):
+            parse_config({"network": {"preset": "lossless"}, "noise": {"mode": "continuous"}})
+        with pytest.raises(ConfigError, match="argument --mode: invalid choice: 'continuous'"):
+            resolve_flags({"network": {"preset": "lossless"}}, "--mode", "continuous")
+        for mode in ("independent", "waveform"):
+            assert resolve_flags({"network": {"preset": "lossless"}}, "--mode", mode).noise.mode == mode
 
     def test_file_data_is_not_modified(self):
         file_data = {
@@ -265,9 +290,8 @@ class TestResolveConfig:
             "output": {"report": "a.json"},
         }
         before = copy.deepcopy(file_data)
-        cfg = resolve_config(
-            file_data, seed=3, bits=7, samples_per_bit=60, mode="waveform", out="b.json", trace_csv="t.csv"
-        )
+        flags = ["--seed", "3", "--bits", "7", "--samples-per-bit", "60", "--mode", "waveform"]
+        cfg = resolve_flags(file_data, *flags, "--out", "b.json", "--trace-csv", "t.csv")
         assert file_data == before
         assert (cfg.master_seed, cfg.n_bits, cfg.samples_per_bit, cfg.noise.mode) == (3, 7, 60, "waveform")
         assert (cfg.report_path, cfg.trace_csv, cfg.alarm.window) == ("b.json", "t.csv", 20)
@@ -277,19 +301,19 @@ class TestResolveConfig:
     )
     def test_flag_into_a_non_object_section_fails_like_the_file(self, section, flag, value):
         with pytest.raises(ConfigError, match=f"^{section} must be an object$"):
-            resolve_config({"network": {"preset": "lossless"}, section: "x"}, **{flag: value})
+            resolve_flags({"network": {"preset": "lossless"}, section: "x"}, FLAGS[flag], str(value))
 
     def test_non_object_root_fails_with_flags(self):
         with pytest.raises(ConfigError, match="^config root must be an object$"):
-            resolve_config([["network", {"preset": "lossless"}]], preset="lossless")
+            resolve_flags([["network", {"preset": "lossless"}]], "--preset", "lossless")
 
     def test_pair_requires_distinct_resistors(self):
-        cfg = resolve_config({"network": {"r_alice": 1000, "r_bob": 1000}})
+        cfg = resolve_config({"network": {"r_alice": 1000, "r_bob": 1000}}, {})
         with pytest.raises(ValueError, match="network.r_alice and network.r_bob must differ"):
             low_high_resistors(cfg.network)
 
     def test_pair_orients_low_high(self):
-        cfg = resolve_config({"network": {"r_alice": 10000, "r_bob": 1000}})
+        cfg = resolve_config({"network": {"r_alice": 10000, "r_bob": 1000}}, {})
         assert low_high_resistors(cfg.network) == (1000.0, 10000.0)
 
 

@@ -42,6 +42,12 @@ def use_threads(monkeypatch, n):
     monkeypatch.setattr(protocol, "POOL_MAX_WORKERS", n)
 
 
+def config(preset, bits, samples, mode="independent", seed=0):
+    """The resolved config of ``simulate --preset preset --bits bits --samples-per-bit samples ...``."""
+    keys = {"network": {"preset": preset}, "noise.mode": mode, "master_seed": seed, "protocol.n_bits": bits}
+    return resolve_config(None, {**keys, "protocol.samples_per_bit": samples})
+
+
 def run(cfg, csv):
     trace = io.StringIO(newline="") if csv else None
     report = build_report(cfg, empirical=True, trace=trace)
@@ -65,7 +71,7 @@ def test_reports_identical_at_any_worker_count(shape, monkeypatch, pools):
     preset, mode, bits, samples, csv, forced = SHAPES[shape]
     if forced:
         monkeypatch.setattr(protocol, "POOL_MIN_SAMPLES", 0)
-    cfg = resolve_config(None, preset=preset, mode=mode, bits=bits, samples_per_bit=samples, seed=11)
+    cfg = config(preset, bits, samples, mode, seed=11)
     use_threads(monkeypatch, 1)
     inline = run(cfg, csv)
     assert pools == []
@@ -79,7 +85,7 @@ def test_reports_identical_at_any_worker_count(shape, monkeypatch, pools):
 
 def test_pool_never_has_more_threads_than_chunks(monkeypatch, pools):
     monkeypatch.setattr(protocol, "POOL_MIN_SAMPLES", 0)
-    cfg = resolve_config(None, preset="gaa-1db", bits=2, samples_per_bit=protocol.CHUNK_SAMPLES)
+    cfg = config("gaa-1db", 2, protocol.CHUNK_SAMPLES)
 
     def thread_name(block):
         return threading.current_thread().name
@@ -94,7 +100,7 @@ def test_pool_never_has_more_threads_than_chunks(monkeypatch, pools):
 def test_pool_is_capped_at_the_measured_thread_count(monkeypatch, pools):
     monkeypatch.setattr(protocol, "POOL_MIN_SAMPLES", 0)
     monkeypatch.setattr(protocol, "available_workers", lambda: 8)
-    cfg = resolve_config(None, preset="gaa-1db", bits=4, samples_per_bit=protocol.CHUNK_SAMPLES)
+    cfg = config("gaa-1db", 4, protocol.CHUNK_SAMPLES)
     assert len(list(iter_period_blocks(4, cfg.network, cfg.noise, cfg.samples_per_bit, 1, lambda b: b.n_periods))) == 4
     assert pools == [protocol.POOL_MAX_WORKERS] == [2]
 
@@ -109,7 +115,7 @@ def test_at_most_workers_plus_one_chunks_in_flight(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(protocol, "run_periods", counting)
-    cfg = resolve_config(None, preset="gaa-1db", bits=8, samples_per_bit=protocol.CHUNK_SAMPLES)
+    cfg = config("gaa-1db", 8, protocol.CHUNK_SAMPLES)
     use_threads(monkeypatch, 2)
     chunks = iter_period_blocks(8, cfg.network, cfg.noise, cfg.samples_per_bit, 1, lambda b: b.n_periods)
     for consumed, _ in enumerate(chunks, start=1):
@@ -119,7 +125,7 @@ def test_at_most_workers_plus_one_chunks_in_flight(monkeypatch):
 
 def test_chunk_errors_reach_the_caller(monkeypatch):
     monkeypatch.setattr(protocol, "POOL_MIN_SAMPLES", 0)
-    cfg = resolve_config(None, preset="gaa-1db", bits=6, samples_per_bit=protocol.CHUNK_SAMPLES)
+    cfg = config("gaa-1db", 6, protocol.CHUNK_SAMPLES)
     seen = []
 
     def fail_on_second(block):
@@ -135,8 +141,8 @@ def test_chunk_errors_reach_the_caller(monkeypatch):
 
 def test_pool_blocks_match_inline_blocks(monkeypatch):
     monkeypatch.setattr(protocol, "POOL_MIN_SAMPLES", 0)
-    cfg = resolve_config(None, preset="gaa-1db", mode="waveform", bits=5, samples_per_bit=3000)
-    args = (5, cfg.network, cfg.noise, 3000, 4)
+    cfg = config("gaa-1db", 5, 3000, "waveform")
+    args = (5, cfg.network, cfg.noise, 3000, 4, lambda block: block)
     use_threads(monkeypatch, 1)
     inline_blocks = list(iter_period_blocks(*args))
     use_threads(monkeypatch, 3)
