@@ -8,6 +8,7 @@ and the alarm behaviour, each next to a seeded empirical estimate.
 """
 
 import argparse
+import sys
 
 from kljnsim.config import PRESETS, resolve_config
 from kljnsim.reporting import build_report
@@ -59,4 +60,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:  # a config error, kljnsim.config.ConfigError included: exit 1, as the CLI does
+        sys.exit(f"reproduce_headline_numbers.py: config error: {exc}")

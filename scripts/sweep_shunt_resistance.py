@@ -27,6 +27,9 @@ def main() -> None:
     ap.add_argument("--shunt-max", type=float, default=1e7)
     ap.add_argument("--points", type=int, default=36)
     args = ap.parse_args()
+    # the ends of the grid meet the pad's own rules before numpy spaces points between them
+    for r_shunt in (args.shunt_min, args.shunt_max):
+        AttenuatorConfig(r_series=args.r_series, r_shunt=r_shunt)
 
     writer = csv.writer(sys.stdout)
     writer.writerow(
@@ -53,4 +56,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:  # a config error, kljnsim.config.ConfigError included: exit 1, as the CLI does
+        sys.exit(f"sweep_shunt_resistance.py: config error: {exc}")

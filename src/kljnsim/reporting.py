@@ -1,9 +1,12 @@
 """Machine-readable run reports and CSV trace dumps.
 
-Reports are JSON with a versioned schema.  Every empirical rate carries its
-99% Wilson interval, and an agreement section pairs each rate with its
-analytic counterpart as a coverage boolean, so downstream tooling never has
-to recompute the comparison.  Numbers are serialized at full precision
+Reports are JSON with a versioned schema.  The Monte Carlo pass reduces
+every chunk to one flat record of independent counts and sums
+(:class:`EmpiricalTotals`), which also derives every other count, rate and
+interval of the empirical section.  Every empirical rate carries its 99%
+Wilson interval, and an agreement section pairs each rate with its analytic
+counterpart as a coverage boolean, so downstream tooling never has to
+recompute the comparison.  Numbers are serialized at full precision
 (shortest round-trip form).
 """
 
@@ -19,7 +22,7 @@ from typing import Any, Optional, TextIO
 import numpy as np
 
 from . import __version__
-from .attack import CampaignTally, EveCalibration, _ratio, calibrate
+from .attack import EveCalibration, calibrate, row_verdicts
 from .circuit import analytic_mean_square_currents
 from .config import ExperimentConfig
 from .protocol import CHUNK_SAMPLES, RNG_LAYOUT, PeriodBlock, alarm_sweep, iter_period_blocks
@@ -71,52 +74,116 @@ def _write_trace_rows(writer, block: PeriodBlock, first_period: int) -> None:
         writer.writerows(zip(*(c[start : start + CHUNK_SAMPLES].tolist() for c in columns)))
 
 
+def _ratio(num: float, den: float) -> float:
+    """``num / den``, or NaN (written as null) without a denominator."""
+    return num / den if den else math.nan
+
+
+def _rate(count: str, total: str) -> tuple[property, property]:
+    """The rate of two counts of :class:`EmpiricalTotals` and its 99% Wilson interval, as properties.
+
+    The rate is NaN and the interval None while ``total`` is zero.
+    """
+
+    def interval(t: "EmpiricalTotals") -> Optional[list[float]]:
+        n = getattr(t, total)
+        return list(wilson_ci(getattr(t, count), n, Z99)) if n else None
+
+    return property(lambda t: _ratio(getattr(t, count), getattr(t, total))), property(interval)
+
+
 @dataclass
 class EmpiricalTotals:
-    """Totals of one Monte Carlo pass: periods, secure-period moments, alarms, attack tally.
+    """The independent counts and sums of one Monte Carlo pass; every other number derives from them.
 
     Squared currents are pooled at the low-resistor end and the
     high-resistor end across both secure orientations, so LH and HL periods
-    reinforce rather than cancel.
+    reinforce rather than cancel.  Eve attacks the secure periods: every
+    reading is a trial, ``n_correct`` counts the periods whose first answer
+    within the budget names the key bit, and ``measurements_hist[k]`` counts
+    the periods first answered at reading ``k`` (1-based), so it has
+    ``max_measurements + 1`` entries.
     """
 
-    tally: CampaignTally
+    measurements_hist: np.ndarray
     n_bits: int = 0
     n_secure: int = 0
-    n_secure_samples: int = 0
+    n_hl: int = 0  # secure periods in which Alice holds the high resistor
     low_end_sq_sum: float = 0.0
     high_end_sq_sum: float = 0.0
     n_alarms: int = 0
     n_alarms_secure: int = 0
     rel_difference_sum: float = 0.0  # over secure periods
+    n_trials: int = 0
+    n_success: int = 0
+    n_error: int = 0
+    hl_successes: int = 0
+    n_correct: int = 0
 
     def merge(self, part: "EmpiricalTotals") -> None:
         """Add one chunk's totals; merging in chunk order fixes the order of every float sum."""
-        self.tally.merge(part.tally)
-        for f in fields(self)[1:]:  # the counts and sums after the tally
+        for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(part, f.name))
 
+    def __eq__(self, other: object) -> bool:
+        """Equal counts and sums, the histogram compared entry by entry."""
+        return isinstance(other, EmpiricalTotals) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
-def _chunk_totals(block: PeriodBlock, cfg: ExperimentConfig, cal: EveCalibration) -> EmpiricalTotals:
-    """Alarm sweep, secure-row moments and attack verdicts of one chunk."""
-    alarm = alarm_sweep(block, cfg.alarm)
-    secure = block.secure
+    # every other count, rate and interval follows from the stored ones
+    n_attacked = property(lambda t: t.n_secure)
+    n_answered = property(lambda t: int(t.measurements_hist.sum()))
+    n_gave_up = property(lambda t: t.n_secure - t.n_answered)
+    n_no_answer = property(lambda t: t.n_trials - t.n_success - t.n_error)
+    # every secure period holds n_trials / n_secure readings
+    hl_trials = property(lambda t: t.n_trials // t.n_secure * t.n_hl if t.n_secure else 0)
+    lh_trials = property(lambda t: t.n_trials - t.hl_trials)
+    lh_successes = property(lambda t: t.n_success - t.hl_successes)
+    p_success, success_ci = _rate("n_success", "n_trials")
+    p_error, error_ci = _rate("n_error", "n_trials")
+    p_no_answer, no_answer_ci = _rate("n_no_answer", "n_trials")
+    conditional_fidelity, fidelity_ci = _rate("n_correct", "n_answered")
+
+    @property
+    def mean_measurements(self) -> float:
+        """Readings per answered period, the answering one included."""
+        readings = np.arange(self.measurements_hist.size)
+        return _ratio(int(readings @ self.measurements_hist), self.n_answered)
+
+
+def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int) -> EmpiricalTotals:
+    """Period counts, secure-period moments and Eve's counts of one block; the alarm fields stay 0.
+
+    Eve attacks the secure rows, which this picks from the block.  Every
+    reading is a standalone trial; then she repeats readings, one
+    correlation time apart, until one answers.  A period with no answer
+    within ``max_measurements`` readings counts as given up, never silently
+    guessed.
+    """
     sec = block.secure_rows()
-    sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
-    sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
-    tally = CampaignTally(max_measurements=cfg.max_measurements)
-    tally.add_block(sec, cal)
+    v = row_verdicts(sec, cal, max_measurements)
+    key_bit = sec.alice_high  # 1 when Alice holds the high resistor (HL)
+    success = np.where(key_bit, v.n_bob_low, v.n_alice_low)
+    error = np.where(key_bit, v.n_alice_low, v.n_bob_low)
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, which the report writes as null
+        sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
+        sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
+        # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
+        low_end_sq_sum = float(np.where(key_bit, sq_b, sq_a).sum())
+        high_end_sq_sum = float(np.where(key_bit, sq_a, sq_b).sum())
     return EmpiricalTotals(
-        tally,
+        np.bincount(v.first_answer[v.first_answer >= 0] + 1, minlength=max_measurements + 1),
         n_bits=block.n_periods,
         n_secure=sec.n_periods,
-        n_secure_samples=sec.n_periods * sec.n_samples,
-        # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
-        low_end_sq_sum=float(np.where(sec.alice_high, sq_b, sq_a).sum()),
-        high_end_sq_sum=float(np.where(sec.alice_high, sq_a, sq_b).sum()),
-        n_alarms=int(np.count_nonzero(alarm.triggered)),
-        n_alarms_secure=int(np.count_nonzero(alarm.triggered & secure)),
-        rel_difference_sum=float(alarm.rel_difference[secure].sum()),
+        n_hl=int(np.count_nonzero(key_bit)),
+        low_end_sq_sum=low_end_sq_sum,
+        high_end_sq_sum=high_end_sq_sum,
+        n_trials=sec.n_periods * v.n_measurements,
+        n_success=int(success.sum()),
+        n_error=int(error.sum()),
+        hl_successes=int(success[key_bit].sum()),
+        n_correct=int(np.count_nonzero(v.guess == key_bit)),
     )
 
 
@@ -132,9 +199,15 @@ def monte_carlo_pass(cfg: ExperimentConfig, csv_writer=None) -> EmpiricalTotals:
     keep_block = csv_writer is not None
 
     def per_chunk(block: PeriodBlock) -> tuple[EmpiricalTotals, Optional[PeriodBlock]]:
-        return _chunk_totals(block, cfg, cal), block if keep_block else None
+        totals = block_totals(block, cal, cfg.max_measurements)
+        alarm = alarm_sweep(block, cfg.alarm)
+        secure = block.secure
+        totals.n_alarms = int(np.count_nonzero(alarm.triggered))
+        totals.n_alarms_secure = int(np.count_nonzero(alarm.triggered & secure))
+        totals.rel_difference_sum = float(alarm.rel_difference[secure].sum())
+        return totals, block if keep_block else None
 
-    totals = EmpiricalTotals(CampaignTally(max_measurements=cfg.max_measurements))
+    totals = EmpiricalTotals(np.zeros(cfg.max_measurements + 1, dtype=np.int64))
     chunks = iter_period_blocks(
         cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk
     )
@@ -146,56 +219,49 @@ def monte_carlo_pass(cfg: ExperimentConfig, csv_writer=None) -> EmpiricalTotals:
 
 
 def empirical_section(cfg: ExperimentConfig, csv_writer=None) -> dict[str, Any]:
-    """The report's empirical section: the totals of :func:`monte_carlo_pass`, as rates."""
+    """The report's empirical section: the totals of :func:`monte_carlo_pass`, with the numbers they give."""
     t = monte_carlo_pass(cfg, csv_writer)
+    n_secure_samples = t.n_secure * cfg.samples_per_bit
     return {
         "n_bits": t.n_bits,
         "n_secure": t.n_secure,
         "secure_fraction": t.n_secure / t.n_bits,
         "secure_fraction_ci99": list(wilson_ci(t.n_secure, t.n_bits, Z99)),
-        "n_secure_samples": t.n_secure_samples,
+        "n_secure_samples": n_secure_samples,
         "ratio": _ratio(t.low_end_sq_sum, t.high_end_sq_sum),
-        "mean_square_low_end": _ratio(t.low_end_sq_sum, t.n_secure_samples),
-        "mean_square_high_end": _ratio(t.high_end_sq_sum, t.n_secure_samples),
+        "mean_square_low_end": _ratio(t.low_end_sq_sum, n_secure_samples),
+        "mean_square_high_end": _ratio(t.high_end_sq_sum, n_secure_samples),
         "alarm": {
             "n_triggered": t.n_alarms,
             "n_triggered_secure": t.n_alarms_secure,
             "trigger_rate_secure": _ratio(t.n_alarms_secure, t.n_secure),
             "mean_rel_difference_secure": _ratio(t.rel_difference_sum, t.n_secure),
         },
-        "attack": _attack_dict(t.tally),
-    }
-
-
-def _as_list(ci: Optional[tuple[float, float]]) -> Optional[list[float]]:
-    return None if ci is None else list(ci)
-
-
-def _attack_dict(tally: CampaignTally) -> dict[str, Any]:
-    return {
-        "n_trials": tally.n_trials,
-        "n_success": tally.n_success,
-        "n_error": tally.n_error,
-        "n_no_answer": tally.n_no_answer,
-        "p_success": tally.p_success,
-        "p_error": tally.p_error,
-        "p_no_answer": tally.p_no_answer,
-        "p_success_ci99": _as_list(tally.success_ci),
-        "p_error_ci99": _as_list(tally.error_ci),
-        "p_no_answer_ci99": _as_list(tally.no_answer_ci),
-        "repeat_until_answer": {
-            "n_attacked": tally.n_attacked,
-            "n_answered": tally.n_answered,
-            "n_gave_up": tally.n_gave_up,
-            "n_correct": tally.n_correct,
-            "conditional_fidelity": tally.conditional_fidelity,
-            "fidelity_ci99": _as_list(tally.fidelity_ci),
-            "mean_measurements": tally.mean_measurements,
-            "measurements_hist": {str(k): v for k, v in sorted(tally.measurements_hist.items())},
-        },
-        "by_orientation": {
-            "lh": {"trials": tally.lh_trials, "successes": tally.lh_successes},
-            "hl": {"trials": tally.hl_trials, "successes": tally.hl_successes},
+        "attack": {
+            "n_trials": t.n_trials,
+            "n_success": t.n_success,
+            "n_error": t.n_error,
+            "n_no_answer": t.n_no_answer,
+            "p_success": t.p_success,
+            "p_error": t.p_error,
+            "p_no_answer": t.p_no_answer,
+            "p_success_ci99": t.success_ci,
+            "p_error_ci99": t.error_ci,
+            "p_no_answer_ci99": t.no_answer_ci,
+            "repeat_until_answer": {
+                "n_attacked": t.n_attacked,
+                "n_answered": t.n_answered,
+                "n_gave_up": t.n_gave_up,
+                "n_correct": t.n_correct,
+                "conditional_fidelity": t.conditional_fidelity,
+                "fidelity_ci99": t.fidelity_ci,
+                "mean_measurements": t.mean_measurements,
+                "measurements_hist": {str(k): n for k, n in enumerate(t.measurements_hist.tolist()) if n},
+            },
+            "by_orientation": {
+                "lh": {"trials": t.lh_trials, "successes": t.lh_successes},
+                "hl": {"trials": t.hl_trials, "successes": t.hl_successes},
+            },
         },
     }
 

@@ -55,11 +55,11 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 
 
 def attack_tally(n_bits, samples_per_bit, master_seed):
-    """The attack tally of the report's Monte Carlo pass on gaa-1db."""
+    """The totals of the report's Monte Carlo pass on gaa-1db."""
     cfg = ExperimentConfig(
         network=GAA, n_bits=n_bits, samples_per_bit=samples_per_bit, master_seed=master_seed
     )
-    return monte_carlo_pass(cfg).tally
+    return monte_carlo_pass(cfg)
 
 
 def run_cli_report(argv, capsys) -> dict:

@@ -4,12 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from kljnsim.attack import CampaignTally, EveCalibration, calibrate
+from kljnsim.attack import EveCalibration, calibrate
 from kljnsim.circuit import AttenuatorConfig, NetworkConfig, solve_network
 from kljnsim.config import ExperimentConfig
 from kljnsim.noise import NoiseSpec, SeededStream
 from kljnsim.protocol import AlarmPolicy, PeriodBlock, iter_period_blocks, run_periods
-from kljnsim.reporting import monte_carlo_pass
+from kljnsim.reporting import EmpiricalTotals, block_totals, monte_carlo_pass
 from kljnsim.stats import analytic_attack_probabilities, wilson_ci
 
 NOISE = NoiseSpec()
@@ -55,7 +55,7 @@ def secure_blocks(n_bits, net, n_samples, seed):
 
 
 def campaign_tally(n_bits, net, samples_per_bit, master_seed):
-    """The attack tally of the report's Monte Carlo pass over ``n_bits`` seeded periods."""
+    """The totals of the report's Monte Carlo pass over ``n_bits`` seeded periods."""
     cfg = ExperimentConfig(
         network=net,
         n_bits=n_bits,
@@ -63,13 +63,14 @@ def campaign_tally(n_bits, net, samples_per_bit, master_seed):
         alarm=AlarmPolicy(window=min(50, samples_per_bit)),
         master_seed=master_seed,
     )
-    return monte_carlo_pass(cfg).tally
+    return monte_carlo_pass(cfg)
 
 
 def tally_of(blocks, cal, max_measurements=64):
-    tally = CampaignTally(max_measurements=max_measurements)
+    """The merged :func:`block_totals` of ``blocks``, without an alarm sweep."""
+    tally = EmpiricalTotals(np.zeros(max_measurements + 1, dtype=np.int64))
     for block in blocks:
-        tally.add_block(block, cal)
+        tally.merge(block_totals(block, cal, max_measurements))
     return tally
 
 
@@ -142,31 +143,26 @@ class TestSingleSampleDecision:
 class TestAttackBit:
     """The repeat-until-answer rule, one secure period at a time."""
 
-    def test_rejects_insecure_period(self):
-        block = one_period(GAA, 16, alice_high=True, bob_high=True)
-        with pytest.raises(ValueError, match="secure"):
-            CampaignTally().add_block(block, GAA_CAL)
-
     def test_lossless_always_gives_up(self):
         cal = calibrate(LOSSLESS, NOISE)
         tally = tally_of((secure_trace(LOSSLESS, 64, seed=seed) for seed in range(50)), cal)
         assert tally.n_gave_up == tally.n_attacked == 50
         assert tally.n_answered == 0
-        assert tally.measurements_hist == {}
+        assert not tally.measurements_hist.any()
         assert tally.n_trials == 50 * 64
 
     def test_budget_respected(self):
         traces = (secure_trace(GAA, 256, seed=seed) for seed in range(40))
         tally = tally_of(traces, GAA_CAL, max_measurements=5)
         assert tally.n_answered > 0
-        assert max(tally.measurements_hist) <= 5
-        assert sum(tally.measurements_hist.values()) == tally.n_answered
+        # one entry per reading within the budget, and entry 0
+        assert tally.measurements_hist.size == 6
 
     def test_budget_capped_by_trace_length(self):
         # only the last of ten readings answers: a budget of 64 reaches it
         x_alice = [0.5] * 9 + [6.0]
         tally = tally_of([built_trace(x_alice, [0.5] * 10)], UNIT_CAL)
-        assert tally.measurements_hist == {10: 1}
+        assert tally.measurements_hist.tolist() == [0] * 10 + [1] + [0] * 54
         assert tally.n_trials == 10
 
     def test_guess_convention_both_orientations(self):
@@ -219,7 +215,7 @@ class TestAttackCampaign:
 
     def test_mean_measurements_near_three(self, campaign):
         assert campaign.mean_measurements == pytest.approx(SIM_MEAN_MEASUREMENTS, abs=0.15)
-        assert sum(k * v for k, v in campaign.measurements_hist.items()) == pytest.approx(
+        assert sum(k * v for k, v in enumerate(campaign.measurements_hist)) == pytest.approx(
             campaign.mean_measurements * campaign.n_answered
         )
 
@@ -261,7 +257,7 @@ class TestAttackCampaign:
         assert tally.n_answered == 0
 
     def test_empty_tally_has_no_rates(self):
-        tally = CampaignTally()
+        tally = EmpiricalTotals(np.zeros(65, dtype=np.int64))
         assert math.isnan(tally.p_success) and math.isnan(tally.mean_measurements)
         assert tally.success_ci is None and tally.fidelity_ci is None
 

@@ -2,9 +2,11 @@
 
 The references are the per-period rules written out one row (and, for the
 attack, one reading) at a time.  They use the same floating-point operations
-in the same order, so results must match exactly.
+in the same order, so results must match exactly, apart from the sums of
+squared currents, which add the same terms in another order.
 """
 
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kljnsim.attack import CampaignTally, EveCalibration, row_verdicts
+from kljnsim.attack import EveCalibration, row_verdicts
 from kljnsim import protocol
 from kljnsim.protocol import AlarmPolicy, PeriodBlock, alarm_sweep
+from kljnsim.reporting import EmpiricalTotals, block_totals
 
 # readings drawn partly from a small grid, so squares land exactly on the
 # thresholds below and exact ties between the two ends occur
@@ -58,7 +61,7 @@ def reference_verdicts(i_a, i_b, cal, stride, budget):
 
 
 @st.composite
-def blocks(draw, stride, secure=False):
+def blocks(draw, stride):
     k = draw(st.integers(1, 5))
     n = draw(st.integers(2, 40))
     i_alice = draw(arrays(np.float64, (k, n), elements=READING))
@@ -68,7 +71,7 @@ def blocks(draw, stride, secure=False):
         if draw(st.booleans()):
             i_bob[r] = i_alice[r]
     alice_high = draw(arrays(np.bool_, k))
-    bob_high = ~alice_high if secure else draw(arrays(np.bool_, k))
+    bob_high = draw(arrays(np.bool_, k))
     return PeriodBlock(alice_high, bob_high, i_alice, i_bob, np.zeros_like(i_alice), stride)
 
 
@@ -110,11 +113,18 @@ def test_alarm_over_long_periods_matches_per_row_reference():
     assert protocol.CHUNK_SAMPLES < expected[1][1] < n - 50
 
 
+def row_slice(block, rows):
+    return PeriodBlock(
+        block.alice_high[rows], block.bob_high[rows], block.i_alice[rows], block.i_bob[rows], block.v_node[rows],
+        block.measurement_stride,
+    )
+
+
 @pytest.mark.parametrize("stride", [1, 3, 8])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_attack_matches_per_row_reference(stride, data):
-    block = data.draw(blocks(stride, secure=True))
+    block = data.draw(blocks(stride))
     n_readings = len(range(0, block.n_samples, stride))
     # budgets from 1 to past the readings a period holds
     budget = data.draw(st.integers(1, n_readings + 3))
@@ -123,35 +133,53 @@ def test_attack_matches_per_row_reference(stride, data):
         threshold=data.draw(st.sampled_from([0.25, 1.0, 4.0])),
     )
     verdicts = row_verdicts(block, cal, budget)
-    tally = CampaignTally(max_measurements=budget)
-    tally.add_block(block, cal)
+    totals = block_totals(block, cal, budget)
 
-    expected = CampaignTally(max_measurements=budget)
+    expected = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64), n_bits=block.n_periods)
     assert verdicts.n_measurements == n_readings
     for r in range(block.n_periods):
-        n_a, n_b, first, guess = reference_verdicts(block.i_alice[r], block.i_bob[r], cal, stride, budget)
+        i_a, i_b = block.i_alice[r], block.i_bob[r]
+        n_a, n_b, first, guess = reference_verdicts(i_a, i_b, cal, stride, budget)
         assert verdicts.n_alice_low[r] == n_a
         assert verdicts.n_bob_low[r] == n_b
         assert verdicts.first_answer[r] == first
         assert verdicts.guess[r] == guess
+        if block.alice_high[r] == block.bob_high[r]:
+            continue  # Eve attacks the secure periods only
         key_bit = int(block.alice_high[r])  # 1 when Alice holds the high resistor
         success, error = (n_b, n_a) if key_bit else (n_a, n_b)
+        sq_a, sq_b = float(i_a @ i_a), float(i_b @ i_b)
+        expected.n_secure += 1
+        expected.n_hl += key_bit
+        # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
+        expected.low_end_sq_sum += sq_b if key_bit else sq_a
+        expected.high_end_sq_sum += sq_a if key_bit else sq_b
         expected.n_trials += n_readings
         expected.n_success += success
         expected.n_error += error
-        expected.n_no_answer += n_readings - success - error
-        if key_bit:
-            expected.hl_trials += n_readings
-            expected.hl_successes += success
-        else:
-            expected.lh_trials += n_readings
-            expected.lh_successes += success
-        expected.n_attacked += 1
-        if first < 0:
-            expected.n_gave_up += 1
-        else:
-            expected.n_answered += 1
+        expected.hl_successes += success if key_bit else 0
+        if first >= 0:
             expected.n_correct += guess == key_bit
-            expected.measurements_sum += first + 1
-            expected.measurements_hist[first + 1] = expected.measurements_hist.get(first + 1, 0) + 1
-    assert tally == expected
+            expected.measurements_hist[first + 1] += 1
+    # the square sums add the same terms in another order
+    assert totals.low_end_sq_sum == pytest.approx(expected.low_end_sq_sum)
+    assert totals.high_end_sq_sum == pytest.approx(expected.high_end_sq_sum)
+    assert totals == replace(expected, low_end_sq_sum=totals.low_end_sq_sum, high_end_sq_sum=totals.high_end_sq_sum)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_totals_of_two_row_slices_merge_to_the_whole_block(stride, data):
+    block = data.draw(blocks(stride))
+    split = data.draw(st.integers(0, block.n_periods))
+    budget = data.draw(st.integers(1, 6))
+    cal = EveCalibration(norm_constant=1.0, threshold=data.draw(st.sampled_from([0.25, 1.0, 4.0])))
+    whole = block_totals(block, cal, budget)
+    merged = block_totals(row_slice(block, slice(None, split)), cal, budget)
+    merged.merge(block_totals(row_slice(block, slice(split, None)), cal, budget))
+    for f in fields(whole):
+        if isinstance(getattr(whole, f.name), float):  # sums whose order the split changes
+            assert getattr(merged, f.name) == pytest.approx(getattr(whole, f.name))
+        else:
+            assert np.array_equal(getattr(merged, f.name), getattr(whole, f.name)), f.name

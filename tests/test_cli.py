@@ -400,7 +400,7 @@ class TestSimulate:
         assert rows[0] == ["period", "sample", "i_alice", "i_bob", "v_node"]
         assert len(rows) == 1 + 5 * 50
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # an overflowing sum is no warning, only a null
     def test_sums_that_overflow_are_null(self, tmp_path, capsys):
         # finite moments, but squared currents near 3e305 overflow a sum of a thousand samples
         config = tmp_path / "cfg.json"
