@@ -7,16 +7,16 @@ current-comparison attack, the expected measurements per extracted bit,
 and the alarm behaviour, each next to a seeded empirical estimate.
 """
 
-import argparse
 import sys
 
+from kljnsim.cli import ArgumentParser
 from kljnsim.config import PRESETS, resolve_config
 from kljnsim.reporting import build_report
 from kljnsim.stats import chi2_cdf_1
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--preset", default="gaa-1db", choices=sorted(PRESETS))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--bits", type=int, default=20000)
@@ -62,5 +62,5 @@ def main() -> None:
 if __name__ == "__main__":
     try:
         main()
-    except ValueError as exc:  # a config error, kljnsim.config.ConfigError included: exit 1, as the CLI does
+    except ValueError as exc:  # a config error or a bad invocation (a ConfigError): exit 1, as the CLI does
         sys.exit(f"reproduce_headline_numbers.py: config error: {exc}")

@@ -7,19 +7,19 @@ approaches the intact single loop.  Output is CSV on stdout, ready for any
 plotting tool.
 """
 
-import argparse
 import csv
 import sys
 
 import numpy as np
 
 from kljnsim.circuit import AttenuatorConfig, NetworkConfig
+from kljnsim.cli import ArgumentParser
 from kljnsim.config import ExperimentConfig
 from kljnsim.reporting import analytic_section
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("--r-alice", type=float, default=1000.0)
     ap.add_argument("--r-bob", type=float, default=10000.0)
     ap.add_argument("--r-series", type=float, default=2.9)
@@ -58,5 +58,5 @@ def main() -> None:
 if __name__ == "__main__":
     try:
         main()
-    except ValueError as exc:  # a config error, kljnsim.config.ConfigError included: exit 1, as the CLI does
+    except ValueError as exc:  # a config error or a bad invocation (a ConfigError): exit 1, as the CLI does
         sys.exit(f"sweep_shunt_resistance.py: config error: {exc}")

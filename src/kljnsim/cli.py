@@ -27,9 +27,15 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-class _Parser(argparse.ArgumentParser):
+class ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors raise :class:`ConfigError` after the usage line.
+
+    Bad invocations are configuration errors under the exit-code contract
+    (exit 1), where argparse itself would exit 2; the scripts under
+    ``scripts/`` parse with it too.
+    """
+
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        # bad invocations are configuration errors under the exit-code contract
         self.print_usage(sys.stderr)
         raise ConfigError(message)
 
@@ -38,9 +44,9 @@ def _preset(name: str) -> dict[str, str]:
     return {"preset": name}
 
 
-def build_parser() -> _Parser:
+def build_parser() -> ArgumentParser:
     """The command-line parser.  Each flag of a config key has that key as its ``dest``."""
-    parser = _Parser(prog="kljnsim", description=__doc__.splitlines()[0])
+    parser = ArgumentParser(prog="kljnsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:

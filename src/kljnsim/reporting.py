@@ -12,7 +12,6 @@ recompute the comparison.  Numbers are serialized at full precision
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields
@@ -56,11 +55,17 @@ def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def _write_trace_rows(writer, block: PeriodBlock, first_period: int) -> None:
-    """One CSV row per sample, in period order.
+_TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
+_trace_row = "{},{},{!r},{!r},{!r}\r\n".format
 
-    Rows go out in ``writerows`` calls of at most ``CHUNK_SAMPLES`` rows, so
-    the Python lists built for one call stay small however long a period is.
+
+def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> None:
+    """One CSV row per sample, in period order, written as preformatted text.
+
+    No field ever needs quoting (ints and ``repr`` of floats), so the text
+    is byte for byte what ``csv.writer``'s excel dialect writes.  Rows go
+    out in ``writelines`` calls of at most ``CHUNK_SAMPLES`` rows, so the
+    Python lists built for one call stay small however long a period is.
     """
     k, n = block.i_alice.shape
     columns = (
@@ -71,7 +76,7 @@ def _write_trace_rows(writer, block: PeriodBlock, first_period: int) -> None:
         block.v_node.ravel(),
     )
     for start in range(0, k * n, CHUNK_SAMPLES):
-        writer.writerows(zip(*(c[start : start + CHUNK_SAMPLES].tolist() for c in columns)))
+        trace.writelines(map(_trace_row, *(c[start : start + CHUNK_SAMPLES].tolist() for c in columns)))
 
 
 def _ratio(num: float, den: float) -> float:
@@ -187,8 +192,8 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
     )
 
 
-def monte_carlo_pass(cfg: ExperimentConfig, csv_writer=None) -> EmpiricalTotals:
-    """One streaming pass over every seeded block: protocol, alarm, attack, optional CSV dump.
+def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> EmpiricalTotals:
+    """One streaming pass over every seeded block: protocol, alarm, attack, optional CSV rows to ``trace``.
 
     Each chunk is reduced to its totals on the thread that computed it (see
     :func:`iter_period_blocks` for when that is a pool thread); this thread
@@ -196,7 +201,7 @@ def monte_carlo_pass(cfg: ExperimentConfig, csv_writer=None) -> EmpiricalTotals:
     layout cannot change a bit of the result.
     """
     cal = calibrate(cfg.network, cfg.noise)
-    keep_block = csv_writer is not None
+    keep_block = trace is not None
 
     def per_chunk(block: PeriodBlock) -> tuple[EmpiricalTotals, Optional[PeriodBlock]]:
         totals = block_totals(block, cal, cfg.max_measurements)
@@ -213,14 +218,14 @@ def monte_carlo_pass(cfg: ExperimentConfig, csv_writer=None) -> EmpiricalTotals:
     )
     for part, block in chunks:
         if block is not None:
-            _write_trace_rows(csv_writer, block, totals.n_bits)
+            _write_trace_rows(trace, block, totals.n_bits)
         totals.merge(part)
     return totals
 
 
-def empirical_section(cfg: ExperimentConfig, csv_writer=None) -> dict[str, Any]:
+def empirical_section(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> dict[str, Any]:
     """The report's empirical section: the totals of :func:`monte_carlo_pass`, with the numbers they give."""
-    t = monte_carlo_pass(cfg, csv_writer)
+    t = monte_carlo_pass(cfg, trace)
     n_secure_samples = t.n_secure * cfg.samples_per_bit
     return {
         "n_bits": t.n_bits,
@@ -310,11 +315,9 @@ def build_report(cfg: ExperimentConfig, *, empirical: bool, trace: Optional[Text
         "analytic": analytic_section(cfg),
     }
     if empirical:
-        writer = None
         if trace is not None:
-            writer = csv.writer(trace)
-            writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
-        report["empirical"] = empirical_section(cfg, writer)
+            trace.write(_TRACE_HEADER)
+        report["empirical"] = empirical_section(cfg, trace)
         report["agreement"] = agreement_section(report["analytic"], report["empirical"])
     return report
 

@@ -459,6 +459,12 @@ class TestConfigErrorsKeepOutputs:
             {"network": {"preset": "gaa-1db"}, "noise": {"t_eff": 1e-290, "bandwidth": 1.0}},
             "with noise (t_eff=1e-290, bandwidth=1.0) gives mean-square currents ",
         ),
+        # finite moments, but source variances 4kT_eff*B*R that overflow
+        "source-variance-overflow": (
+            {"network": {"preset": "gaa-1db"}, "noise": {"t_eff": 1e300, "bandwidth": 3e30}},
+            "config error: network (r_alice=1000.0, r_bob=10000.0, r_series=2.9, r_shunt=500.0) "
+            "with noise (t_eff=1e+300, bandwidth=3e+30) gives ",
+        ),
         "window-longer-than-period": (
             {"network": {"preset": "gaa-1db"}, "protocol": {"samples_per_bit": 10}},
             "config error: protocol.samples_per_bit must be >= protocol.alarm.window",

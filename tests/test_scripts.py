@@ -48,3 +48,19 @@ def test_config_errors_exit_1_with_one_line(name, args, message):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"{name}: config error: {message}")
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("reproduce_headline_numbers.py", ["--bits", "abc"], "argument --bits: invalid int value: 'abc'"),
+        ("sweep_shunt_resistance.py", ["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    ],
+)
+def test_bad_invocations_exit_1_after_the_usage(name, args, message):
+    # as `kljnsim simulate --bits abc` does; argparse alone would exit 2
+    proc = run_script(name, *args, exit_code=1)
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith(f"usage: {name}")
+    assert lines[-1] == f"{name}: config error: {message}"
