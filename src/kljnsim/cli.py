@@ -1,7 +1,8 @@
 """Command-line harness: ``analyze``, ``simulate`` and ``design-pad``.
 
 Exit codes are a stable contract for scripting: 0 on success, 1 for any
-configuration problem, 2 for runtime failures such as unwritable outputs.
+configuration problem, 2 for runtime failures such as unwritable outputs or
+running out of memory.
 ``KLJN_SEED`` in the environment supplies the master seed when ``--seed``
 is not given; an explicit ``master_seed`` in the config file ranks below
 both.
@@ -172,7 +173,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"kljnsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"kljnsim: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

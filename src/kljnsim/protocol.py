@@ -250,28 +250,19 @@ def _window_means(
     return out, c[:, stop - start]
 
 
-def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
-    """Slide a window over each row's squared end currents and compare their means.
-
-    A row fires at the first window whose relative mean-square difference
-    exceeds the tolerance.  A true single loop can never fire for any
-    tolerance, because the two end currents are one and the same current.
-    Windows are compared ``CHUNK_SAMPLES`` at a time, so a long period
-    needs no full-length work array.
-    """
+def _sweep(i_alice: np.ndarray, i_bob: np.ndarray, policy: AlarmPolicy) -> AlarmReport:
+    """The alarm of every row, windows compared ``CHUNK_SAMPLES`` at a time."""
     w = policy.window
-    n = block.n_samples
-    if n < w:
-        raise ValueError(f"periods have {n} samples but the alarm window needs {w}")
-    rows = np.arange(block.n_periods)
+    n = i_alice.shape[1]
+    rows = np.arange(i_alice.shape[0])
     triggered = np.zeros(rows.size, dtype=bool)
     first = np.full(rows.size, -1)
     rel_difference = np.full(rows.size, -np.inf)
     carry_a = carry_b = np.zeros(rows.size)
     for start in range(0, n - w + 1, CHUNK_SAMPLES):
         stop = min(start + CHUNK_SAMPLES, n - w + 1)
-        win_a, carry_a = _window_means(block.i_alice, w, start, stop, carry_a)
-        win_b, carry_b = _window_means(block.i_bob, w, start, stop, carry_b)
+        win_a, carry_a = _window_means(i_alice, w, start, stop, carry_a)
+        win_b, carry_b = _window_means(i_bob, w, start, stop, carry_b)
         rel = np.subtract(win_a, win_b)
         np.abs(rel, out=rel)
         peak = np.maximum(win_a, win_b, out=win_a)
@@ -285,3 +276,33 @@ def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
         rel_difference = np.where(triggered, rel_difference, np.where(fires, rel[rows, at], seen))
         triggered |= fires
     return AlarmReport(triggered=triggered, first_trigger_sample=first, rel_difference=rel_difference)
+
+
+def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
+    """Slide a window over each row's squared end currents and compare their means.
+
+    A row fires at the first window whose relative mean-square difference
+    exceeds the tolerance.  A true single loop can never fire for any
+    tolerance, because the two end currents are one and the same current.
+    Windows are compared ``CHUNK_SAMPLES`` at a time, so a long period
+    needs no full-length work array.
+
+    A running sum of squares never decreases, so once it overflows every
+    later window of its row is NaN.  A row that has not fired before that
+    is swept again on both currents scaled by one power of two, which
+    changes no relative difference.
+    """
+    if block.n_samples < policy.window:
+        raise ValueError(f"periods have {block.n_samples} samples but the alarm window needs {policy.window}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _sweep(block.i_alice, block.i_bob, policy)
+    if math.isnan(report.rel_difference.sum()):  # differences are at most 1, so only a NaN makes it NaN
+        redo = np.flatnonzero(np.isnan(report.rel_difference))
+        i_a, i_b = block.i_alice[redo], block.i_bob[redo]
+        _, exponent = np.frexp(np.maximum(np.abs(i_a).max(axis=1), np.abs(i_b).max(axis=1)))
+        scale = -exponent[:, None]  # the largest current of each row lands in [0.5, 1)
+        scaled = _sweep(np.ldexp(i_a, scale), np.ldexp(i_b, scale), policy)
+        report.triggered[redo] = scaled.triggered
+        report.first_trigger_sample[redo] = scaled.first_trigger_sample
+        report.rel_difference[redo] = scaled.rel_difference
+    return report

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from typing import Any, Optional, TextIO
 
@@ -31,27 +31,12 @@ SCHEMA_VERSION = 1
 
 
 def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
-    """Closed-form numbers for the resolved network: moments, calibration, probabilities."""
+    """Closed-form numbers for the resolved network: its moments, calibration and probabilities records."""
     moments = analytic_mean_square_currents(cfg.network, cfg.noise)
-    cal = calibrate(cfg.network, cfg.noise)
-    probs = analytic_attack_probabilities(moments.ratio)
     return {
-        "moments": {
-            "ms_alice": moments.ms_alice,
-            "ms_bob": moments.ms_bob,
-            "ratio": moments.ratio,
-        },
-        "calibration": {
-            "norm_constant": cal.norm_constant,
-            "threshold": cal.threshold,
-        },
-        "probabilities": {
-            "p_success": probs.p_success,
-            "p_error": probs.p_error,
-            "p_no_answer": probs.p_no_answer,
-            "expected_measurements": probs.expected_measurements,
-            "conditional_fidelity": probs.conditional_fidelity,
-        },
+        "moments": asdict(moments),
+        "calibration": asdict(calibrate(cfg.network, cfg.noise)),
+        "probabilities": asdict(analytic_attack_probabilities(moments.ratio)),
     }
 
 
@@ -106,8 +91,8 @@ class EmpiricalTotals:
     reinforce rather than cancel.  Eve attacks the secure periods: every
     reading is a trial, ``n_correct`` counts the periods whose first answer
     within the budget names the key bit, and ``measurements_hist[k]`` counts
-    the periods first answered at reading ``k`` (1-based), so it has
-    ``max_measurements + 1`` entries.
+    the periods first answered at reading ``k`` (1-based), so it has one
+    entry more than the budget of readings.
     """
 
     measurements_hist: np.ndarray
@@ -202,9 +187,11 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
     """
     cal = calibrate(cfg.network, cfg.noise)
     keep_block = trace is not None
+    # no first answer lands past the readings a period holds, so a larger budget acts as that many
+    budget = min(cfg.max_measurements, -(-cfg.samples_per_bit // cfg.noise.measurement_stride))
 
     def per_chunk(block: PeriodBlock) -> tuple[EmpiricalTotals, Optional[PeriodBlock]]:
-        totals = block_totals(block, cal, cfg.max_measurements)
+        totals = block_totals(block, cal, budget)
         alarm = alarm_sweep(block, cfg.alarm)
         secure = block.secure
         totals.n_alarms = int(np.count_nonzero(alarm.triggered))
@@ -212,7 +199,7 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
         totals.rel_difference_sum = float(alarm.rel_difference[secure].sum())
         return totals, block if keep_block else None
 
-    totals = EmpiricalTotals(np.zeros(cfg.max_measurements + 1, dtype=np.int64))
+    totals = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64))
     chunks = iter_period_blocks(
         cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk
     )

@@ -113,6 +113,31 @@ def test_alarm_over_long_periods_matches_per_row_reference():
     assert protocol.CHUNK_SAMPLES < expected[1][1] < n - 50
 
 
+
+@pytest.mark.filterwarnings("error")  # the overflow is handled, not warned about
+@pytest.mark.parametrize("step", [protocol.CHUNK_SAMPLES, 7])
+def test_alarm_on_currents_whose_running_sums_overflow(step):
+    # scaled by 2**507, the running sums of squares overflow near sample 1024;
+    # rows fire before it, after it or never, and the results are those of
+    # the unscaled currents
+    n = 2000
+    rng = np.random.default_rng(8)
+    i_alice = rng.standard_normal((4, n))
+    i_bob = i_alice * (1.0 + np.array([[0.6], [0.0], [0.08], [0.01]]) * np.arange(n) / n)
+    i_bob[0] = 0.6 * i_alice[0]
+    scaled = np.ldexp(i_alice, 507), np.ldexp(i_bob, 507)
+    block = PeriodBlock(np.array([False] * 4), np.array([True] * 4), *scaled, scaled[0])
+    policy = AlarmPolicy(rel_tolerance=0.1, window=50)
+    with mock.patch.object(protocol, "CHUNK_SAMPLES", step):
+        report = alarm_sweep(block, policy)
+    expected = [reference_alarm(i_alice[r], i_bob[r], policy) for r in range(4)]
+    assert report.triggered.tolist() == [e[0] for e in expected] == [True, False, True, False]
+    assert report.first_trigger_sample.tolist() == [e[1] for e in expected]
+    assert report.rel_difference.tolist() == [e[2] for e in expected]
+    with np.errstate(over="ignore"):
+        overflow_at = np.argmax(np.isinf(np.cumsum(scaled[0] * scaled[0], axis=1)), axis=1)
+    assert 0 < overflow_at[2] < expected[2][1]
+
 def row_slice(block, rows):
     return PeriodBlock(
         block.alice_high[rows], block.bob_high[rows], block.i_alice[rows], block.i_bob[rows], block.v_node[rows],

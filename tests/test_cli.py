@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from kljnsim import cli
+from kljnsim import cli, protocol
 from kljnsim.cli import main
 from kljnsim.config import resolve_config
 from kljnsim.protocol import iter_period_blocks
@@ -433,6 +433,101 @@ class TestSimulate:
         report = load_report(out)
         assert report["config"]["noise"]["mode"] == "waveform"
         assert report["empirical"]["attack"]["n_trials"] > 0
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (1, 10000000000)")
+
+        monkeypatch.setattr(protocol, "gaussian_stream", no_memory)
+        code, out, err = run_cli(SIM_ARGS, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "kljnsim: runtime error: Unable to allocate 74.5 GiB for an array with shape (1, 10000000000)"
+        ]
+
+    def test_budget_past_the_readings_acts_as_the_readings(self, tmp_path, capsys):
+        # a period of 100 samples holds 100 readings; Eve's histogram is sized
+        # by them, not by a budget of 10**12
+        reports = []
+        for budget in (100, 10**12):
+            config = tmp_path / f"budget-{budget}.json"
+            config.write_text(json.dumps({"network": {"preset": "gaa-1db"}, "attack": {"max_measurements": budget}}))
+            code, out, _ = run_cli(["simulate", "--config", str(config), "--bits", "200", "--seed", "3"], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        small, large = reports
+        assert large["config"]["attack"]["max_measurements"] == 10**12
+        assert large["empirical"] == small["empirical"]
+        assert large["agreement"] == small["agreement"]
+
+    def test_waveform_budget_past_the_readings(self, capsys):
+        # 400 samples at stride 8 hold 50 readings, fewer than the default budget
+        # of 64; pinned from a run whose histogram had the budget's 65 entries
+        args = ["simulate", "--preset", "gaa-1db", "--mode", "waveform", "--bits", "200", "--samples-per-bit", "400"]
+        code, out, _ = run_cli(args + ["--seed", "4"], capsys)
+        assert code == 0
+        attack = json.loads(out)["empirical"]["attack"]
+        assert attack["n_trials"] == 97 * 50
+        assert attack["repeat_until_answer"] == {
+            "n_attacked": 97,
+            "n_answered": 97,
+            "n_gave_up": 0,
+            "n_correct": 88,
+            "conditional_fidelity": 88 / 97,
+            "fidelity_ci99": [0.803235247666912, 0.9590497763772947],
+            "mean_measurements": 318 / 97,
+            "measurements_hist": {
+                "1": 24, "2": 20, "3": 18, "4": 17, "5": 3, "6": 4, "7": 5, "8": 3, "9": 1, "10": 1, "15": 1
+            },
+        }
+
+
+@pytest.mark.filterwarnings("error")
+class TestNoNumpyWarning:
+    """Runs that must print no numpy RuntimeWarning, which ``error`` turns into a failure.
+
+    The workflow's warning step runs the same commands; its ``overflow.json``
+    run is ``TestSimulate.test_sums_that_overflow_are_null``.
+    """
+
+    @pytest.mark.parametrize("mode", ["independent", "waveform"])
+    @pytest.mark.parametrize("preset", ["gaa-1db", "gaa-0p1db", "lossless"])
+    def test_presets(self, capsys, preset, mode):
+        args = ["simulate", "--preset", preset, "--mode", mode, "--bits", "200", "--samples-per-bit", "400"]
+        code, _, _ = run_cli(args, capsys)
+        assert code == 0
+
+    @staticmethod
+    def simulate(tmp_path, capsys, document, bits, samples):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(document))
+        args = ["simulate", "--config", str(config), "--bits", str(bits), "--samples-per-bit", str(samples)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        return json.loads(out)["empirical"]
+
+    def test_lossless_loop_whose_alarm_sums_overflow(self, tmp_path, capsys):
+        # squared currents near 3e305: the alarm's running sums overflow within
+        # a period, but the two end currents of a single loop are one current
+        network = {"network": {"r_alice": 1e-306, "r_bob": 2e-306}}
+        alarm = self.simulate(tmp_path, capsys, network, 300, 1000)["alarm"]
+        assert alarm["n_triggered"] == 0
+        assert alarm["mean_rel_difference_secure"] == 0.0
+
+    def test_padded_network_at_a_large_noise_scale(self, tmp_path, capsys):
+        # the alarm's running sums overflow; it must see what it sees on the
+        # same network in normalized noise
+        network = {"r_alice": 1, "r_bob": 10, "pad": {"r_series": 0.0029, "r_shunt": 0.5}}
+        noise = {"t_eff": 1e300, "bandwidth": 1.8e27}
+        si = self.simulate(tmp_path, capsys, {"network": network, "noise": noise}, 40, 20000)
+        normalized = self.simulate(tmp_path, capsys, {"network": network}, 40, 20000)
+        for key in ("n_triggered", "n_triggered_secure", "trigger_rate_secure"):
+            assert si["alarm"][key] == normalized["alarm"][key]
+        assert si["alarm"]["n_triggered_secure"] == si["n_secure"] > 0
+        assert si["alarm"]["mean_rel_difference_secure"] == pytest.approx(
+            normalized["alarm"]["mean_rel_difference_secure"], rel=1e-12
+        )
 
 
 class TestConfigErrorsKeepOutputs:
