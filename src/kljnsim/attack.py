@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuit import NetworkConfig, analytic_mean_square_currents
 from .noise import NoiseSpec
-from .protocol import PeriodBlock
+from .protocol import PeriodBlock, unit_scaled_rows
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,30 @@ class RowVerdicts:
     guess: np.ndarray
 
 
+def _scaled_squares(ia: np.ndarray, ib: np.ndarray, norm_constant: float) -> np.ndarray:
+    """The stacked ``(2, rows, m)`` readings ``ia**2 * norm_constant`` and ``ib**2 * norm_constant``.
+
+    A square can overflow although its scaled reading is finite (currents
+    near 1e154 with a norm constant near 1e-308).  Such readings are
+    computed again on their row's currents scaled by one power of two, with
+    ``norm_constant`` scaled by that factor's inverse square; every reading
+    that came out finite is kept as it is.
+    """
+    x = np.empty((2, *ia.shape))
+    with np.errstate(over="ignore"):
+        np.multiply(ia, ia, out=x[0])
+        np.multiply(ib, ib, out=x[1])
+        x *= norm_constant
+        if math.isinf(x.max(initial=0.0)):  # readings are >= 0, so only an overflow makes it inf
+            overflowed = np.isinf(x)
+            redo = np.flatnonzero(overflowed.any(axis=(0, 2)))
+            sa, sb, exponent = unit_scaled_rows(ia[redo], ib[redo])
+            norm = np.ldexp(norm_constant, 2 * exponent)[:, None]
+            again = np.stack((sa * sa * norm, sb * sb * norm))
+            x[:, redo] = np.where(overflowed[:, redo], again, x[:, redo])
+    return x
+
+
 def row_verdicts(block: PeriodBlock, cal: EveCalibration, budget: int) -> RowVerdicts:
     """Threshold verdicts for every reading of every row, reduced per row.
 
@@ -79,10 +103,7 @@ def row_verdicts(block: PeriodBlock, cal: EveCalibration, budget: int) -> RowVer
     threshold answer nothing.
     """
     stride = block.measurement_stride
-    ia = block.i_alice[:, ::stride]
-    ib = block.i_bob[:, ::stride]
-    xa = ia * ia * cal.norm_constant
-    xb = ib * ib * cal.norm_constant
+    xa, xb = _scaled_squares(block.i_alice[:, ::stride], block.i_bob[:, ::stride], cal.norm_constant)
     t = cal.threshold
     alice_low = (xa > t) & (xb < t)
     bob_low = (xb > t) & (xa < t)

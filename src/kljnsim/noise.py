@@ -18,6 +18,7 @@ drawn and filtered on a thread pool; :mod:`kljnsim.protocol` describes it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,20 +113,24 @@ def gaussian_stream(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     return rng.standard_normal((rows, n))
 
 
+@functools.lru_cache(maxsize=None)
 def lowpass_kernel(oversample: int) -> np.ndarray:
     """Unit-energy windowed-sinc low-pass used by waveform mode.
 
     Cutoff sits at the noise bandwidth, i.e. 1/(2*oversample) cycles per
     sample.  The tap count scales with the oversampling factor so that
     samples one correlation time apart stay nearly uncorrelated
-    (lag-correlation about 0.026 at the default oversample of 8).
+    (lag-correlation about 0.026 at the default oversample of 8).  The
+    kernel is built once per ``oversample`` and shared, so it is read-only.
     """
     taps = 32 * oversample + 1
     mid = (taps - 1) // 2
     fc = 1.0 / (2.0 * oversample)
     k = np.arange(taps) - mid
     h = 2.0 * fc * np.sinc(2.0 * fc * k) * np.hanning(taps)
-    return h / math.sqrt(float(np.sum(h * h)))
+    h /= math.sqrt(float(np.sum(h * h)))
+    h.flags.writeable = False
+    return h
 
 
 def band_limited_stream(rng: np.random.Generator, spec: NoiseSpec, rows: int, n: int) -> np.ndarray:

@@ -251,7 +251,12 @@ def _window_means(
 
 
 def _sweep(i_alice: np.ndarray, i_bob: np.ndarray, policy: AlarmPolicy) -> AlarmReport:
-    """The alarm of every row, windows compared ``CHUNK_SAMPLES`` at a time."""
+    """The alarm of every row, windows compared ``CHUNK_SAMPLES`` at a time.
+
+    The sweep stops after the step in which its last row fired: a fired row
+    keeps the sample and difference of its firing window, so the later
+    windows change nothing it reports.
+    """
     w = policy.window
     n = i_alice.shape[1]
     rows = np.arange(i_alice.shape[0])
@@ -275,7 +280,20 @@ def _sweep(i_alice: np.ndarray, i_bob: np.ndarray, policy: AlarmPolicy) -> Alarm
         seen = np.maximum(rel_difference, rel.max(axis=1))
         rel_difference = np.where(triggered, rel_difference, np.where(fires, rel[rows, at], seen))
         triggered |= fires
+        if triggered.all():  # a fired row reads no later window
+            break
     return AlarmReport(triggered=triggered, first_trigger_sample=first, rel_difference=rel_difference)
+
+
+def unit_scaled_rows(i_a: np.ndarray, i_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both ``(rows, m)`` current arrays times ``2**-e``, and ``e``, one exponent per row.
+
+    ``e`` puts each row's largest magnitude, over both arrays, in [0.5, 1),
+    so squares and their sums cannot overflow, and the scaling is exact.
+    """
+    _, exponent = np.frexp(np.maximum(np.abs(i_a).max(axis=1), np.abs(i_b).max(axis=1)))
+    scale = -exponent[:, None]
+    return np.ldexp(i_a, scale), np.ldexp(i_b, scale), exponent
 
 
 def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
@@ -285,7 +303,9 @@ def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
     exceeds the tolerance.  A true single loop can never fire for any
     tolerance, because the two end currents are one and the same current.
     Windows are compared ``CHUNK_SAMPLES`` at a time, so a long period
-    needs no full-length work array.
+    needs no full-length work array, and the sweep stops once every row has
+    fired, so a period costs the windows up to its first trigger.  The
+    reported fields are those of a sweep over every window.
 
     A running sum of squares never decreases, so once it overflows every
     later window of its row is NaN.  A row that has not fired before that
@@ -298,10 +318,8 @@ def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
         report = _sweep(block.i_alice, block.i_bob, policy)
     if math.isnan(report.rel_difference.sum()):  # differences are at most 1, so only a NaN makes it NaN
         redo = np.flatnonzero(np.isnan(report.rel_difference))
-        i_a, i_b = block.i_alice[redo], block.i_bob[redo]
-        _, exponent = np.frexp(np.maximum(np.abs(i_a).max(axis=1), np.abs(i_b).max(axis=1)))
-        scale = -exponent[:, None]  # the largest current of each row lands in [0.5, 1)
-        scaled = _sweep(np.ldexp(i_a, scale), np.ldexp(i_b, scale), policy)
+        i_a, i_b, _ = unit_scaled_rows(block.i_alice[redo], block.i_bob[redo])
+        scaled = _sweep(i_a, i_b, policy)
         report.triggered[redo] = scaled.triggered
         report.first_trigger_sample[redo] = scaled.first_trigger_sample
         report.rel_difference[redo] = scaled.rel_difference

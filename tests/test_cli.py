@@ -515,6 +515,15 @@ class TestNoNumpyWarning:
         assert alarm["n_triggered"] == 0
         assert alarm["mean_rel_difference_secure"] == 0.0
 
+    def test_lossless_loop_whose_squared_currents_overflow(self, tmp_path, capsys):
+        # currents near 1e154 square past the double range before Eve scales
+        # them by a norm constant near 1e-308; the two readings of a single
+        # loop are one reading, so none answers
+        network = {"network": {"r_alice": 1e-308, "r_bob": 2e-308}}
+        attack = self.simulate(tmp_path, capsys, network, 300, 100)["attack"]
+        assert attack["n_trials"] > 0
+        assert attack["n_success"] == attack["n_error"] == 0
+
     def test_padded_network_at_a_large_noise_scale(self, tmp_path, capsys):
         # the alarm's running sums overflow; it must see what it sees on the
         # same network in normalized noise

@@ -164,6 +164,11 @@ class TestLowpassKernel:
         h = lowpass_kernel(8)
         assert float(np.sum(h * h)) == pytest.approx(1.0, rel=1e-12)
 
+    def test_built_once_and_read_only(self):
+        h = lowpass_kernel(8)
+        assert lowpass_kernel(8) is h
+        assert not h.flags.writeable
+
     def test_design_decorrelation(self):
         # kernel autocorrelation at one correlation time is the theoretical
         # lag correlation of the filtered noise
