@@ -143,7 +143,10 @@ def solve_network(
     Keeps the pad's series elements exactly.  Accepts scalars or numpy
     arrays that broadcast together (elementwise); returns
     ``(i_alice, i_bob, v_node)``.  Without a shunt the same current flows at
-    both ends by construction.
+    both ends by construction, and ``i_alice is i_bob``: one array (or
+    scalar) is returned for both, with or without series elements or
+    ``overwrite_sources``; the trace CSV writer relies on it to convert
+    that current to text once.  With a shunt the three are distinct arrays.
 
     With ``overwrite_sources`` the source arrays, which must have the
     shape of the result, become result buffers: the same operations run in

@@ -16,12 +16,12 @@ import json
 import os
 import stat
 import sys
+import tempfile
 from typing import Any, Iterator, Optional, Sequence, TextIO
 
 from .circuit import design_tee_pad
 from .config import ConfigError, ExperimentConfig, load_config_file, resolve_config
-from .protocol import low_high_resistors
-from .reporting import analytic_section, build_report, write_report
+from .reporting import build_report, write_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -92,23 +92,62 @@ def _env_seed() -> Optional[int]:
 
 
 @contextlib.contextmanager
+def _replaced_on_success(path: str, newline: Optional[str]) -> Iterator[TextIO]:
+    """A temporary file beside ``path`` that replaces it once the body has finished without an exception.
+
+    On any failure, an interrupt included, the temporary file is removed and
+    an existing file at ``path`` stays as it was.  A symbolic link is
+    written through: the file it names is replaced and the link stays.  The
+    new file keeps the permission bits of the one it replaces; a new path
+    gets those that ``open`` would give it.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline=newline, encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _open_output(path: str, newline: Optional[str]) -> contextlib.AbstractContextManager[TextIO]:
+    """``path`` opened for writing: through a temporary file when it is a regular file or does not exist yet.
+
+    Devices, pipes, FIFOs and terminals are written directly.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if regular:
+        return _replaced_on_success(path, newline)
+    return open(path, "a", newline=newline, encoding="utf-8")
+
+
+@contextlib.contextmanager
 def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tuple[TextIO, Optional[TextIO]]]:
     """The report's destination (standard output without a path) and the optional trace CSV.
 
     Both are opened before any computation, so an unwritable path fails
-    fast; neither file is truncated until both are open, so that failure
-    leaves an existing report or trace as it was.  Only regular files are
-    truncated: devices, pipes and terminals are written as they are.
+    fast.  A regular file is written to a temporary file in its directory,
+    which replaces it only after the body has run to its end, so a failure
+    at any point, a configuration error, running out of memory or an
+    interrupt, leaves an existing report or trace as it was.
     """
     with contextlib.ExitStack() as stack:
         files = [
-            None if path is None else stack.enter_context(open(path, "a", newline=newline, encoding="utf-8"))
+            None if path is None else stack.enter_context(_open_output(path, newline))
             for path, newline in ((report, None), (trace, ""))
         ]
-        for fh in filter(None, files):
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.seek(0)
-                fh.truncate()
         yield sys.stdout if files[0] is None else files[0], files[1]
 
 
@@ -127,7 +166,7 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    report = build_report(cfg, empirical=False)  # every network check, before the output is truncated
+    report = build_report(cfg, empirical=False)
     with _outputs(cfg.report_path) as (out, _):
         write_report(report, out)
     return EXIT_OK
@@ -135,10 +174,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    # every check of the network runs before the report and trace files are
-    # opened: the resistor pair, the moments and Eve's calibration
-    low_high_resistors(cfg.network)
-    analytic_section(cfg)
     with _outputs(cfg.report_path, cfg.trace_csv) as (out, trace):
         write_report(build_report(cfg, empirical=True, trace=trace), out)
     return EXIT_OK

@@ -41,7 +41,6 @@ def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
 
 
 _TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
-_trace_row = "{},{},{!r},{!r},{!r}\r\n".format
 
 
 def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> None:
@@ -49,19 +48,40 @@ def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> N
 
     No field ever needs quoting (ints and ``repr`` of floats), so the text
     is byte for byte what ``csv.writer``'s excel dialect writes.  Rows go
-    out in ``writelines`` calls of at most ``CHUNK_SAMPLES`` rows, so the
-    Python lists built for one call stay small however long a period is.
+    out in one ``write`` per slice of at most ``CHUNK_SAMPLES`` rows (whole
+    periods, or part of one long period), so the text and the Python lists
+    built for one call stay small however long a period is.
     """
     k, n = block.i_alice.shape
-    columns = (
-        np.repeat(np.arange(first_period, first_period + k), n),
-        np.tile(np.arange(n), k),
-        block.i_alice.ravel(),
-        block.i_bob.ravel(),
-        block.v_node.ravel(),
-    )
-    for start in range(0, k * n, CHUNK_SAMPLES):
-        trace.writelines(map(_trace_row, *(c[start : start + CHUNK_SAMPLES].tolist() for c in columns)))
+    per_slice = max(1, CHUNK_SAMPLES // n)
+    for r0 in range(0, k, per_slice):
+        rows = range(r0, min(r0 + per_slice, k))
+        for s0 in range(0, n, CHUNK_SAMPLES):
+            trace.write(_trace_text(block, first_period, rows, range(s0, min(s0 + CHUNK_SAMPLES, n))))
+
+
+def _trace_text(block: PeriodBlock, first_period: int, rows: range, samples: range) -> str:
+    """The CSV rows of ``block``'s ``rows`` and ``samples``, each value converted to text once.
+
+    A loop without a shunt carries one current, and
+    :func:`~kljnsim.circuit.solve_network` then returns one array for both
+    ends, whose text fills both columns.
+    """
+
+    def texts(x: np.ndarray) -> list[str]:
+        return list(map(repr, x[rows.start : rows.stop, samples.start : samples.stop].ravel().tolist()))
+
+    i_a = texts(block.i_alice)
+    i_b = i_a if block.i_bob is block.i_alice else texts(block.i_bob)
+    v = texts(block.v_node)
+    periods = np.array([str(first_period + r) for r in rows], dtype=object)
+    text = [None, None, None, ",", None, ",", None, "\r\n"] * len(v)  # period ,sample, i_alice , i_bob , v_node
+    text[0::8] = np.repeat(periods, len(samples)).tolist()
+    text[1::8] = [f",{s}," for s in samples] * len(rows)
+    text[2::8] = i_a
+    text[4::8] = i_b
+    text[6::8] = v
+    return "".join(text)
 
 
 def _ratio(num: float, den: float) -> float:

@@ -169,6 +169,25 @@ class TestSolveNetwork:
         i_a, i_b, _ = solve(u_a, u_b, LOSSLESS)
         assert i_a == i_b
 
+    @pytest.mark.parametrize(
+        "pad, overwrite",
+        [(None, False), (AttenuatorConfig(2.9, None), False), (None, True), (AttenuatorConfig(2.9, None), True)],
+        ids=["no-pad", "series-only", "no-pad-overwrite", "series-only-overwrite"],
+    )
+    def test_single_loop_returns_one_array_for_both_ends(self, pad, overwrite):
+        # the trace CSV writer converts the current to text once when both ends share it
+        u = np.random.default_rng(5).standard_normal((2, 3, 4))
+        i_a, i_b, v = solve_network(u[0], u[1], 1000.0, 10000.0, pad, overwrite_sources=overwrite)
+        assert i_a is i_b
+        assert v is not i_a
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_shunt_returns_distinct_arrays(self, overwrite):
+        u = np.random.default_rng(5).standard_normal((2, 3, 4))
+        i_a, i_b, v = solve_network(u[0], u[1], 1000.0, 10000.0, GAA.pad, overwrite_sources=overwrite)
+        assert len({id(i_a), id(i_b), id(v)}) == 3
+        assert not np.array_equal(i_a, i_b)
+
     def test_node_current_conservation(self):
         i_a, i_b, v = solve(0.7, -1.3, GAA)
         shunt_current = v / GAA.r_shunt

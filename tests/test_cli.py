@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
-from kljnsim import cli, protocol
+from kljnsim import cli, protocol, reporting
 from kljnsim.cli import main
 from kljnsim.config import resolve_config
 from kljnsim.protocol import iter_period_blocks
@@ -378,6 +379,85 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["period", "sample", "i_alice", "i_bob", "v_node"]
         assert len(rows) == 1 + 2 * 50
+
+    @staticmethod
+    def prior_outputs(tmp_path):
+        report, trace = tmp_path / "prior.json", tmp_path / "prior.csv"
+        report.write_bytes(b"previous report\n")
+        trace.write_bytes(b"previous,trace\n")
+        return report, trace
+
+    def test_out_of_memory_mid_pass_keeps_outputs(self, tmp_path, capsys, monkeypatch):
+        draws = []
+
+        def no_memory_on_third_chunk(*args):
+            draws.append(args)
+            if len(draws) > 4:  # two streams per chunk
+                raise MemoryError("Unable to allocate")
+            return gaussian_stream(*args)
+
+        gaussian_stream = protocol.gaussian_stream
+        monkeypatch.setattr(protocol, "gaussian_stream", no_memory_on_third_chunk)
+        report, trace = self.prior_outputs(tmp_path)
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "500", "--out", str(report), "--trace-csv", str(trace)]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "kljnsim: runtime error: Unable to allocate\n"
+        assert len(draws) == 5
+        assert report.read_bytes() == b"previous report\n"
+        assert trace.read_bytes() == b"previous,trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.csv", "prior.json"]
+
+    def test_interrupt_mid_csv_keeps_outputs(self, tmp_path, monkeypatch):
+        blocks = []
+
+        def interrupted_on_second_block(trace, block, first_period):
+            blocks.append(first_period)
+            if len(blocks) == 2:
+                raise KeyboardInterrupt
+            write_trace_rows(trace, block, first_period)
+
+        write_trace_rows = reporting._write_trace_rows
+        monkeypatch.setattr(reporting, "_write_trace_rows", interrupted_on_second_block)
+        report, trace = self.prior_outputs(tmp_path)
+        args = ["simulate", "--preset", "lossless", "--bits", "500", "--out", str(report), "--trace-csv", str(trace)]
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        assert blocks == [0, 81]
+        assert report.read_bytes() == b"previous report\n"
+        assert trace.read_bytes() == b"previous,trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.csv", "prior.json"]
+
+    def test_symlinked_outputs_are_written_through(self, tmp_path, capsys):
+        # the file a link names is replaced, in the link target's directory; the link stays
+        (tmp_path / "data").mkdir()
+        (tmp_path / "links").mkdir()
+        report, trace = self.prior_outputs(tmp_path / "data")
+        report_link, trace_link = tmp_path / "links" / "out.json", tmp_path / "links" / "out.csv"
+        report_link.symlink_to(report)
+        trace_link.symlink_to(trace)
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "2", "--samples-per-bit", "50"]
+        code, _, _ = run_cli(args + ["--out", str(report_link), "--trace-csv", str(trace_link)], capsys)
+        assert code == 0
+        assert report_link.is_symlink() and trace_link.is_symlink()
+        assert load_report(report.read_text())["empirical"]["n_bits"] == 2
+        assert trace.read_text().count("\n") == 1 + 2 * 50
+        assert sorted(p.name for p in (tmp_path / "links").iterdir()) == ["out.csv", "out.json"]
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["prior.csv", "prior.json"]
+
+    def test_outputs_keep_their_permissions(self, tmp_path, capsys):
+        report, trace = self.prior_outputs(tmp_path)
+        report.chmod(0o640)
+        new = tmp_path / "new.csv"
+        umask = os.umask(0o022)
+        try:
+            args = ["simulate", "--preset", "gaa-1db", "--bits", "2", "--out", str(report), "--trace-csv", str(new)]
+            assert run_cli(args, capsys)[0] == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(report.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
 
     def test_null_device_outputs(self, capsys):
         # a character device can be neither truncated nor rewound

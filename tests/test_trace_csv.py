@@ -7,6 +7,7 @@ longer than ``CHUNK_SAMPLES`` samples cross the writer's write-call size.
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,16 +42,24 @@ def expected(block: PeriodBlock, first_period: int) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def bob_column(i_alice: np.ndarray, columns: str) -> np.ndarray:
+    """Bob's current for a test block: Alice's array itself (a loop without a shunt), a copy, or other values."""
+    if columns == "shared":
+        return i_alice
+    if columns == "equal copies":
+        return i_alice.copy()
+    return np.roll(i_alice, 1)
+
+
 @pytest.mark.parametrize(
     "shape", [(1, 1), (4, 5), (3, CHUNK_SAMPLES // 3 + 1), (1, CHUNK_SAMPLES + 5)], ids=str
 )
 @pytest.mark.parametrize("first_period", [0, 999_999, 2**40])
-def test_awkward_values_match_csv_writer(shape, first_period):
+@pytest.mark.parametrize("columns", ["separate", "shared", "equal copies"])
+def test_awkward_values_match_csv_writer(shape, first_period, columns):
     size = shape[0] * shape[1]
-    values = np.resize(np.array(AWKWARD), size)
-    block = make_block(
-        values.reshape(shape), np.roll(values, 1).reshape(shape), np.roll(values, 2).reshape(shape)
-    )
+    values = np.resize(np.array(AWKWARD), size).reshape(shape)
+    block = make_block(values, bob_column(values, columns), np.roll(values, 2))
     text = written(block, first_period)
     assert text == expected(block, first_period)
     assert text.count(b"\r\n") == size
@@ -67,8 +76,8 @@ FLOATS = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnorma
 def blocks(draw) -> PeriodBlock:
     # up to 3 x (CHUNK_SAMPLES // 2 + 16) samples, so some blocks span more than one write call
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, CHUNK_SAMPLES // 2 + 16)))
-    columns = [draw(arrays(np.float64, shape, elements=FLOATS)) for _ in range(3)]
-    return make_block(*columns)
+    i_alice, i_bob, v_node = (draw(arrays(np.float64, shape, elements=FLOATS)) for _ in range(3))
+    return make_block(i_alice, i_alice if draw(st.booleans()) else i_bob, v_node)
 
 
 def random_bits_block(shape, seed) -> PeriodBlock:
@@ -83,3 +92,41 @@ def random_bits_block(shape, seed) -> PeriodBlock:
 @example(block=random_bits_block((1, 2 * CHUNK_SAMPLES + 3), 6), first_period=0)
 def test_random_blocks_match_csv_writer(block, first_period):
     assert written(block, first_period) == expected(block, first_period)
+
+
+class RowCounts:
+    """A text sink that keeps only the number of rows in each ``write``."""
+
+    def __init__(self):
+        self.rows = []
+
+    def write(self, text: str) -> None:
+        self.rows.append(text.count("\r\n"))
+
+
+def zeros_block(shape) -> PeriodBlock:
+    current = np.zeros(shape)
+    return make_block(current, current, np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "shape", [(CHUNK_SAMPLES + 7, 1), (3, CHUNK_SAMPLES // 3 + 1), (2, 2 * CHUNK_SAMPLES + 3)], ids=str
+)
+def test_each_write_holds_at_most_chunk_samples_rows(shape):
+    sink = RowCounts()
+    _write_trace_rows(sink, zeros_block(shape), 0)
+    assert sum(sink.rows) == shape[0] * shape[1]
+    assert max(sink.rows) <= CHUNK_SAMPLES
+
+
+def test_memory_does_not_grow_with_the_period():
+    def peak_bytes(n_samples: int) -> int:
+        block = zeros_block((1, n_samples))
+        tracemalloc.start()
+        try:
+            _write_trace_rows(RowCounts(), block, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(6 * CHUNK_SAMPLES) < 1.5 * peak_bytes(CHUNK_SAMPLES)
