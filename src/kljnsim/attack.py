@@ -1,12 +1,13 @@
-"""Passive current-comparison eavesdropper: threshold calibration and Eve's decision rule.
+"""Passive current-comparison eavesdropper: Eve's decision rule on simulated currents.
 
 Eve reads both end currents, scales their squares by the public theoretical
 mean square of the high-resistance end, and compares every sample pair
 against a threshold placed at the moment ratio: when exactly one side
 exceeds it, that side must hold the low resistor.  On an intact single loop
 the two readings are identical, so the comparison can never answer and the
-attack extracts nothing.  The campaign's counts, rates and intervals are
-kept by :mod:`kljnsim.reporting`.
+attack extracts nothing.  Her two public constants are closed-form
+(:func:`kljnsim.stats.calibrate`); the campaign's counts, rates and
+intervals are kept by :mod:`kljnsim.montecarlo`.
 """
 
 from __future__ import annotations
@@ -16,40 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import NetworkConfig, analytic_mean_square_currents
-from .noise import NoiseSpec
 from .protocol import PeriodBlock, unit_scaled_rows
-
-
-@dataclass(frozen=True)
-class EveCalibration:
-    """Eve's public-knowledge constants.
-
-    ``norm_constant`` is the reciprocal of the theoretical mean-square
-    current at the high-resistance end; after scaling, that end has unit
-    mean square and the low-resistance end sits at ``threshold``.
-    """
-
-    norm_constant: float
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.norm_constant < math.inf and 0 < self.threshold < math.inf):
-            raise ValueError("calibration constants must be finite and > 0")
-
-
-def calibrate(net: NetworkConfig, noise: NoiseSpec) -> EveCalibration:
-    """Derive Eve's constants from the published circuit values.
-
-    All resistances and the effective temperature are public, so both
-    numbers are theoretical.  Pad symmetry makes the calibration identical
-    for the two secure orientations.
-    """
-    m = analytic_mean_square_currents(net, noise)
-    return EveCalibration(
-        norm_constant=1.0 / min(m.ms_alice, m.ms_bob),
-        threshold=m.ratio,
-    )
+from .stats import EveCalibration
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,8 +6,13 @@ Kirchhoff loop into two coupled loops, so the currents measured at the two
 ends stop being equal and their mean squares become resistor-dependent.
 
 Closed-form mean-square currents neglect the small series elements (they
-are tiny against the loop resistances); the instantaneous solver keeps them
-exactly, which lets tests measure the size of that approximation.
+are tiny against the loop resistances); the instantaneous solver of the
+Monte Carlo engine (:func:`kljnsim.protocol.solve_network`) keeps them
+exactly, which lets tests measure the size of that approximation.  The
+loop is driven by the two parties' Johnson-noise generators, whose settings
+(:class:`NoiseSpec`) set the scale of every moment; the engine draws their
+samples (:mod:`kljnsim.noise`).  This module needs no numpy, so ``analyze``
+and ``design-pad`` run without it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,59 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+BOLTZMANN = 1.380649e-23  # J/K
+NORMALIZED = "normalized"
 
-from .noise import NoiseSpec
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Noise generator settings shared by both parties.
+
+    ``t_eff`` is either an effective temperature in kelvin or the token
+    ``"normalized"``, which pins the 4*k*T_eff*B product at exactly 1 so
+    that simulated moments are directly comparable to dimensionless
+    ratios and probabilities.
+    """
+
+    t_eff: float | str = NORMALIZED
+    bandwidth: float = 1.0
+    mode: str = "independent"
+    oversample: int = 8
+
+    def __post_init__(self) -> None:
+        # each message starts with the field name; config parsing prefixes the section
+        if isinstance(self.t_eff, str):
+            if self.t_eff != NORMALIZED:
+                raise ValueError(f"t_eff must be a temperature in K or {NORMALIZED!r}")
+        elif not 0 < self.t_eff < math.inf:
+            raise ValueError("t_eff must be finite and > 0")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and > 0")
+        if self.mode not in ("independent", "waveform"):
+            raise ValueError("mode must be 'independent' or 'waveform'")
+        if self.oversample < 2:
+            raise ValueError("oversample must be >= 2")
+        if not 0.0 < self.unit_scale < math.inf:
+            raise ValueError(
+                f"t_eff and bandwidth give a noise scale 4*k*T_eff*B of {self.unit_scale!r}; "
+                "it must be finite and > 0"
+            )
+
+    @property
+    def normalized(self) -> bool:
+        return isinstance(self.t_eff, str)
+
+    @property
+    def unit_scale(self) -> float:
+        """The 4*k*T_eff*B product (exactly 1.0 in normalized mode)."""
+        if self.normalized:
+            return 1.0
+        return 4.0 * BOLTZMANN * self.t_eff * self.bandwidth
+
+    @property
+    def measurement_stride(self) -> int:
+        """Samples per correlation time, i.e. spacing of independent readings."""
+        return 1 if self.mode == "independent" else self.oversample
 
 
 @dataclass(frozen=True)
@@ -132,39 +187,6 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
             "double precision"
         )
     return CurrentMoments(ms_alice=ms_alice, ms_bob=ms_bob, ratio=max(fa, fb) / min(fa, fb))
-
-
-def solve_network(
-    u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None, *, overwrite_sources: bool = False
-):
-    """End currents and shunt-node voltage for instantaneous source values.
-
-    ``r_alice``/``r_bob`` are the end resistors connected behind ``pad``.
-    Keeps the pad's series elements exactly.  Accepts scalars or numpy
-    arrays that broadcast together (elementwise); returns
-    ``(i_alice, i_bob, v_node)``.  Without a shunt the same current flows at
-    both ends by construction, and ``i_alice is i_bob``: one array (or
-    scalar) is returned for both, with or without series elements or
-    ``overwrite_sources``; the trace CSV writer relies on it to convert
-    that current to text once.  With a shunt the three are distinct arrays.
-
-    With ``overwrite_sources`` the source arrays, which must have the
-    shape of the result, become result buffers: the same operations run in
-    the same order, so every value is bit-identical, but a long block needs
-    two fewer arrays.
-    """
-    pad = pad if pad is not None else AttenuatorConfig()
-    ra = r_alice + pad.r_series
-    rb = r_bob + pad.r_series
-    r2 = pad.r_shunt
-    out_a, out_b = (u_alice, u_bob) if overwrite_sources else (None, None)
-    if r2 is None:
-        i = np.divide(np.subtract(u_alice, u_bob, out=out_b), ra + rb, out=out_b)
-        return i, i, np.subtract(u_alice, i * ra, out=out_a)
-    g_sum = 1.0 / ra + 1.0 / rb + 1.0 / r2
-    v = (u_alice / ra + u_bob / rb) / g_sum
-    i_a = np.divide(np.subtract(u_alice, v, out=out_a), ra, out=out_a)
-    return i_a, np.divide(np.subtract(v, u_bob, out=out_b), rb, out=out_b), v
 
 
 def design_tee_pad(loss_db: float, z0: float) -> AttenuatorConfig:

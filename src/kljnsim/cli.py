@@ -1,8 +1,10 @@
 """Command-line harness: ``analyze``, ``simulate`` and ``design-pad``.
 
 Exit codes are a stable contract for scripting: 0 on success, 1 for any
-configuration problem, 2 for runtime failures such as unwritable outputs or
-running out of memory.
+configuration problem, 2 for runtime failures such as unwritable outputs,
+running out of memory or a numpy that does not import.  Only ``simulate``
+imports numpy, through the Monte Carlo engine; ``analyze`` and
+``design-pad`` run without it.
 ``KLJN_SEED`` in the environment supplies the master seed when ``--seed``
 is not given; an explicit ``master_seed`` in the config file ranks below
 both.
@@ -174,6 +176,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    # The numpy engine loads here, once: after the config is checked and before
+    # any output is opened, so an engine that fails to import leaves no file,
+    # and before build_report, so the pass it runs does not pay for the import.
+    try:
+        from . import montecarlo  # noqa: F401
+    except ImportError as exc:
+        message = " ".join(str(exc).split())  # numpy's own import errors span many lines
+        print(f"kljnsim: runtime error: cannot import the simulation engine: {message}", file=sys.stderr)
+        return EXIT_RUNTIME
     with _outputs(cfg.report_path, cfg.trace_csv) as (out, trace):
         write_report(build_report(cfg, empirical=True, trace=trace), out)
     return EXIT_OK

@@ -15,13 +15,25 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
-from .circuit import AttenuatorConfig, NetworkConfig, design_tee_pad
-from .noise import NoiseSpec
-from .protocol import AlarmPolicy
+from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, design_tee_pad
 
 
 class ConfigError(ValueError):
     """Invalid or unresolvable experiment configuration."""
+
+
+@dataclass(frozen=True)
+class AlarmPolicy:
+    """Current-comparison defense parameters: tolerance and window length."""
+
+    rel_tolerance: float = 0.1
+    window: int = 50
+
+    def __post_init__(self) -> None:
+        if not 0 < self.rel_tolerance < math.inf:
+            raise ValueError("rel_tolerance must be finite and > 0")
+        if self.window < 2:
+            raise ValueError("window must be >= 2")
 
 
 def _preset_networks() -> dict[str, NetworkConfig]:

@@ -1,0 +1,210 @@
+"""The Monte Carlo pass of ``simulate``: its totals and the trace CSV.
+
+The pass reduces every chunk to one flat record of independent counts and
+sums (:class:`EmpiricalTotals`), which also derives every other count, rate
+and interval of the report's empirical section.  Every empirical rate
+carries its 99% Wilson interval.  With a trace stream, the pass also dumps
+every sample as CSV.  This module and the engine it drives
+(:mod:`kljnsim.protocol`, :mod:`kljnsim.noise`, :mod:`kljnsim.attack`) are
+the only ones that import numpy; :mod:`kljnsim.reporting` turns the totals
+into the report.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+from typing import Optional, TextIO
+
+import numpy as np
+
+from .attack import row_verdicts
+from .config import ExperimentConfig
+from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, iter_period_blocks
+from .reporting import _ratio
+from .stats import Z99, EveCalibration, calibrate, wilson_ci
+
+_TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
+
+
+def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> None:
+    """One CSV row per sample, in period order, written as preformatted text.
+
+    No field ever needs quoting (ints and ``repr`` of floats), so the text
+    is byte for byte what ``csv.writer``'s excel dialect writes.  Rows go
+    out in one ``write`` per slice of at most ``CHUNK_SAMPLES`` rows (whole
+    periods, or part of one long period), so the text and the Python lists
+    built for one call stay small however long a period is.
+    """
+    k, n = block.i_alice.shape
+    per_slice = max(1, CHUNK_SAMPLES // n)
+    for r0 in range(0, k, per_slice):
+        rows = range(r0, min(r0 + per_slice, k))
+        for s0 in range(0, n, CHUNK_SAMPLES):
+            trace.write(_trace_text(block, first_period, rows, range(s0, min(s0 + CHUNK_SAMPLES, n))))
+
+
+def _trace_text(block: PeriodBlock, first_period: int, rows: range, samples: range) -> str:
+    """The CSV rows of ``block``'s ``rows`` and ``samples``, each value converted to text once.
+
+    A loop without a shunt carries one current, and
+    :func:`~kljnsim.protocol.solve_network` then returns one array for both
+    ends, whose text fills both columns.
+    """
+
+    def texts(x: np.ndarray) -> list[str]:
+        return list(map(repr, x[rows.start : rows.stop, samples.start : samples.stop].ravel().tolist()))
+
+    i_a = texts(block.i_alice)
+    i_b = i_a if block.i_bob is block.i_alice else texts(block.i_bob)
+    v = texts(block.v_node)
+    periods = np.array([str(first_period + r) for r in rows], dtype=object)
+    text = [None, None, None, ",", None, ",", None, "\r\n"] * len(v)  # period ,sample, i_alice , i_bob , v_node
+    text[0::8] = np.repeat(periods, len(samples)).tolist()
+    text[1::8] = [f",{s}," for s in samples] * len(rows)
+    text[2::8] = i_a
+    text[4::8] = i_b
+    text[6::8] = v
+    return "".join(text)
+
+
+def _rate(count: str, total: str) -> tuple[property, property]:
+    """The rate of two counts of :class:`EmpiricalTotals` and its 99% Wilson interval, as properties.
+
+    The rate is NaN and the interval None while ``total`` is zero.
+    """
+
+    def interval(t: "EmpiricalTotals") -> Optional[list[float]]:
+        n = getattr(t, total)
+        return list(wilson_ci(getattr(t, count), n, Z99)) if n else None
+
+    return property(lambda t: _ratio(getattr(t, count), getattr(t, total))), property(interval)
+
+
+@dataclass
+class EmpiricalTotals:
+    """The independent counts and sums of one Monte Carlo pass; every other number derives from them.
+
+    Squared currents are pooled at the low-resistor end and the
+    high-resistor end across both secure orientations, so LH and HL periods
+    reinforce rather than cancel.  Eve attacks the secure periods: every
+    reading is a trial, ``n_correct`` counts the periods whose first answer
+    within the budget names the key bit, and ``measurements_hist[k]`` counts
+    the periods first answered at reading ``k`` (1-based), so it has one
+    entry more than the budget of readings.
+    """
+
+    measurements_hist: np.ndarray
+    n_bits: int = 0
+    n_secure: int = 0
+    n_hl: int = 0  # secure periods in which Alice holds the high resistor
+    low_end_sq_sum: float = 0.0
+    high_end_sq_sum: float = 0.0
+    n_alarms: int = 0
+    n_alarms_secure: int = 0
+    rel_difference_sum: float = 0.0  # over secure periods
+    n_trials: int = 0
+    n_success: int = 0
+    n_error: int = 0
+    hl_successes: int = 0
+    n_correct: int = 0
+
+    def merge(self, part: "EmpiricalTotals") -> None:
+        """Add one chunk's totals; merging in chunk order fixes the order of every float sum."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(part, f.name))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal counts and sums, the histogram compared entry by entry."""
+        return isinstance(other, EmpiricalTotals) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    # every other count, rate and interval follows from the stored ones
+    n_attacked = property(lambda t: t.n_secure)
+    n_answered = property(lambda t: int(t.measurements_hist.sum()))
+    n_gave_up = property(lambda t: t.n_secure - t.n_answered)
+    n_no_answer = property(lambda t: t.n_trials - t.n_success - t.n_error)
+    # every secure period holds n_trials / n_secure readings
+    hl_trials = property(lambda t: t.n_trials // t.n_secure * t.n_hl if t.n_secure else 0)
+    lh_trials = property(lambda t: t.n_trials - t.hl_trials)
+    lh_successes = property(lambda t: t.n_success - t.hl_successes)
+    p_success, success_ci = _rate("n_success", "n_trials")
+    p_error, error_ci = _rate("n_error", "n_trials")
+    p_no_answer, no_answer_ci = _rate("n_no_answer", "n_trials")
+    conditional_fidelity, fidelity_ci = _rate("n_correct", "n_answered")
+
+    @property
+    def mean_measurements(self) -> float:
+        """Readings per answered period, the answering one included."""
+        readings = np.arange(self.measurements_hist.size)
+        return _ratio(int(readings @ self.measurements_hist), self.n_answered)
+
+
+def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int) -> EmpiricalTotals:
+    """Period counts, secure-period moments and Eve's counts of one block; the alarm fields stay 0.
+
+    Eve attacks the secure rows, which this picks from the block.  Every
+    reading is a standalone trial; then she repeats readings, one
+    correlation time apart, until one answers.  A period with no answer
+    within ``max_measurements`` readings counts as given up, never silently
+    guessed.
+    """
+    sec = block.secure_rows()
+    v = row_verdicts(sec, cal, max_measurements)
+    key_bit = sec.alice_high  # 1 when Alice holds the high resistor (HL)
+    success = np.where(key_bit, v.n_bob_low, v.n_alice_low)
+    error = np.where(key_bit, v.n_alice_low, v.n_bob_low)
+    with np.errstate(over="ignore"):  # a sum that overflows is inf, which the report writes as null
+        sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
+        sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
+        # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
+        low_end_sq_sum = float(np.where(key_bit, sq_b, sq_a).sum())
+        high_end_sq_sum = float(np.where(key_bit, sq_a, sq_b).sum())
+    return EmpiricalTotals(
+        np.bincount(v.first_answer[v.first_answer >= 0] + 1, minlength=max_measurements + 1),
+        n_bits=block.n_periods,
+        n_secure=sec.n_periods,
+        n_hl=int(np.count_nonzero(key_bit)),
+        low_end_sq_sum=low_end_sq_sum,
+        high_end_sq_sum=high_end_sq_sum,
+        n_trials=sec.n_periods * v.n_measurements,
+        n_success=int(success.sum()),
+        n_error=int(error.sum()),
+        hl_successes=int(success[key_bit].sum()),
+        n_correct=int(np.count_nonzero(v.guess == key_bit)),
+    )
+
+
+def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> EmpiricalTotals:
+    """One streaming pass over every seeded block: protocol, alarm, attack, optional trace CSV to ``trace``.
+
+    Each chunk is reduced to its totals on the thread that computed it (see
+    :func:`iter_period_blocks` for when that is a pool thread); this thread
+    merges them and writes the CSV header, then the rows in chunk order, so
+    the thread layout cannot change a bit of the result.
+    """
+    cal = calibrate(cfg.network, cfg.noise)
+    keep_block = trace is not None
+    # no first answer lands past the readings a period holds, so a larger budget acts as that many
+    budget = min(cfg.max_measurements, -(-cfg.samples_per_bit // cfg.noise.measurement_stride))
+
+    def per_chunk(block: PeriodBlock) -> tuple[EmpiricalTotals, Optional[PeriodBlock]]:
+        totals = block_totals(block, cal, budget)
+        alarm = alarm_sweep(block, cfg.alarm)
+        secure = block.secure
+        totals.n_alarms = int(np.count_nonzero(alarm.triggered))
+        totals.n_alarms_secure = int(np.count_nonzero(alarm.triggered & secure))
+        totals.rel_difference_sum = float(alarm.rel_difference[secure].sum())
+        return totals, block if keep_block else None
+
+    totals = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64))
+    if keep_block:
+        trace.write(_TRACE_HEADER)
+    chunks = iter_period_blocks(
+        cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk
+    )
+    for part, block in chunks:
+        if block is not None:
+            _write_trace_rows(trace, block, totals.n_bits)
+        totals.merge(part)
+    return totals

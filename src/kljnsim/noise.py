@@ -14,6 +14,8 @@ All randomness is derived from a single master seed through keyed
 ``SeedSequence`` streams, one per fixed-size chunk of bit periods, so
 results never depend on worker count or evaluation order.  Long chunks are
 drawn and filtered on a thread pool; :mod:`kljnsim.protocol` describes it.
+The streams are part of the numpy engine, which only ``simulate`` loads;
+their settings (:class:`kljnsim.circuit.NoiseSpec`) are not.
 """
 
 from __future__ import annotations
@@ -24,61 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BOLTZMANN = 1.380649e-23  # J/K
-NORMALIZED = "normalized"
+from .circuit import NoiseSpec
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise generator settings shared by both parties.
-
-    ``t_eff`` is either an effective temperature in kelvin or the token
-    ``"normalized"``, which pins the 4*k*T_eff*B product at exactly 1 so
-    that simulated moments are directly comparable to dimensionless
-    ratios and probabilities.
-    """
-
-    t_eff: float | str = NORMALIZED
-    bandwidth: float = 1.0
-    mode: str = "independent"
-    oversample: int = 8
-
-    def __post_init__(self) -> None:
-        # each message starts with the field name; config parsing prefixes the section
-        if isinstance(self.t_eff, str):
-            if self.t_eff != NORMALIZED:
-                raise ValueError(f"t_eff must be a temperature in K or {NORMALIZED!r}")
-        elif not 0 < self.t_eff < math.inf:
-            raise ValueError("t_eff must be finite and > 0")
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError("bandwidth must be finite and > 0")
-        if self.mode not in ("independent", "waveform"):
-            raise ValueError("mode must be 'independent' or 'waveform'")
-        if self.oversample < 2:
-            raise ValueError("oversample must be >= 2")
-        if not 0.0 < self.unit_scale < math.inf:
-            raise ValueError(
-                f"t_eff and bandwidth give a noise scale 4*k*T_eff*B of {self.unit_scale!r}; "
-                "it must be finite and > 0"
-            )
-
-    @property
-    def normalized(self) -> bool:
-        return isinstance(self.t_eff, str)
-
-    @property
-    def unit_scale(self) -> float:
-        """The 4*k*T_eff*B product (exactly 1.0 in normalized mode)."""
-        if self.normalized:
-            return 1.0
-        return 4.0 * BOLTZMANN * self.t_eff * self.bandwidth
-
-    @property
-    def measurement_stride(self) -> int:
-        """Samples per correlation time, i.e. spacing of independent readings."""
-        return 1 if self.mode == "independent" else self.oversample
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ secure-fraction statistics stay observable.  A current-comparison alarm
 watches for the broken-loop signature: sustained inequality of the two end
 currents, which an intact single loop can never produce.
 
+This module is part of the numpy engine, which only ``simulate`` loads:
+the instantaneous nodal solve of the loop, the blocks of periods and the
+alarm sweep.
+
 Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
 one ``(K, n)`` array per observable, drawn from one keyed random stream
 (RNG layout 2, see :func:`iter_period_blocks`).  Chunks of at least
@@ -30,8 +34,42 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .circuit import NetworkConfig, solve_network
-from .noise import NoiseSpec, SeededStream, band_limited_stream, gaussian_stream, johnson_rms
+from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
+from .config import AlarmPolicy
+from .noise import SeededStream, band_limited_stream, gaussian_stream, johnson_rms
+
+
+def solve_network(
+    u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None, *, overwrite_sources: bool = False
+):
+    """End currents and shunt-node voltage for instantaneous source values.
+
+    ``r_alice``/``r_bob`` are the end resistors connected behind ``pad``.
+    Keeps the pad's series elements exactly.  Accepts scalars or numpy
+    arrays that broadcast together (elementwise); returns
+    ``(i_alice, i_bob, v_node)``.  Without a shunt the same current flows at
+    both ends by construction, and ``i_alice is i_bob``: one array (or
+    scalar) is returned for both, with or without series elements or
+    ``overwrite_sources``; the trace CSV writer relies on it to convert
+    that current to text once.  With a shunt the three are distinct arrays.
+
+    With ``overwrite_sources`` the source arrays, which must have the
+    shape of the result, become result buffers: the same operations run in
+    the same order, so every value is bit-identical, but a long block needs
+    two fewer arrays.
+    """
+    pad = pad if pad is not None else AttenuatorConfig()
+    ra = r_alice + pad.r_series
+    rb = r_bob + pad.r_series
+    r2 = pad.r_shunt
+    out_a, out_b = (u_alice, u_bob) if overwrite_sources else (None, None)
+    if r2 is None:
+        i = np.divide(np.subtract(u_alice, u_bob, out=out_b), ra + rb, out=out_b)
+        return i, i, np.subtract(u_alice, i * ra, out=out_a)
+    g_sum = 1.0 / ra + 1.0 / rb + 1.0 / r2
+    v = (u_alice / ra + u_bob / rb) / g_sum
+    i_a = np.divide(np.subtract(u_alice, v, out=out_a), ra, out=out_a)
+    return i_a, np.divide(np.subtract(v, u_bob, out=out_b), rb, out=out_b), v
 
 
 def low_high_resistors(net: NetworkConfig) -> tuple[float, float]:
@@ -39,20 +77,6 @@ def low_high_resistors(net: NetworkConfig) -> tuple[float, float]:
     if net.r_alice == net.r_bob:
         raise ValueError("network.r_alice and network.r_bob must differ to form a resistor pair")
     return min(net.r_alice, net.r_bob), max(net.r_alice, net.r_bob)
-
-
-@dataclass(frozen=True)
-class AlarmPolicy:
-    """Current-comparison defense parameters: tolerance and window length."""
-
-    rel_tolerance: float = 0.1
-    window: int = 50
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rel_tolerance < math.inf:
-            raise ValueError("rel_tolerance must be finite and > 0")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +142,8 @@ class PeriodBlock:
         )
 
 
-# Version of the mapping from (master_seed, config) to Monte Carlo samples.
-# 1: one stream for all resistor picks plus two streams per period.
-# 2: one stream per chunk of CHUNK_SAMPLES samples (picks, then Alice's and
-#    Bob's noise for the whole chunk).
-RNG_LAYOUT = 2
+# The chunk of RNG layout 2 (``reporting.RNG_LAYOUT``): one keyed stream per
+# CHUNK_SAMPLES samples of whole periods.
 CHUNK_SAMPLES = 8192
 # Smallest chunk worth a thread.  Going from 1 to 2 threads, the Monte Carlo
 # pass ran 0.92-1.33x on chunks of about 8192 samples, 1.06-1.54x on 16384

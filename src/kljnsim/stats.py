@@ -1,11 +1,44 @@
-"""Closed-form attack statistics and confidence-interval helpers."""
+"""Closed-form attack statistics: Eve's calibration, the attack probabilities and confidence intervals."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+from .circuit import NetworkConfig, NoiseSpec, analytic_mean_square_currents
+
 Z99 = 2.576  # two-sided 99% normal quantile, used for every interval in the reports
+
+
+@dataclass(frozen=True)
+class EveCalibration:
+    """Eve's public-knowledge constants.
+
+    ``norm_constant`` is the reciprocal of the theoretical mean-square
+    current at the high-resistance end; after scaling, that end has unit
+    mean square and the low-resistance end sits at ``threshold``.
+    """
+
+    norm_constant: float
+    threshold: float
+
+    def __post_init__(self) -> None:
+        if not (0 < self.norm_constant < math.inf and 0 < self.threshold < math.inf):
+            raise ValueError("calibration constants must be finite and > 0")
+
+
+def calibrate(net: NetworkConfig, noise: NoiseSpec) -> EveCalibration:
+    """Derive Eve's constants from the published circuit values.
+
+    All resistances and the effective temperature are public, so both
+    numbers are theoretical.  Pad symmetry makes the calibration identical
+    for the two secure orientations.
+    """
+    m = analytic_mean_square_currents(net, noise)
+    return EveCalibration(
+        norm_constant=1.0 / min(m.ms_alice, m.ms_bob),
+        threshold=m.ratio,
+    )
 
 
 def chi2_cdf_1(x: float) -> float:

@@ -25,21 +25,19 @@ import json
 import numpy as np
 import pytest
 
-from kljnsim.attack import calibrate
 from kljnsim.circuit import (
     AttenuatorConfig,
     NetworkConfig,
     analytic_mean_square_currents,
     design_tee_pad,
+    NoiseSpec,
     parallel_resistance,
-    solve_network,
 )
 from kljnsim.cli import main
-from kljnsim.config import PRESETS, ExperimentConfig
-from kljnsim.noise import NoiseSpec
-from kljnsim.protocol import AlarmPolicy, alarm_sweep, iter_period_blocks
-from kljnsim.reporting import monte_carlo_pass
-from kljnsim.stats import analytic_attack_probabilities, chi2_cdf_1
+from kljnsim.config import PRESETS, AlarmPolicy, ExperimentConfig
+from kljnsim.montecarlo import monte_carlo_pass
+from kljnsim.protocol import alarm_sweep, iter_period_blocks, solve_network
+from kljnsim.stats import analytic_attack_probabilities, calibrate, chi2_cdf_1
 
 NOISE = NoiseSpec()
 GAA = PRESETS["gaa-1db"]

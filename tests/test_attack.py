@@ -4,13 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from kljnsim.attack import EveCalibration, calibrate
-from kljnsim.circuit import AttenuatorConfig, NetworkConfig, solve_network
-from kljnsim.config import ExperimentConfig
-from kljnsim.noise import NoiseSpec, SeededStream
-from kljnsim.protocol import AlarmPolicy, PeriodBlock, iter_period_blocks, run_periods
-from kljnsim.reporting import EmpiricalTotals, block_totals, monte_carlo_pass
-from kljnsim.stats import analytic_attack_probabilities, wilson_ci
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
+from kljnsim.config import AlarmPolicy, ExperimentConfig
+from kljnsim.montecarlo import EmpiricalTotals, block_totals, monte_carlo_pass
+from kljnsim.noise import SeededStream
+from kljnsim.protocol import PeriodBlock, iter_period_blocks, run_periods, solve_network
+from kljnsim.stats import EveCalibration, analytic_attack_probabilities, calibrate, wilson_ci
 
 NOISE = NoiseSpec()
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0))

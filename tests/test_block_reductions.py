@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kljnsim.attack import EveCalibration, row_verdicts
+from kljnsim.attack import row_verdicts
 from kljnsim import protocol
-from kljnsim.protocol import AlarmPolicy, PeriodBlock, alarm_sweep
-from kljnsim.reporting import EmpiricalTotals, block_totals
+from kljnsim.config import AlarmPolicy
+from kljnsim.montecarlo import EmpiricalTotals, block_totals
+from kljnsim.protocol import PeriodBlock, alarm_sweep
+from kljnsim.stats import EveCalibration
 
 # readings drawn partly from a small grid, so squares land exactly on the
 # thresholds below and exact ties between the two ends occur

@@ -10,10 +10,10 @@ from kljnsim.circuit import (
     NetworkConfig,
     analytic_mean_square_currents,
     design_tee_pad,
+    NoiseSpec,
     parallel_resistance,
-    solve_network,
 )
-from kljnsim.noise import NoiseSpec
+from kljnsim.protocol import solve_network
 
 NOISE = NoiseSpec()  # normalized: 4kTB = 1
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0), label="gaa-1db")

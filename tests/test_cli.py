@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from kljnsim import cli, protocol, reporting
+from kljnsim import cli, montecarlo, protocol
 from kljnsim.cli import main
 from kljnsim.config import resolve_config
 from kljnsim.protocol import iter_period_blocks
@@ -418,8 +418,8 @@ class TestSimulate:
                 raise KeyboardInterrupt
             write_trace_rows(trace, block, first_period)
 
-        write_trace_rows = reporting._write_trace_rows
-        monkeypatch.setattr(reporting, "_write_trace_rows", interrupted_on_second_block)
+        write_trace_rows = montecarlo._write_trace_rows
+        monkeypatch.setattr(montecarlo, "_write_trace_rows", interrupted_on_second_block)
         report, trace = self.prior_outputs(tmp_path)
         args = ["simulate", "--preset", "lossless", "--bits", "500", "--out", str(report), "--trace-csv", str(trace)]
         with pytest.raises(KeyboardInterrupt):

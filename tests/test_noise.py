@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kljnsim.circuit import NORMALIZED, NoiseSpec
 from kljnsim.noise import (
-    NORMALIZED,
-    NoiseSpec,
     SeededStream,
     band_limited_stream,
     gaussian_stream,

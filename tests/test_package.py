@@ -34,3 +34,70 @@ def test_simulate_loads_neither_scipy_nor_hypothesis():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def run_python(code: str, pythonpath: list[str]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_analyze_and_design_pad_load_no_numpy():
+    # numpy is the Monte Carlo engine's alone; the closed-form commands never import it
+    code = (
+        "import contextlib, io, sys\n"
+        "import kljnsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert kljnsim.cli.main(['analyze', '--preset', 'gaa-1db']) == 0\n"
+        "    assert kljnsim.cli.main(['design-pad', '--loss-db', '1', '--z0', '50']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = run_python(code, [str(ROOT / "src")])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_simulate_loads_numpy_before_build_report():
+    # bench/child.py times kljnsim.cli.build_report, wrapped on the module after
+    # import: numpy must be loaded before that call, and numpy.random still loads
+    # at the first stream build inside it, as it always has
+    code = (
+        "import contextlib, io, sys\n"
+        "import kljnsim.cli as cli\n"
+        "entered = []\n"
+        "build_report = cli.build_report\n"
+        "def wrapped(*args, **kwargs):\n"
+        "    entered.append(('numpy' in sys.modules, 'numpy.random' in sys.modules))\n"
+        "    return build_report(*args, **kwargs)\n"
+        "setattr(cli, 'build_report', wrapped)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['simulate', '--preset', 'gaa-1db', '--bits', '20']) == 0\n"
+        "assert entered == [(True, False)], entered\n"
+    )
+    proc = run_python(code, [str(ROOT / "src")])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_without_numpy_simulate_exits_2_and_the_rest_works(tmp_path):
+    broken = tmp_path / "broken"
+    (broken / "numpy").mkdir(parents=True)
+    (broken / "numpy" / "__init__.py").write_text("raise ImportError('numpy is broken here')\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    pythonpath = [str(broken), str(ROOT / "src")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+    def kljnsim_cli(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "kljnsim", *args], capture_output=True, text=True, env=env, cwd=out, timeout=120
+        )
+
+    sim = kljnsim_cli("simulate", "--preset", "gaa-1db", "--bits", "20", "--out", "report.json", "--trace-csv", "t.csv")
+    assert sim.returncode == 2, sim.stderr
+    assert sim.stderr.startswith("kljnsim: runtime error: ") and sim.stderr.count("\n") == 1, sim.stderr
+    assert "numpy is broken here" in sim.stderr
+    assert list(out.iterdir()) == []
+    analyze = kljnsim_cli("analyze", "--preset", "gaa-1db")
+    assert analyze.returncode == 0, analyze.stderr
+    assert analyze.stdout.startswith("{")
+    pad = kljnsim_cli("design-pad", "--loss-db", "1", "--z0", "50")
+    assert pad.returncode == 0, pad.stderr
+    assert '"r_shunt_ohm"' in pad.stdout

@@ -4,19 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kljnsim.attack import EveCalibration, row_verdicts
-from kljnsim.circuit import AttenuatorConfig, NetworkConfig, solve_network
-from kljnsim.noise import NoiseSpec, SeededStream, johnson_rms
+from kljnsim.attack import row_verdicts
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
+from kljnsim.config import AlarmPolicy
+from kljnsim.noise import SeededStream, johnson_rms
 from kljnsim.protocol import (
     CHUNK_SAMPLES,
-    AlarmPolicy,
     PeriodBlock,
     alarm_sweep,
     iter_period_blocks,
     low_high_resistors,
     run_periods,
+    solve_network,
 )
-from kljnsim.stats import wilson_ci
+from kljnsim.stats import EveCalibration, wilson_ci
 
 NOISE = NoiseSpec()
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0))

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kljnsim.circuit import NoiseSpec
 from kljnsim.config import PRESETS, ExperimentConfig
-from kljnsim.noise import NoiseSpec
 from kljnsim.reporting import build_report, report_json
 
 

@@ -1,6 +1,6 @@
 """The trace CSV row writer against ``csv.writer``, byte for byte.
 
-``reporting._write_trace_rows`` formats rows itself; the oracle writes each
+``montecarlo._write_trace_rows`` formats rows itself; the oracle writes each
 sample's row through ``csv.writer`` (excel dialect) on its own.  Blocks
 longer than ``CHUNK_SAMPLES`` samples cross the writer's write-call size.
 """
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kljnsim.protocol import CHUNK_SAMPLES, PeriodBlock
-from kljnsim.reporting import _write_trace_rows
+from kljnsim.montecarlo import _write_trace_rows
 
 AWKWARD = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -1.5, 0.1]
 
