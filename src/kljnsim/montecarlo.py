@@ -4,8 +4,9 @@ The pass reduces every chunk to one flat record of independent counts and
 sums (:class:`EmpiricalTotals`), which also derives every other count, rate
 and interval of the report's empirical section.  Every empirical rate
 carries its 99% Wilson interval.  With a trace stream, the pass also dumps
-every sample as CSV.  This module and the engine it drives
-(:mod:`kljnsim.protocol`, :mod:`kljnsim.noise`, :mod:`kljnsim.attack`) are
+every sample as CSV, whose numbers :mod:`kljnsim.reprtext` turns into
+text.  This module and the engine it drives (:mod:`kljnsim.protocol`,
+:mod:`kljnsim.noise`, :mod:`kljnsim.attack`, :mod:`kljnsim.reprtext`) are
 the only ones that import numpy; :mod:`kljnsim.reporting` turns the totals
 into the report.
 """
@@ -27,44 +28,61 @@ _TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
 
 
 def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> None:
-    """One CSV row per sample, in period order, written as preformatted text.
+    """One CSV row per sample, in period order, converted to text in numpy.
 
-    No field ever needs quoting (ints and ``repr`` of floats), so the text
-    is byte for byte what ``csv.writer``'s excel dialect writes.  Rows go
-    out in one ``write`` per slice of at most ``CHUNK_SAMPLES`` rows (whole
-    periods, or part of one long period), so the text and the Python lists
-    built for one call stay small however long a period is.
-    """
-    k, n = block.i_alice.shape
-    per_slice = max(1, CHUNK_SAMPLES // n)
-    for r0 in range(0, k, per_slice):
-        rows = range(r0, min(r0 + per_slice, k))
-        for s0 in range(0, n, CHUNK_SAMPLES):
-            trace.write(_trace_text(block, first_period, rows, range(s0, min(s0 + CHUNK_SAMPLES, n))))
-
-
-def _trace_text(block: PeriodBlock, first_period: int, rows: range, samples: range) -> str:
-    """The CSV rows of ``block``'s ``rows`` and ``samples``, each value converted to text once.
-
-    A loop without a shunt carries one current, and
+    No field ever needs quoting (integers and the ``repr`` text of floats),
+    so the text is byte for byte what ``csv.writer``'s excel dialect writes.
+    Rows are converted and written a slice of at most ``CHUNK_SAMPLES // 4``
+    at a time, so the buffers stay small however long a period is.  A loop
+    without a shunt carries one current, and
     :func:`~kljnsim.protocol.solve_network` then returns one array for both
     ends, whose text fills both columns.
     """
+    from .reprtext import SLOT_WORDS, WORD, write_floats, write_ints  # only a trace CSV needs the formatter
 
-    def texts(x: np.ndarray) -> list[str]:
-        return list(map(repr, x[rows.start : rows.stop, samples.start : samples.stop].ravel().tolist()))
+    n = block.n_samples
+    shared = block.i_bob is block.i_alice
+    currents = (block.i_alice,) if shared else (block.i_alice, block.i_bob)
+    columns = [c.reshape(-1) for c in (*currents, block.v_node)]
+    # after the exponent, a slot's last word has NUL bytes for the separators
+    separators = np.frombuffer(b"\0" * 7 + b"," + b"\0" * 7 + b"," + b"\0" * 6 + b"\r\n", dtype=WORD)
 
-    i_a = texts(block.i_alice)
-    i_b = i_a if block.i_bob is block.i_alice else texts(block.i_bob)
-    v = texts(block.v_node)
-    periods = np.array([str(first_period + r) for r in rows], dtype=object)
-    text = [None, None, None, ",", None, ",", None, "\r\n"] * len(v)  # period ,sample, i_alice , i_bob , v_node
-    text[0::8] = np.repeat(periods, len(samples)).tolist()
-    text[1::8] = [f",{s}," for s in samples] * len(rows)
-    text[2::8] = i_a
-    text[4::8] = i_b
-    text[6::8] = v
-    return "".join(text)
+    def numbers(first: int, last: int, width: int, at: int, head: int) -> np.ndarray:
+        """Words of ``head`` with the text of each of first..last right-aligned in bytes at..at+width-1, then ","."""
+        words = np.zeros((last - first + 1, head), dtype=WORD)
+        chars = words.view(np.uint8)
+        write_ints(chars[:, at : at + width], np.arange(first, last + 1, dtype=np.uint64))
+        chars[:, at + width] = ord(",")
+        return words
+
+    def text(start: int, stop: int) -> str:
+        period, sample = np.divmod(np.arange(start, stop), n)
+        first_row, last_row = start // n, (stop - 1) // n
+        # one period's samples, or from 0 to n - 1 when the slice holds the end of a period
+        first_sample, last_sample = (start % n, (stop - 1) % n) if first_row == last_row else (0, n - 1)
+        period_width = len(str(first_period + last_row))
+        sample_width = len(str(last_sample))
+        head = -(-(period_width + sample_width + 2) // 8)  # words of "period,sample,"
+        words = np.empty((stop - start, head + 3 * SLOT_WORDS), dtype=WORD)
+        periods = numbers(first_period + first_row, first_period + last_row, period_width, 0, head)
+        samples = numbers(first_sample, last_sample, sample_width, period_width + 1, head)
+        words[:, :head] = periods.take(period - first_row, axis=0) | samples.take(sample - first_sample, axis=0)
+        fields = words[:, head:].reshape(-1, 3, SLOT_WORDS)
+        values = np.stack([c[start:stop] for c in columns], axis=-1)
+        if shared:
+            write_floats(fields[:, ::2], values)
+            # Bob's text is Alice's, copied as one item per slot rather than word by word
+            slots = words[:, head:].view(np.dtype((np.void, 8 * SLOT_WORDS)))
+            slots[:, 1] = slots[:, 0]
+        else:
+            write_floats(fields, values)
+        for j, separator in enumerate(separators):
+            fields[:, j, -1] |= separator
+        return words.tobytes().translate(None, b"\0").decode("ascii")
+
+    slice_rows = CHUNK_SAMPLES // 4
+    for start in range(0, block.n_periods * n, slice_rows):
+        trace.write(text(start, min(start + slice_rows, block.n_periods * n)))
 
 
 def _rate(count: str, total: str) -> tuple[property, property]:

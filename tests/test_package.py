@@ -101,3 +101,25 @@ def test_without_numpy_simulate_exits_2_and_the_rest_works(tmp_path):
     pad = kljnsim_cli("design-pad", "--loss-db", "1", "--z0", "50")
     assert pad.returncode == 0, pad.stderr
     assert '"r_shunt_ohm"' in pad.stdout
+
+
+def test_only_a_trace_csv_loads_the_formatter():
+    # the numpy formatter of the trace CSV is imported by the CSV writer itself, so a run
+    # without --trace-csv and analyze never load (or compile) it
+    code = (
+        "import contextlib, io, sys\n"
+        "import kljnsim.cli\n"
+        "argv = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert kljnsim.cli.main(['analyze', '--preset', 'gaa-1db']) == 0\n"
+        "    assert 'kljnsim.reprtext' not in sys.modules\n"
+        "    assert kljnsim.cli.main(['simulate', '--preset', 'gaa-1db', '--bits', '20']) == 0\n"
+        "    assert 'kljnsim.reprtext' not in sys.modules\n"
+        "    assert kljnsim.cli.main(['simulate', '--preset', 'gaa-1db', '--bits', '20', *argv]) == 0\n"
+        "assert 'kljnsim.reprtext' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--trace-csv", os.devnull], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -119,9 +119,16 @@ def test_each_write_holds_at_most_chunk_samples_rows(shape):
     assert max(sink.rows) <= CHUNK_SAMPLES
 
 
-def test_memory_does_not_grow_with_the_period():
+def normals_block(shape) -> PeriodBlock:
+    rng = np.random.default_rng(7)
+    return make_block(*(rng.standard_normal(shape) * 1e-9 for _ in range(3)))
+
+
+# zeros take the formatter's special-value path; normal draws take the path of every simulated sample
+@pytest.mark.parametrize("make", [zeros_block, normals_block], ids=["zeros", "normals"])
+def test_memory_does_not_grow_with_the_period(make):
     def peak_bytes(n_samples: int) -> int:
-        block = zeros_block((1, n_samples))
+        block = make((1, n_samples))
         tracemalloc.start()
         try:
             _write_trace_rows(RowCounts(), block, 0)
