@@ -169,22 +169,24 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
 
     Raises ``ValueError`` naming the network and the noise when resistances
     or noise scale are so extreme that a moment, scaled or not, the ratio,
-    the reciprocal of the smaller scaled moment (Eve's normalization) or
+    the reciprocal of the smaller scaled moment (Eve's normalization),
     either source's variance 4kT_eff*B*R (what the samples are drawn with)
-    is not a finite positive float.
+    or the largest loop resistance 2*(max(r_alice, r_bob) + r_series) (what
+    the engine's nodal solve sums) is not a finite positive float.
     """
     fa, fb = _normalized_moments(net)
     scale = noise.unit_scale
     ms_alice, ms_bob = scale * fa, scale * fb
     var_alice, var_bob = scale * net.r_alice, scale * net.r_bob
-    finite = all(0.0 < x < math.inf for x in (fa, fb, ms_alice, ms_bob, var_alice, var_bob))
+    loop = 2.0 * (max(net.r_alice, net.r_bob) + net.r_series)
+    finite = all(0.0 < x < math.inf for x in (fa, fb, ms_alice, ms_bob, var_alice, var_bob, loop))
     if not (finite and max(fa, fb) / min(fa, fb) < math.inf and 1.0 / min(ms_alice, ms_bob) < math.inf):
         raise ValueError(
             f"network (r_alice={net.r_alice!r}, r_bob={net.r_bob!r}, r_series={net.r_series!r}, "
             f"r_shunt={net.r_shunt!r}) with noise (t_eff={noise.t_eff!r}, bandwidth={noise.bandwidth!r}) gives "
             f"mean-square currents {ms_alice!r} and {ms_bob!r}; they, their ratio, the reciprocal of the "
-            f"smaller and the source variances {var_alice!r} and {var_bob!r} must be finite and > 0 in "
-            "double precision"
+            f"smaller, the source variances {var_alice!r} and {var_bob!r} and the loop resistance "
+            f"2*(max(r_alice, r_bob) + r_series) = {loop!r} must be finite and > 0 in double precision"
         )
     return CurrentMoments(ms_alice=ms_alice, ms_bob=ms_bob, ratio=max(fa, fb) / min(fa, fb))
 

@@ -121,16 +121,20 @@ def _replaced_on_success(path: str, newline: Optional[str]) -> Iterator[TextIO]:
         raise
 
 
+def _replaceable(path: str) -> bool:
+    """Whether ``path`` is written through a temporary file: it is a regular file or does not exist yet."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
+
+
 def _open_output(path: str, newline: Optional[str]) -> contextlib.AbstractContextManager[TextIO]:
-    """``path`` opened for writing: through a temporary file when it is a regular file or does not exist yet.
+    """``path`` opened for writing: through a temporary file when :func:`_replaceable`, else directly.
 
     Devices, pipes, FIFOs and terminals are written directly.
     """
-    try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if regular:
+    if _replaceable(path):
         return _replaced_on_success(path, newline)
     return open(path, "a", newline=newline, encoding="utf-8")
 
@@ -143,8 +147,14 @@ def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tup
     fast.  A regular file is written to a temporary file in its directory,
     which replaces it only after the body has run to its end, so a failure
     at any point, a configuration error, running out of memory or an
-    interrupt, leaves an existing report or trace as it was.
+    interrupt, leaves an existing report or trace as it was.  Two paths to
+    one such file would replace it twice, the report discarding the trace,
+    so they are a configuration error; a device named twice is written twice.
     """
+    if report is not None and trace is not None:
+        target = os.path.realpath(report)
+        if target == os.path.realpath(trace) and _replaceable(target):
+            raise ConfigError(f"output.report and output.trace_csv both name the file {target}")
     with contextlib.ExitStack() as stack:
         files = [
             None if path is None else stack.enter_context(_open_output(path, newline))

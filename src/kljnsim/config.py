@@ -71,8 +71,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_bits < 1:
             raise ConfigError("protocol.n_bits must be >= 1")
-        if self.samples_per_bit < 1:
-            raise ConfigError("protocol.samples_per_bit must be >= 1")
         if self.samples_per_bit < self.alarm.window:
             raise ConfigError("protocol.samples_per_bit must be >= protocol.alarm.window")
         if self.max_measurements < 1:

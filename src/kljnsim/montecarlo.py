@@ -21,8 +21,7 @@ import numpy as np
 from .attack import row_verdicts
 from .config import ExperimentConfig
 from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, iter_period_blocks
-from .reporting import _ratio
-from .stats import Z99, EveCalibration, calibrate, wilson_ci
+from .stats import Z99, EveCalibration, calibrate, ratio_or_nan, wilson_ci
 
 _TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
 
@@ -95,7 +94,7 @@ def _rate(count: str, total: str) -> tuple[property, property]:
         n = getattr(t, total)
         return list(wilson_ci(getattr(t, count), n, Z99)) if n else None
 
-    return property(lambda t: _ratio(getattr(t, count), getattr(t, total))), property(interval)
+    return property(lambda t: ratio_or_nan(getattr(t, count), getattr(t, total))), property(interval)
 
 
 @dataclass
@@ -155,7 +154,7 @@ class EmpiricalTotals:
     def mean_measurements(self) -> float:
         """Readings per answered period, the answering one included."""
         readings = np.arange(self.measurements_hist.size)
-        return _ratio(int(readings @ self.measurements_hist), self.n_answered)
+        return ratio_or_nan(int(readings @ self.measurements_hist), self.n_answered)
 
 
 def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int) -> EmpiricalTotals:

@@ -42,10 +42,6 @@ class SeededStream:
     master_seed: int
     stream_id: int = 0
 
-    def __post_init__(self) -> None:
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be >= 0")
-
     def generator(self) -> np.random.Generator:
         entropy = (self.master_seed & _MASK64, self.stream_id)
         return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -58,8 +54,6 @@ def johnson_rms(r, spec: NoiseSpec):
 
 def gaussian_stream(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """``(rows, n)`` i.i.d. standard-normal samples drawn from ``rng``."""
-    if rows < 1 or n < 1:
-        raise ValueError("rows and n must be >= 1")
     return rng.standard_normal((rows, n))
 
 
@@ -91,10 +85,6 @@ def band_limited_stream(rng: np.random.Generator, spec: NoiseSpec, rows: int, n:
     shaped on its own by the unit-energy kernel, so every output sample has
     variance exactly 1 regardless of the kernel choice.
     """
-    if spec.mode != "waveform":
-        raise ValueError("band_limited_stream requires a waveform-mode NoiseSpec")
-    if rows < 1 or n < 1:
-        raise ValueError("rows and n must be >= 1")
     h = lowpass_kernel(spec.oversample)
     white = rng.standard_normal((rows, n + h.size - 1))
     out = np.empty((rows, n))

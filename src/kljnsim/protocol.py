@@ -180,8 +180,6 @@ def run_periods(
     is negligible against the generators' effective one.  The nodal solve
     runs once over the whole block, with each row's end resistors.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     r_low, r_high = low_high_resistors(net)
     rows = int(alice_high.size)
     if noise.mode == "independent":
@@ -222,8 +220,6 @@ def iter_period_blocks(
     flight; shorter chunks run inline.  Either way results are yielded in
     chunk order.
     """
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
     k = max(1, CHUNK_SAMPLES // n_samples)
     firsts = range(0, n_bits, k)
 
@@ -321,20 +317,20 @@ def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
     """Slide a window over each row's squared end currents and compare their means.
 
     A row fires at the first window whose relative mean-square difference
-    exceeds the tolerance.  A true single loop can never fire for any
-    tolerance, because the two end currents are one and the same current.
-    Windows are compared ``CHUNK_SAMPLES`` at a time, so a long period
-    needs no full-length work array, and the sweep stops once every row has
-    fired, so a period costs the windows up to its first trigger.  The
-    reported fields are those of a sweep over every window.
+    exceeds the tolerance; every period holds at least one window (the
+    config requires ``samples_per_bit >= alarm.window``).  A true single
+    loop can never fire for any tolerance, because the two end currents are
+    one and the same current.  Windows are compared ``CHUNK_SAMPLES`` at a
+    time, so a long period needs no full-length work array, and the sweep
+    stops once every row has fired, so a period costs the windows up to its
+    first trigger.  The reported fields are those of a sweep over every
+    window.
 
     A running sum of squares never decreases, so once it overflows every
     later window of its row is NaN.  A row that has not fired before that
     is swept again on both currents scaled by one power of two, which
     changes no relative difference.
     """
-    if block.n_samples < policy.window:
-        raise ValueError(f"periods have {block.n_samples} samples but the alarm window needs {policy.window}")
     with np.errstate(over="ignore", invalid="ignore"):
         report = _sweep(block.i_alice, block.i_bob, policy)
     if math.isnan(report.rel_difference.sum()):  # differences are at most 1, so only a NaN makes it NaN

@@ -21,7 +21,7 @@ from typing import Any, Optional, TextIO
 from . import __version__
 from .circuit import analytic_mean_square_currents
 from .config import ExperimentConfig
-from .stats import Z99, analytic_attack_probabilities, calibrate, wilson_ci
+from .stats import Z99, analytic_attack_probabilities, calibrate, ratio_or_nan, wilson_ci
 
 SCHEMA_VERSION = 1
 # Version of the mapping from (master_seed, config) to Monte Carlo samples.
@@ -41,11 +41,6 @@ def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def _ratio(num: float, den: float) -> float:
-    """``num / den``, or NaN (written as null) without a denominator."""
-    return num / den if den else math.nan
-
-
 def empirical_section(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> dict[str, Any]:
     """The report's empirical section: the totals of the Monte Carlo pass, with the numbers they give."""
     # the numpy engine; `simulate` has imported it before the report is built
@@ -59,14 +54,14 @@ def empirical_section(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> 
         "secure_fraction": t.n_secure / t.n_bits,
         "secure_fraction_ci99": list(wilson_ci(t.n_secure, t.n_bits, Z99)),
         "n_secure_samples": n_secure_samples,
-        "ratio": _ratio(t.low_end_sq_sum, t.high_end_sq_sum),
-        "mean_square_low_end": _ratio(t.low_end_sq_sum, n_secure_samples),
-        "mean_square_high_end": _ratio(t.high_end_sq_sum, n_secure_samples),
+        "ratio": ratio_or_nan(t.low_end_sq_sum, t.high_end_sq_sum),
+        "mean_square_low_end": ratio_or_nan(t.low_end_sq_sum, n_secure_samples),
+        "mean_square_high_end": ratio_or_nan(t.high_end_sq_sum, n_secure_samples),
         "alarm": {
             "n_triggered": t.n_alarms,
             "n_triggered_secure": t.n_alarms_secure,
-            "trigger_rate_secure": _ratio(t.n_alarms_secure, t.n_secure),
-            "mean_rel_difference_secure": _ratio(t.rel_difference_sum, t.n_secure),
+            "trigger_rate_secure": ratio_or_nan(t.n_alarms_secure, t.n_secure),
+            "mean_rel_difference_secure": ratio_or_nan(t.rel_difference_sum, t.n_secure),
         },
         "attack": {
             "n_trials": t.n_trials,

@@ -10,6 +10,11 @@ from .circuit import NetworkConfig, NoiseSpec, analytic_mean_square_currents
 Z99 = 2.576  # two-sided 99% normal quantile, used for every interval in the reports
 
 
+def ratio_or_nan(num: float, den: float) -> float:
+    """``num / den``, or NaN (written as null in a report) without a denominator."""
+    return num / den if den else math.nan
+
+
 @dataclass(frozen=True)
 class EveCalibration:
     """Eve's public-knowledge constants.
@@ -21,10 +26,6 @@ class EveCalibration:
 
     norm_constant: float
     threshold: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.norm_constant < math.inf and 0 < self.threshold < math.inf):
-            raise ValueError("calibration constants must be finite and > 0")
 
 
 def calibrate(net: NetworkConfig, noise: NoiseSpec) -> EveCalibration:
@@ -46,8 +47,6 @@ def chi2_cdf_1(x: float) -> float:
 
     Equals erf(sqrt(x/2)); monotone nondecreasing on x >= 0.
     """
-    if x < 0:
-        raise ValueError("chi2_cdf_1 domain is x >= 0")
     return math.erf(math.sqrt(0.5 * x))
 
 
@@ -63,7 +62,7 @@ class AttackProbabilities:
 
 
 def analytic_attack_probabilities(ratio: float) -> AttackProbabilities:
-    """Per-trial probabilities when the two mean squares differ by ``ratio``.
+    """Per-trial probabilities when the two mean squares differ by ``ratio`` (larger over smaller, so >= 1).
 
     The threshold sits at the larger normalized mean square.  One trial
     succeeds when the strong end alone exceeds it, errs when the weak end
@@ -72,8 +71,6 @@ def analytic_attack_probabilities(ratio: float) -> AttackProbabilities:
     answer arrives; ``conditional_fidelity`` is the chance that answer is
     right.
     """
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1 (orient the ratio before calling)")
     p_weak_below = chi2_cdf_1(ratio)  # weak end has unit mean square
     p_strong_below = chi2_cdf_1(1.0)  # threshold sits at the strong end's mean square
     p_success = p_weak_below * (1.0 - p_strong_below)
@@ -85,16 +82,12 @@ def analytic_attack_probabilities(ratio: float) -> AttackProbabilities:
         p_error=p_error,
         p_no_answer=p_no_answer,
         expected_measurements=1.0 / p_answer if p_answer > 0 else math.inf,
-        conditional_fidelity=p_success / p_answer if p_answer > 0 else math.nan,
+        conditional_fidelity=ratio_or_nan(p_success, p_answer),
     )
 
 
 def wilson_ci(successes: int, trials: int, z: float) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate; always contained in [0, 1]."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
+    """Wilson score interval for ``0 <= successes <= trials``, ``trials >= 1``; always contained in [0, 1]."""
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials

@@ -86,17 +86,6 @@ class TestCalibrate:
         swapped = calibrate(NetworkConfig(10000.0, 1000.0, AttenuatorConfig(2.9, 500.0)), NOISE)
         assert swapped == GAA_CAL
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EveCalibration(norm_constant=0.0, threshold=2.0)
-        with pytest.raises(ValueError):
-            EveCalibration(norm_constant=1.0, threshold=-1.0)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="calibration constants must be finite and > 0"):
-                EveCalibration(norm_constant=bad, threshold=2.0)
-            with pytest.raises(ValueError, match="calibration constants must be finite and > 0"):
-                EveCalibration(norm_constant=1.0, threshold=bad)
-
 
 class TestSingleSampleDecision:
     """The threshold comparison, checked on one-sample periods with chosen readings."""

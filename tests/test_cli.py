@@ -281,7 +281,9 @@ class TestSimulate:
         code, out, err = run_cli(["simulate", "--preset", "lossless", flag, "0"], capsys)
         assert code == 1
         assert out == ""
-        assert f"protocol.{key} must be >= 1" in err
+        # a period must hold at least one alarm window, which has at least 2 samples
+        bound = {"n_bits": "1", "samples_per_bit": "protocol.alarm.window"}[key]
+        assert f"protocol.{key} must be >= {bound}" in err
 
     def test_bad_env_seed_exits_one(self, capsys, monkeypatch):
         monkeypatch.setenv("KLJN_SEED", "not-a-seed")
@@ -465,6 +467,25 @@ class TestSimulate:
         assert run_cli(args + ["--out", os.devnull, "--trace-csv", os.devnull], capsys) == (0, "", "")
         assert run_cli(["analyze", "--preset", "gaa-1db", "--out", os.devnull], capsys) == (0, "", "")
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-file-through-a-link"])
+    def test_report_and_trace_on_one_file_exit_one_before_simulating(self, tmp_path, capsys, monkeypatch, existing):
+        # the report would replace the file after the trace, discarding it
+        calls = []
+        monkeypatch.setattr(cli, "build_report", lambda *args, **kwargs: calls.append(args))
+        path = tmp_path / "same.out"
+        trace = path
+        if existing:
+            path.write_bytes(b"previous\n")
+            trace = tmp_path / "link.out"
+            trace.symlink_to(path)
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "5", "--out", str(path), "--trace-csv", str(trace)]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"kljnsim: config error: output.report and output.trace_csv both name the file {path}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["link.out", "same.out"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"previous\n"
+
     def test_outputs_to_pipes(self):
         # standard output and error are pipes here, which cannot be sought
         args = ["simulate", "--preset", "gaa-1db", "--bits", "5", "--samples-per-bit", "50"]
@@ -617,6 +638,24 @@ class TestNoNumpyWarning:
         assert si["alarm"]["mean_rel_difference_secure"] == pytest.approx(
             normalized["alarm"]["mean_rel_difference_secure"], rel=1e-12
         )
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize(
+        "network",
+        [{"r_alice": 1.0, "r_bob": 1e308}, {"r_alice": 1.0, "r_bob": 2.0, "pad": {"r_series": 1e308}}],
+        ids=["end-resistor", "series-only-pad"],
+    )
+    def test_loop_resistance_that_overflows_exits_one(self, tmp_path, capsys, network, command):
+        # finite moments, but the loop of a period with both high resistors,
+        # 2*(r_high + r_series), overflows in the engine's nodal solve
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"network": network}))
+        args = [command, "--config", str(config)] + (["--bits", "20"] if command == "simulate" else [])
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("kljnsim: config error: network (r_alice=1.0, ")
+        assert err.count("\n") == 1
+        assert "loop resistance 2*(max(r_alice, r_bob) + r_series) = inf must be finite" in err
 
 
 class TestConfigErrorsKeepOutputs:
