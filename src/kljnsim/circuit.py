@@ -5,14 +5,20 @@ shunt leg.  The shunt is what matters for security: it splits the single
 Kirchhoff loop into two coupled loops, so the currents measured at the two
 ends stop being equal and their mean squares become resistor-dependent.
 
-Closed-form mean-square currents neglect the small series elements (they
-are tiny against the loop resistances); the instantaneous solver of the
-Monte Carlo engine (:func:`kljnsim.protocol.solve_network`) keeps them
-exactly, which lets tests measure the size of that approximation.  The
-loop is driven by the two parties' Johnson-noise generators, whose settings
-(:class:`NoiseSpec`) set the scale of every moment; the engine draws their
-samples (:mod:`kljnsim.noise`).  This module needs no numpy, so ``analyze``
-and ``design-pad`` run without it.
+The loop is linear, so one connection of end resistors is fully described
+by its transfer record (:func:`transfer`): the coefficients that map the
+two source voltages to the two end currents and the shunt-node voltage,
+series elements kept.  A network's record is :func:`transfer` at each of
+its four connections (LL, LH, HL, HH), and it is the one circuit rule of
+the Monte Carlo engine, whose solve
+(:func:`kljnsim.protocol.solve_network`) applies it to the sampled sources.
+The closed-form mean-square currents neglect the small series elements
+(they are tiny against the loop resistances), which lets tests measure the
+size of that approximation.  The loop is driven by the two parties'
+Johnson-noise generators, whose settings (:class:`NoiseSpec`) set the
+scale of every moment; the engine draws their samples
+(:mod:`kljnsim.noise`).  This module needs no numpy, so ``analyze`` and
+``design-pad`` run without it.
 """
 
 from __future__ import annotations
@@ -139,6 +145,54 @@ def parallel_resistance(r1: float, r2: float | None) -> float:
     return r1 * r2 / (r1 + r2)
 
 
+def _scaled(x: float) -> int:
+    """``x * 2**1074``, exactly: every double is a whole multiple of the smallest subnormal."""
+    numerator, denominator = x.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
+
+
+def _nearest(numerator: int, denominator: int) -> float:
+    """The double nearest to ``numerator / denominator`` (denominator > 0); ±inf beyond the double range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.copysign(math.inf, numerator)
+
+
+def transfer(
+    r_alice: float, r_bob: float, pad: AttenuatorConfig | None, rms_alice: float = 1.0, rms_bob: float = 1.0
+) -> tuple[float, float, float, float, float, float]:
+    """The transfer record ``(aa, ab, ba, bb, na, nb)`` of end resistors ``r_alice``/``r_bob`` behind ``pad``.
+
+    The record is T of (i_alice, i_bob, v_node) = T·(u_alice, u_bob), series
+    elements kept, with each source's column times that source's RMS: for
+    source voltages ``rms_alice·z_a`` and ``rms_bob·z_b``, i_alice =
+    aa·z_a + ab·z_b, i_bob = ba·z_a + bb·z_b and v_node = na·z_a + nb·z_b,
+    where ``i_alice`` flows from Alice's source into the shunt node and
+    ``i_bob`` from the node into Bob's source.  At unit RMS it is T itself.
+
+    Nodal analysis with ends r_a = r_alice + r_series and r_b likewise and
+    shunt r_2: over D = r_a·r_b + r_a·r_2 + r_b·r_2, i_alice takes
+    (r_b + r_2)·u_a − r_2·u_b, i_bob r_2·u_a − (r_a + r_2)·u_b and v_node
+    r_2·(r_b·u_a + r_a·u_b); without a shunt, i_alice = i_bob =
+    (u_a − u_b)/(r_a + r_b).  The sums and products are exact, in integers
+    (every double times 2**1074), and each entry is one correctly rounded
+    quotient, so nothing cancels or leaves the double range on the way.
+    """
+    r_series = _scaled(pad.r_series) if pad is not None else 0
+    ra, rb = _scaled(r_alice) + r_series, _scaled(r_bob) + r_series
+    sa, sb = _scaled(rms_alice), _scaled(rms_bob)
+    if pad is None or pad.r_shunt is None:
+        d = ra + rb
+        currents, nodes = (sa, -sb, sa, -sb), (sa * rb, sb * ra)
+    else:
+        r2 = _scaled(pad.r_shunt)
+        d = ra * rb + ra * r2 + rb * r2
+        currents, nodes = (sa * (rb + r2), -sb * r2, sa * r2, -sb * (ra + r2)), (sa * rb * r2, sb * ra * r2)
+    # a node entry has one scaled factor more above the line than below it
+    return tuple(_nearest(n, d) for n in currents) + tuple(_nearest(n, d << 1074) for n in nodes)
+
+
 def _normalized_moments(net: NetworkConfig) -> tuple[float, float]:
     """Mean-square end currents per unit 4kTB, series elements neglected; NaN where they do not compute."""
     ra, rb, r2 = net.r_alice, net.r_bob, net.r_shunt
@@ -171,8 +225,8 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
     or noise scale are so extreme that a moment, scaled or not, the ratio,
     the reciprocal of the smaller scaled moment (Eve's normalization),
     either source's variance 4kT_eff*B*R (what the samples are drawn with)
-    or the largest loop resistance 2*(max(r_alice, r_bob) + r_series) (what
-    the engine's nodal solve sums) is not a finite positive float.
+    or the largest loop resistance 2*(max(r_alice, r_bob) + r_series) is not
+    a finite positive float.
     """
     fa, fb = _normalized_moments(net)
     scale = noise.unit_scale

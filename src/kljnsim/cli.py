@@ -187,8 +187,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     # The numpy engine loads here, once: after the config is checked and before
-    # any output is opened, so an engine that fails to import leaves no file,
-    # and before build_report, so the pass it runs does not pay for the import.
+    # any output is opened, so an engine that fails to import leaves no file.
+    # numpy.random is not part of it: numpy loads that submodule lazily, at the
+    # first SeededStream.generator() inside build_report, so the pass pays for
+    # that import (about 12-17 ms).
     try:
         from . import montecarlo  # noqa: F401
     except ImportError as exc:

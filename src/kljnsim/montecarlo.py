@@ -218,7 +218,7 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
     if keep_block:
         trace.write(_TRACE_HEADER)
     chunks = iter_period_blocks(
-        cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk
+        cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk, keep_block
     )
     for part, block in chunks:
         if block is not None:

@@ -87,6 +87,8 @@ def band_limited_stream(rng: np.random.Generator, spec: NoiseSpec, rows: int, n:
     """
     h = lowpass_kernel(spec.oversample)
     white = rng.standard_normal((rows, n + h.size - 1))
+    if rows == 1:  # a single row is the filter's own output, with no copy
+        return np.convolve(white[0], h, mode="valid")[None, :]
     out = np.empty((rows, n))
     for r in range(rows):
         out[r] = np.convolve(white[r], h, mode="valid")

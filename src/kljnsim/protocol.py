@@ -10,8 +10,8 @@ watches for the broken-loop signature: sustained inequality of the two end
 currents, which an intact single loop can never produce.
 
 This module is part of the numpy engine, which only ``simulate`` loads:
-the instantaneous nodal solve of the loop, the blocks of periods and the
-alarm sweep.
+the solve of the loop by its transfer record, the blocks of periods and
+the alarm sweep.
 
 Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
 one ``(K, n)`` array per observable, drawn from one keyed random stream
@@ -26,50 +26,71 @@ bit-identical at any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
+from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, transfer
 from .config import AlarmPolicy
 from .noise import SeededStream, band_limited_stream, gaussian_stream, johnson_rms
 
 
 def solve_network(
-    u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None, *, overwrite_sources: bool = False
+    u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None, noise: NoiseSpec | None = None, *, node=True
 ):
-    """End currents and shunt-node voltage for instantaneous source values.
+    """End currents and shunt-node voltage for instantaneous source values, by the transfer record.
 
-    ``r_alice``/``r_bob`` are the end resistors connected behind ``pad``.
-    Keeps the pad's series elements exactly.  Accepts scalars or numpy
-    arrays that broadcast together (elementwise); returns
-    ``(i_alice, i_bob, v_node)``.  Without a shunt the same current flows at
-    both ends by construction, and ``i_alice is i_bob``: one array (or
-    scalar) is returned for both, with or without series elements or
-    ``overwrite_sources``; the trace CSV writer relies on it to convert
-    that current to text once.  With a shunt the three are distinct arrays.
-
-    With ``overwrite_sources`` the source arrays, which must have the
-    shape of the result, become result buffers: the same operations run in
-    the same order, so every value is bit-identical, but a long block needs
-    two fewer arrays.
+    ``r_alice``/``r_bob`` are the end resistors connected behind ``pad``;
+    each element is solved with the record of its own pair of resistors
+    (:func:`~kljnsim.circuit.transfer`), series elements kept.  Without
+    ``noise`` the sources are voltages; with it they are unit-variance
+    draws, and each source's Johnson RMS is folded into its coefficients.
+    Accepts scalars or numpy arrays that broadcast together (elementwise),
+    and never writes to its inputs; returns ``(i_alice, i_bob, v_node)``,
+    with ``v_node`` None unless ``node``.  Without a shunt the same current
+    flows at both ends by construction, and ``i_alice is i_bob``: one array
+    (or scalar) is returned for both, with or without series elements; the
+    trace CSV writer relies on it to convert that current to text once.
+    With a shunt the currents are distinct arrays.
     """
-    pad = pad if pad is not None else AttenuatorConfig()
-    ra = r_alice + pad.r_series
-    rb = r_bob + pad.r_series
-    r2 = pad.r_shunt
-    out_a, out_b = (u_alice, u_bob) if overwrite_sources else (None, None)
-    if r2 is None:
-        i = np.divide(np.subtract(u_alice, u_bob, out=out_b), ra + rb, out=out_b)
-        return i, i, np.subtract(u_alice, i * ra, out=out_a)
-    g_sum = 1.0 / ra + 1.0 / rb + 1.0 / r2
-    v = (u_alice / ra + u_bob / rb) / g_sum
-    i_a = np.divide(np.subtract(u_alice, v, out=out_a), ra, out=out_a)
-    return i_a, np.divide(np.subtract(v, u_bob, out=out_b), rb, out=out_b), v
+    aa, ab, ba, bb, na, nb = _coefficients(r_alice, r_bob, pad, noise)
+    i_a = u_alice * aa
+    i_a += u_bob * ab
+    if pad is None or pad.r_shunt is None:
+        i_b = i_a
+    else:
+        i_b = u_alice * ba
+        i_b += u_bob * bb
+    if not node:
+        return i_a, i_b, None
+    v = u_alice * na
+    v += u_bob * nb
+    return i_a, i_b, v
+
+
+def _coefficients(r_alice, r_bob, pad: AttenuatorConfig | None, noise: NoiseSpec | None) -> np.ndarray:
+    """The six entries of each element's transfer record, stacked on a new first axis."""
+    values = tuple(sorted(set(np.ravel(r_alice).tolist()) | set(np.ravel(r_bob).tolist())))
+    resistors, records = _records(values, pad, noise)
+    return np.moveaxis(records[np.searchsorted(resistors, r_alice), np.searchsorted(resistors, r_bob)], -1, 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _records(values: tuple, pad: AttenuatorConfig | None, noise: NoiseSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as an array, and the record of every pair of them, ``records[i, j]`` for Alice at ``values[i]``.
+
+    In the engine the values are the public pair, so a run builds four records.
+    """
+    rms = [1.0] * len(values) if noise is None else johnson_rms(np.array(values), noise).tolist()
+    pairs = [[transfer(a, b, pad, rms_a, rms_b) for b, rms_b in zip(values, rms)] for a, rms_a in zip(values, rms)]
+    resistors, records = np.array(values), np.array(pairs)
+    resistors.flags.writeable = records.flags.writeable = False  # cached, so shared by every caller
+    return resistors, records
 
 
 def low_high_resistors(net: NetworkConfig) -> tuple[float, float]:
@@ -100,7 +121,8 @@ class PeriodBlock:
 
     ``alice_high``/``bob_high`` are the ``(K,)`` resistor picks (True for
     the high resistor).  Sample arrays are ``(K, n)``: the instantaneous end
-    currents and shunt-node voltage, one row per period.
+    currents and shunt-node voltage, one row per period; ``v_node`` is None
+    unless the block was asked for it (only the trace CSV reads it).
     ``measurement_stride`` is how many samples apart independent attack
     readings sit (1 in independent mode, the oversampling factor in
     waveform mode).
@@ -110,7 +132,7 @@ class PeriodBlock:
     bob_high: np.ndarray
     i_alice: np.ndarray
     i_bob: np.ndarray
-    v_node: np.ndarray
+    v_node: Optional[np.ndarray]
     measurement_stride: int = 1
 
     @property
@@ -137,7 +159,7 @@ class PeriodBlock:
             self.bob_high[index],
             self.i_alice[index],
             self.i_bob[index],
-            self.v_node[index],
+            None if self.v_node is None else self.v_node[index],
             self.measurement_stride,
         )
 
@@ -171,14 +193,16 @@ def run_periods(
     noise: NoiseSpec,
     n_samples: int,
     rng: np.random.Generator,
+    node: bool = False,
 ) -> PeriodBlock:
     """Simulate one block of periods with the given picks, drawing all noise from ``rng``.
 
     Alice's noise for every row is drawn first, then Bob's.  Source
     voltages sit at the Johnson RMS of each party's connected resistor.
     The pad elements are treated as noiseless: their physical temperature
-    is negligible against the generators' effective one.  The nodal solve
-    runs once over the whole block, with each row's end resistors.
+    is negligible against the generators' effective one.  Every row is
+    solved with its own end resistors; the block carries the node voltage
+    only with ``node``.
     """
     r_low, r_high = low_high_resistors(net)
     rows = int(alice_high.size)
@@ -190,10 +214,19 @@ def run_periods(
         u_b = band_limited_stream(rng, noise, rows, n_samples)
     r_a = np.where(alice_high, r_high, r_low)[:, None]
     r_b = np.where(bob_high, r_high, r_low)[:, None]
-    u_a *= johnson_rms(r_a, noise)
-    u_b *= johnson_rms(r_b, noise)
-    i_a, i_b, v = solve_network(u_a, u_b, r_a, r_b, net.pad, overwrite_sources=True)
-    return PeriodBlock(alice_high, bob_high, i_a, i_b, v, noise.measurement_stride)
+    # the draws become the currents, CHUNK_SAMPLES samples at a time, so the
+    # solve of a long period needs no full-length array beyond the two draws
+    shared = net.r_shunt is None
+    v = np.empty_like(u_a) if node else None
+    for start in range(0, n_samples, CHUNK_SAMPLES):
+        samples = np.s_[:, start : start + CHUNK_SAMPLES]
+        i_a, i_b, v_part = solve_network(u_a[samples], u_b[samples], r_a, r_b, net.pad, noise, node=node)
+        u_a[samples] = i_a
+        if not shared:
+            u_b[samples] = i_b
+        if node:
+            v[samples] = v_part
+    return PeriodBlock(alice_high, bob_high, u_a, u_a if shared else u_b, v, noise.measurement_stride)
 
 
 def iter_period_blocks(
@@ -203,6 +236,7 @@ def iter_period_blocks(
     n_samples: int,
     master_seed: int,
     per_chunk: Callable[[PeriodBlock], object],
+    node: bool = False,
 ) -> Iterator:
     """Yield ``per_chunk`` of each chunk of ``n_bits`` seeded periods, in chunk order.
 
@@ -211,7 +245,8 @@ def iter_period_blocks(
     shorter).  Its stream ``(master_seed, c)`` draws the ``(K, 2)`` fair
     resistor picks first, then the noise, so every chunk can be produced on
     its own and the result depends only on the seed and the config, never
-    on the machine or the worker layout.
+    on the machine or the worker layout.  The blocks carry the node voltage
+    only with ``node``.
 
     ``per_chunk`` runs on the thread that computed the chunk's block.
     Chunks of at least ``POOL_MIN_SAMPLES`` samples run on a pool of
@@ -226,7 +261,7 @@ def iter_period_blocks(
     def chunk(c: int):
         rng = SeededStream(master_seed, c).generator()
         picks = rng.integers(0, 2, size=(min(k, n_bits - firsts[c]), 2)).astype(bool)
-        return per_chunk(run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng))
+        return per_chunk(run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node))
 
     workers = min(available_workers(), POOL_MAX_WORKERS, len(firsts))
     if workers < 2 or k * n_samples < POOL_MIN_SAMPLES:

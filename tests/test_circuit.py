@@ -1,8 +1,10 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kljnsim.circuit import (
@@ -12,7 +14,9 @@ from kljnsim.circuit import (
     design_tee_pad,
     NoiseSpec,
     parallel_resistance,
+    transfer,
 )
+from kljnsim.noise import johnson_rms
 from kljnsim.protocol import solve_network
 
 NOISE = NoiseSpec()  # normalized: 4kTB = 1
@@ -169,22 +173,17 @@ class TestSolveNetwork:
         i_a, i_b, _ = solve(u_a, u_b, LOSSLESS)
         assert i_a == i_b
 
-    @pytest.mark.parametrize(
-        "pad, overwrite",
-        [(None, False), (AttenuatorConfig(2.9, None), False), (None, True), (AttenuatorConfig(2.9, None), True)],
-        ids=["no-pad", "series-only", "no-pad-overwrite", "series-only-overwrite"],
-    )
-    def test_single_loop_returns_one_array_for_both_ends(self, pad, overwrite):
+    @pytest.mark.parametrize("pad", [None, AttenuatorConfig(2.9, None)], ids=["no-pad", "series-only"])
+    def test_single_loop_returns_one_array_for_both_ends(self, pad):
         # the trace CSV writer converts the current to text once when both ends share it
         u = np.random.default_rng(5).standard_normal((2, 3, 4))
-        i_a, i_b, v = solve_network(u[0], u[1], 1000.0, 10000.0, pad, overwrite_sources=overwrite)
+        i_a, i_b, v = solve_network(u[0], u[1], 1000.0, 10000.0, pad)
         assert i_a is i_b
         assert v is not i_a
 
-    @pytest.mark.parametrize("overwrite", [False, True])
-    def test_shunt_returns_distinct_arrays(self, overwrite):
+    def test_shunt_returns_distinct_arrays(self):
         u = np.random.default_rng(5).standard_normal((2, 3, 4))
-        i_a, i_b, v = solve_network(u[0], u[1], 1000.0, 10000.0, GAA.pad, overwrite_sources=overwrite)
+        i_a, i_b, v = solve_network(u[0], u[1], 1000.0, 10000.0, GAA.pad)
         assert len({id(i_a), id(i_b), id(v)}) == 3
         assert not np.array_equal(i_a, i_b)
 
@@ -210,6 +209,84 @@ class TestSolveNetwork:
         for k in range(3):
             row = solve_network(u[0][k], u[1][k], float(r_a[k, 0]), float(r_b[k, 0]), pad)
             assert all(np.array_equal(x[k], y) for x, y in zip((i_a, i_b, v), row))
+
+
+def exact_solve(u_alice, u_bob, r_alice, r_bob, pad):
+    """Nodal solve in exact rational arithmetic: ``(i_alice, i_bob, v_node)`` and each one's two source terms."""
+    r_series = Fraction(pad.r_series) if pad is not None else Fraction(0)
+    ra, rb = Fraction(r_alice) + r_series, Fraction(r_bob) + r_series
+    r_shunt = pad.r_shunt if pad is not None else None
+
+    def solve(ua, ub):
+        if r_shunt is None:
+            i = (ua - ub) / (ra + rb)
+            return i, i, ua - i * ra
+        v = (ua / ra + ub / rb) / (1 / ra + 1 / rb + 1 / Fraction(r_shunt))
+        return (ua - v) / ra, (v - ub) / rb, v
+
+    ua, ub = Fraction(u_alice), Fraction(u_bob)
+    return solve(ua, ub), solve(ua, Fraction(0)), solve(Fraction(0), ub)
+
+
+def log_uniform(low_exponent, high_exponent):
+    return st.floats(low_exponent, high_exponent).map(lambda e: 10.0**e)
+
+
+# r_bob sits about 1e287 below the shunt, where a nodal solve that takes
+# i_a = (u_a - v)/r_a cancels catastrophically
+FAR_BELOW_SHUNT = NetworkConfig(1e53, 1e-287, AttenuatorConfig(0.0, 1.0))
+
+
+class TestTransferRecord:
+    """``solve_network`` against an exact nodal solve, over every network the config accepts."""
+
+    @given(
+        r_alice=log_uniform(-300, 300),
+        r_bob=log_uniform(-300, 300),
+        r_shunt=st.none() | log_uniform(-300, 300),
+        r_series=st.just(0.0) | log_uniform(-300, 300),
+        z=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+        normalized=st.booleans(),
+    )
+    # the network FAR_BELOW_SHUNT, with unit draws and with voltages
+    @example(r_alice=1e53, r_bob=1e-287, r_shunt=1.0, r_series=0.0, z=[1.5, -0.5], normalized=True)
+    @example(r_alice=1e53, r_bob=1e-287, r_shunt=1.0, r_series=0.0, z=[-0.75, 2.0], normalized=False)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_exact_nodal_solve(self, r_alice, r_bob, r_shunt, r_series, z, normalized):
+        # each result sits within 2 eps of the sum of its two exact source
+        # terms' magnitudes (one rounding each for a coefficient, a product and
+        # the sum), plus 16 of the smallest subnormal; the engine solves every
+        # orientation of the pair
+        pad = None if r_shunt is None and r_series == 0.0 else AttenuatorConfig(r_series, r_shunt)
+        net = NetworkConfig(r_alice, r_bob, pad)
+        assume(r_alice != r_bob)
+        try:
+            analytic_mean_square_currents(net, NOISE)
+        except ValueError:
+            assume(False)  # the config rejects the network
+        r_low, r_high = sorted((r_alice, r_bob))
+        for ra, rb in ((r_low, r_low), (r_low, r_high), (r_high, r_low), (r_high, r_high)):
+            if normalized:  # unit draws, each source's RMS folded into the record
+                rms = johnson_rms(ra, NOISE), johnson_rms(rb, NOISE)
+                got = solve_network(z[0], z[1], ra, rb, pad, NOISE)
+            else:  # the draws are the source voltages
+                rms = 1.0, 1.0
+                got = solve_network(z[0], z[1], ra, rb, pad)
+            u = [Fraction(x) * Fraction(float(s)) for x, s in zip(z, rms)]
+            exact, from_a, from_b = exact_solve(*u, ra, rb, pad)
+            assume(all(abs(x) < sys.float_info.max for x in (*from_a, *from_b)))
+            for computed, value, term_a, term_b in zip(got, exact, from_a, from_b):
+                bound = 2 * Fraction(sys.float_info.epsilon) * (abs(term_a) + abs(term_b)) + 16 * Fraction(math.ulp(0.0))
+                assert abs(Fraction(float(computed)) - value) <= bound, (ra, rb, float(value), float(computed))
+
+    @pytest.mark.parametrize(
+        "net", [GAA, GAA_NO_SERIES, LOSSLESS, FAR_BELOW_SHUNT], ids=["gaa", "no-series", "lossless", "far-below-shunt"]
+    )
+    def test_coefficients_are_the_unit_responses(self, net):
+        # T's columns are the solve of a unit source at one end
+        aa, ab, ba, bb, na, nb = transfer(net.r_alice, net.r_bob, net.pad)
+        assert solve(1.0, 0.0, net) == (aa, ba, na)
+        assert solve(0.0, 1.0, net) == (ab, bb, nb)
 
 
 def _pad_residuals(pad: AttenuatorConfig, z0: float, loss_db: float) -> tuple[float, float]:

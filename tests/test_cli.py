@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -12,6 +13,10 @@ from kljnsim import cli, montecarlo, protocol
 from kljnsim.cli import main
 from kljnsim.config import resolve_config
 from kljnsim.protocol import iter_period_blocks
+
+
+# end resistors 1e53 and 1e-287 Ohm around a 1 Ohm shunt
+FAR_BELOW_SHUNT = {"r_alice": 1e53, "r_bob": 1e-287, "pad": {"r_series": 0, "r_shunt": 1}}
 
 
 def run_cli(argv, capsys):
@@ -250,7 +255,7 @@ class TestSimulate:
         writer = csv.writer(expected)
         writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
         period = 0
-        for block in iter_period_blocks(bits, cfg.network, cfg.noise, samples, 3, lambda block: block):
+        for block in iter_period_blocks(bits, cfg.network, cfg.noise, samples, 3, lambda block: block, True):
             for r in range(block.n_periods):
                 for k in range(block.n_samples):
                     writer.writerow(
@@ -513,6 +518,23 @@ class TestSimulate:
         assert empirical["mean_square_low_end"] is None
         assert empirical["ratio"] is None
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_end_resistances_far_below_the_shunt(self, tmp_path, capsys, seed):
+        # r_bob sits about 1e287 below the shunt; a nodal solve that takes
+        # i_a = (u_a - v)/r_a cancels there and once gave a low-end mean square
+        # of 1e255 where the closed form gives 1e-53
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"network": FAR_BELOW_SHUNT}))
+        code, out, _ = run_cli(["simulate", "--config", str(config), "--seed", str(seed), "--bits", "200"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        moments, empirical = report["analytic"]["moments"], report["empirical"]
+        n = empirical["n_secure_samples"]
+        # Bob holds the low resistor; a mean square of n normal samples has SE s*sqrt(2/n)
+        for end, expected in (("low", moments["ms_bob"]), ("high", moments["ms_alice"])):
+            assert empirical[f"mean_square_{end}_end"] == pytest.approx(expected, rel=3 * math.sqrt(2 / n))
+
     def test_waveform_mode_runs(self, capsys):
         code, out, _ = run_cli(
             [
@@ -639,6 +661,10 @@ class TestNoNumpyWarning:
             normalized["alarm"]["mean_rel_difference_secure"], rel=1e-12
         )
 
+    def test_end_resistances_far_below_the_shunt(self, tmp_path, capsys):
+        # the workflow's found.json run; TestSimulate checks its mean squares
+        assert self.simulate(tmp_path, capsys, {"network": FAR_BELOW_SHUNT}, 200, 100)["n_secure"] > 0
+
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     @pytest.mark.parametrize(
         "network",
@@ -647,7 +673,7 @@ class TestNoNumpyWarning:
     )
     def test_loop_resistance_that_overflows_exits_one(self, tmp_path, capsys, network, command):
         # finite moments, but the loop of a period with both high resistors,
-        # 2*(r_high + r_series), overflows in the engine's nodal solve
+        # 2*(r_high + r_series), overflows double precision
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"network": network}))
         args = [command, "--config", str(config)] + (["--bits", "20"] if command == "simulate" else [])

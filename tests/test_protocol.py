@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kljnsim.attack import row_verdicts
 from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
 from kljnsim.config import PRESETS, AlarmPolicy, resolve_config
-from kljnsim.noise import SeededStream, johnson_rms
+from kljnsim.noise import SeededStream
 from kljnsim.protocol import (
     CHUNK_SAMPLES,
     PeriodBlock,
@@ -28,11 +28,11 @@ SERIES_ONLY = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, None))
 PICKS = {"LL": (False, False), "LH": (False, True), "HL": (True, False), "HH": (True, True)}
 
 
-def one_period(net, n_samples, seed=0, period=0, noise=NOISE, state="LH"):
+def one_period(net, n_samples, seed=0, period=0, noise=NOISE, state="LH", node=False):
     """A one-row block with fixed picks, drawn from stream (seed, period)."""
     a, b = PICKS[state]
     rng = SeededStream(seed, period).generator()
-    return run_periods(np.array([a]), np.array([b]), net, noise, n_samples, rng)
+    return run_periods(np.array([a]), np.array([b]), net, noise, n_samples, rng, node)
 
 
 class TestClassifyState:
@@ -85,7 +85,7 @@ class TestRunBitPeriod:
         assert np.array_equal(block.i_alice, block.i_bob)
 
     def test_one_sample_boundary(self):
-        block = one_period(GAA, 1)
+        block = one_period(GAA, 1, node=True)
         assert block.n_samples == 1
         assert block.i_alice.shape == block.i_bob.shape == block.v_node.shape == (1, 1)
         assert block.i_alice[0, 0] != block.i_bob[0, 0]
@@ -96,8 +96,8 @@ class TestRunBitPeriod:
         assert ratio == pytest.approx(4.95, rel=0.02)
 
     def test_deterministic(self):
-        a = one_period(GAA, 256, seed=9, period=4)
-        b = one_period(GAA, 256, seed=9, period=4)
+        a = one_period(GAA, 256, seed=9, period=4, node=True)
+        b = one_period(GAA, 256, seed=9, period=4, node=True)
         assert np.array_equal(a.i_alice, b.i_alice)
         assert np.array_equal(a.v_node, b.v_node)
 
@@ -139,19 +139,17 @@ class TestRunBitPeriod:
         ids=["four-states", "one-state"],
     )
     def test_block_matches_row_by_row_solve(self, net, alice_high, bob_high):
-        # the block solves once with per-row resistors; every row must equal
-        # the solve of its own scaled noise with its own resistors
+        # the block solves with per-row resistors; every row must equal the
+        # solve of its own noise with its own resistors
         alice_high, bob_high = np.array(alice_high), np.array(bob_high)
         k = alice_high.size
-        block = run_periods(alice_high, bob_high, net, NOISE, 32, SeededStream(5, 0).generator())
+        block = run_periods(alice_high, bob_high, net, NOISE, 32, SeededStream(5, 0).generator(), node=True)
         rng = SeededStream(5, 0).generator()
         u_a, u_b = rng.standard_normal((k, 32)), rng.standard_normal((k, 32))
         for r in range(k):
             r_a = 10000.0 if alice_high[r] else 1000.0
             r_b = 10000.0 if bob_high[r] else 1000.0
-            i_a, i_b, v = solve_network(
-                johnson_rms(r_a, NOISE) * u_a[r], johnson_rms(r_b, NOISE) * u_b[r], r_a, r_b, net.pad
-            )
+            i_a, i_b, v = solve_network(u_a[r], u_b[r], r_a, r_b, net.pad, NOISE)
             assert np.array_equal(block.i_alice[r], i_a)
             assert np.array_equal(block.i_bob[r], i_b)
             assert np.array_equal(block.v_node[r], v)

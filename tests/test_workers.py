@@ -142,7 +142,7 @@ def test_chunk_errors_reach_the_caller(monkeypatch):
 def test_pool_blocks_match_inline_blocks(monkeypatch):
     monkeypatch.setattr(protocol, "POOL_MIN_SAMPLES", 0)
     cfg = config("gaa-1db", 5, 3000, "waveform")
-    args = (5, cfg.network, cfg.noise, 3000, 4, lambda block: block)
+    args = (5, cfg.network, cfg.noise, 3000, 4, lambda block: block, True)
     use_threads(monkeypatch, 1)
     inline_blocks = list(iter_period_blocks(*args))
     use_threads(monkeypatch, 3)
