@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kljnsim import noise
 from kljnsim.circuit import NORMALIZED, NoiseSpec
 from kljnsim.noise import (
     SeededStream,
@@ -13,6 +16,7 @@ from kljnsim.noise import (
     johnson_rms,
     lowpass_kernel,
 )
+from kljnsim.protocol import CHUNK_SAMPLES
 
 WAVE = NoiseSpec(mode="waveform", oversample=8)
 
@@ -137,12 +141,19 @@ class TestBandLimitedStream:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_rows_filtered_separately(self, rows):
-        # one draw of white noise for all rows, then each row on its own
-        h = lowpass_kernel(WAVE.oversample)
-        out = band_limited_stream(gen(3, 0), WAVE, rows, 100)
-        white = gen(3, 0).standard_normal((rows, 100 + h.size - 1))
-        for r in range(rows):
-            assert np.array_equal(out[r], np.convolve(white[r], h, mode="valid"))
+        # one draw of white noise for all rows, then each row on its own,
+        # equal bit for bit to np.convolve with the public kernel although
+        # the filter reads the taps from the cached reversed copy
+        for oversample in (2, 3, 8, 16):
+            spec = NoiseSpec(mode="waveform", oversample=oversample)
+            h = lowpass_kernel(oversample)
+            for n in (1, 100, 777, CHUNK_SAMPLES + 1, 40_000):
+                out = band_limited_stream(gen(3, n), spec, rows, n)
+                white = gen(3, n).standard_normal((rows, n + h.size - 1))
+                assert out.shape == (rows, n)
+                for r in range(rows):
+                    assert np.array_equal(out[r], np.convolve(white[r], h, mode="valid"))
+                assert not np.shares_memory(out, noise._reversed_kernel(oversample))
 
 
 class TestLowpassKernel:
@@ -162,3 +173,48 @@ class TestLowpassKernel:
             h = lowpass_kernel(oversample)
             rho = float(np.sum(h[:-oversample] * h[oversample:]))
             assert abs(rho) < 0.05
+
+
+class TestReversedKernel:
+    def test_built_once_per_oversample(self):
+        noise._reversed_kernel.cache_clear()
+        first = {o: noise._reversed_kernel(o) for o in (2, 8)}
+        for o in (8, 2, 8):
+            assert noise._reversed_kernel(o) is first[o]
+        assert noise._reversed_kernel.cache_info().misses == 2
+
+    @pytest.mark.parametrize("oversample", [2, 3, 8, 16])
+    def test_cache_line_aligned_and_reversed(self, oversample):
+        # np.convolve(a, rev[::-1]) reverses the buffer back onto itself, so
+        # numpy's C correlate reads it in place, from a 64-byte boundary
+        rev = noise._reversed_kernel(oversample)
+        assert rev.ctypes.data % 64 == 0
+        assert rev.flags.c_contiguous and rev.flags.writeable
+        assert np.array_equal(rev, lowpass_kernel(oversample)[::-1])
+
+    def test_first_build_on_many_threads_at_once(self):
+        # more threads than CPUs race to build both caches; each filters with
+        # whichever equal kernel it got, so every output is the same
+        spec = NoiseSpec(mode="waveform", oversample=4)
+        expected = band_limited_stream(gen(8, 0), spec, 2, 3000)
+        noise.lowpass_kernel.cache_clear()
+        noise._reversed_kernel.cache_clear()
+        outputs = [None] * 8
+
+        def filter_into(i):
+            outputs[i] = band_limited_stream(gen(8, 0), spec, 2, 3000)
+
+        threads = [threading.Thread(target=filter_into, args=(i,)) for i in range(len(outputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in outputs:
+            assert np.array_equal(out, expected)
+        assert noise._reversed_kernel(4).ctypes.data % 64 == 0

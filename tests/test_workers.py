@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from kljnsim import protocol
+from kljnsim import noise, protocol
 from kljnsim.config import resolve_config
 from kljnsim.protocol import POOL_MIN_SAMPLES, iter_period_blocks
 from kljnsim.reporting import build_report, report_json
@@ -149,6 +149,20 @@ def test_pool_blocks_match_inline_blocks(monkeypatch):
     for inline, pooled in zip(inline_blocks, iter_period_blocks(*args), strict=True):
         for name in ("alice_high", "bob_high", "i_alice", "i_bob", "v_node"):
             assert np.array_equal(getattr(inline, name), getattr(pooled, name))
+
+
+def test_kernels_first_built_on_pool_threads(monkeypatch, pools):
+    # two chunks of 40000 samples go to two pool threads, which both find the
+    # kernel caches empty and may build them at the same time
+    cfg = config("gaa-1db", 2, 40_000, "waveform", seed=17)
+    use_threads(monkeypatch, 1)
+    inline = run(cfg, csv=True)
+    noise.lowpass_kernel.cache_clear()
+    noise._reversed_kernel.cache_clear()
+    use_threads(monkeypatch, 2)
+    assert run(cfg, csv=True) == inline
+    assert pools == [2]
+    assert noise._reversed_kernel.cache_info().currsize == 1
 
 
 def test_short_runs_do_not_import_the_pool():
