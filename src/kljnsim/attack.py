@@ -12,12 +12,11 @@ intervals are kept by :mod:`kljnsim.montecarlo`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import PeriodBlock, unit_scaled_rows
+from .protocol import PeriodBlock
 from .stats import EveCalibration
 
 
@@ -40,39 +39,19 @@ class RowVerdicts:
     guess: np.ndarray
 
 
-def _scaled_squares(ia: np.ndarray, ib: np.ndarray, norm_constant: float) -> np.ndarray:
-    """The stacked ``(2, rows, m)`` readings ``ia**2 * norm_constant`` and ``ib**2 * norm_constant``.
-
-    A square can overflow although its scaled reading is finite (currents
-    near 1e154 with a norm constant near 1e-308).  Such readings are
-    computed again on their row's currents scaled by one power of two, with
-    ``norm_constant`` scaled by that factor's inverse square; every reading
-    that came out finite is kept as it is.
-    """
-    x = np.empty((2, *ia.shape))
-    with np.errstate(over="ignore"):
-        np.multiply(ia, ia, out=x[0])
-        np.multiply(ib, ib, out=x[1])
-        x *= norm_constant
-        if math.isinf(x.max(initial=0.0)):  # readings are >= 0, so only an overflow makes it inf
-            overflowed = np.isinf(x)
-            redo = np.flatnonzero(overflowed.any(axis=(0, 2)))
-            sa, sb, exponent = unit_scaled_rows(ia[redo], ib[redo])
-            norm = np.ldexp(norm_constant, 2 * exponent)[:, None]
-            again = np.stack((sa * sa * norm, sb * sb * norm))
-            x[:, redo] = np.where(overflowed[:, redo], again, x[:, redo])
-    return x
-
-
 def row_verdicts(block: PeriodBlock, cal: EveCalibration, budget: int) -> RowVerdicts:
     """Threshold verdicts for every reading of every row, reduced per row.
 
     A reading answers when exactly one end's scaled square exceeds the
     threshold: that end holds the low resistor.  Readings equal to the
-    threshold answer nothing.
+    threshold answer nothing.  Currents in a unit of 2**-m need the norm
+    constant times 4**-m.
     """
     stride = block.measurement_stride
-    xa, xb = _scaled_squares(block.i_alice[:, ::stride], block.i_bob[:, ::stride], cal.norm_constant)
+    x = np.stack((block.i_alice[:, ::stride], block.i_bob[:, ::stride]))
+    x *= x
+    x *= cal.norm_constant
+    xa, xb = x
     t = cal.threshold
     alice_low = (xa > t) & (xb < t)
     bob_low = (xb > t) & (xa < t)

@@ -11,7 +11,8 @@ two source voltages to the two end currents and the shunt-node voltage,
 series elements kept.  A network's record is :func:`transfer` at each of
 its four connections (LL, LH, HL, HH), and it is the one circuit rule of
 the Monte Carlo engine, whose solve
-(:func:`kljnsim.protocol.solve_network`) applies it to the sampled sources.
+(:func:`kljnsim.protocol.solve_network`) applies it to the sampled sources,
+and it sets the engine's one current unit per run (:func:`current_exponent`).
 The closed-form mean-square currents neglect the small series elements
 (they are tiny against the loop resistances), which lets tests measure the
 size of that approximation.  The loop is driven by the two parties'
@@ -156,7 +157,7 @@ def _nearest(numerator: int, denominator: int) -> float:
     try:
         return numerator / denominator
     except OverflowError:
-        return math.copysign(math.inf, numerator)
+        return math.inf if numerator > 0 else -math.inf
 
 
 def transfer(
@@ -193,6 +194,37 @@ def transfer(
     return tuple(_nearest(n, d) for n in currents) + tuple(_nearest(n, d << 1074) for n in nodes)
 
 
+# Each scale of current_exponent lands in [2**-(_HEADROOM + 1), 2**_HEADROOM) in the unit: 2**40
+# squares of an 8-sigma current then sum below 2**1021, and the smallest variance is normal.
+_HEADROOM = 487
+
+
+def current_exponent(net: NetworkConfig, noise: NoiseSpec) -> int:
+    """The exponent ``m`` of the Monte Carlo engine's current unit: it computes every current times 2**m.
+
+    An end's current scale in one connection of end resistors (LL, LH, HL
+    or HH) is the larger magnitude of its two coefficients in that transfer
+    record, source RMS folded in; ``m`` centres the eight scales on 1.
+    Raises ``ValueError`` naming the network and the noise when a scale is
+    not a finite normal double (a subnormal record holds too few bits), or
+    the scales span more than 2**(2*_HEADROOM), which no one unit holds.
+    """
+    values = sorted({net.r_alice, net.r_bob})
+    rms = [math.sqrt(noise.unit_scale * r) for r in values]
+    records = [transfer(a, b, net.pad, sa, sb) for a, sa in zip(values, rms) for b, sb in zip(values, rms)]
+    scales = [max(abs(x), abs(y)) for aa, ab, ba, bb, _, _ in records for x, y in ((aa, ab), (ba, bb))]
+    low, high = min(scales), max(scales)
+    e_low, e_high = math.frexp(low)[1], math.frexp(high)[1]
+    if 2.0**-1022 <= low and high < math.inf and e_high - e_low <= 2 * _HEADROOM:
+        return -((e_high + e_low) // 2)
+    raise ValueError(
+        f"network (r_alice={net.r_alice!r}, r_bob={net.r_bob!r}, r_series={net.r_series!r}, "
+        f"r_shunt={net.r_shunt!r}) with noise (t_eff={noise.t_eff!r}, bandwidth={noise.bandwidth!r}) gives "
+        f"end-current scales from {low!r} to {high!r} over the connections LL, LH, HL and HH; one current "
+        f"unit holds them only when they are finite, normal and within 2**{2 * _HEADROOM} of each other"
+    )
+
+
 def _normalized_moments(net: NetworkConfig) -> tuple[float, float]:
     """Mean-square end currents per unit 4kTB, series elements neglected; NaN where they do not compute."""
     ra, rb, r2 = net.r_alice, net.r_bob, net.r_shunt
@@ -226,7 +258,8 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
     the reciprocal of the smaller scaled moment (Eve's normalization),
     either source's variance 4kT_eff*B*R (what the samples are drawn with)
     or the largest loop resistance 2*(max(r_alice, r_bob) + r_series) is not
-    a finite positive float.
+    a finite positive float, or no one current unit holds the network
+    (:func:`current_exponent`).
     """
     fa, fb = _normalized_moments(net)
     scale = noise.unit_scale
@@ -242,6 +275,7 @@ def analytic_mean_square_currents(net: NetworkConfig, noise: NoiseSpec) -> Curre
             f"smaller, the source variances {var_alice!r} and {var_bob!r} and the loop resistance "
             f"2*(max(r_alice, r_bob) + r_series) = {loop!r} must be finite and > 0 in double precision"
         )
+    current_exponent(net, noise)
     return CurrentMoments(ms_alice=ms_alice, ms_bob=ms_bob, ratio=max(fa, fb) / min(fa, fb))
 
 

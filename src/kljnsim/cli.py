@@ -190,7 +190,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # any output is opened, so an engine that fails to import leaves no file.
     # numpy.random is not part of it: numpy loads that submodule lazily, at the
     # first SeededStream.generator() inside build_report, so the pass pays for
-    # that import (about 12-17 ms).
+    # that import, about 20 ms: a first flagship build_report took 80-86 ms and
+    # later ones in the same process 59-64 ms (2-CPU x86 VM, numpy 2.4.6).
     try:
         from . import montecarlo  # noqa: F401
     except ImportError as exc:

@@ -13,12 +13,13 @@ into the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, TextIO
 
 import numpy as np
 
 from .attack import row_verdicts
+from .circuit import current_exponent
 from .config import ExperimentConfig
 from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, iter_period_blocks
 from .stats import Z99, EveCalibration, calibrate, ratio_or_nan, wilson_ci
@@ -107,7 +108,8 @@ class EmpiricalTotals:
     reading is a trial, ``n_correct`` counts the periods whose first answer
     within the budget names the key bit, and ``measurements_hist[k]`` counts
     the periods first answered at reading ``k`` (1-based), so it has one
-    entry more than the budget of readings.
+    entry more than the budget of readings.  Sums of squares are in the
+    pass's current unit.
     """
 
     measurements_hist: np.ndarray
@@ -171,12 +173,11 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
     key_bit = sec.alice_high  # 1 when Alice holds the high resistor (HL)
     success = np.where(key_bit, v.n_bob_low, v.n_alice_low)
     error = np.where(key_bit, v.n_alice_low, v.n_bob_low)
-    with np.errstate(over="ignore"):  # a sum that overflows is inf, which the report writes as null
-        sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
-        sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
-        # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
-        low_end_sq_sum = float(np.where(key_bit, sq_b, sq_a).sum())
-        high_end_sq_sum = float(np.where(key_bit, sq_a, sq_b).sum())
+    sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
+    sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
+    # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
+    low_end_sq_sum = float(np.where(key_bit, sq_b, sq_a).sum())
+    high_end_sq_sum = float(np.where(key_bit, sq_a, sq_b).sum())
     return EmpiricalTotals(
         np.bincount(v.first_answer[v.first_answer >= 0] + 1, minlength=max_measurements + 1),
         n_bits=block.n_periods,
@@ -198,9 +199,14 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
     Each chunk is reduced to its totals on the thread that computed it (see
     :func:`iter_period_blocks` for when that is a pool thread); this thread
     merges them and writes the CSV header, then the rows in chunk order, so
-    the thread layout cannot change a bit of the result.
+    the thread layout cannot change a bit of the result.  Currents are in
+    one unit of 2**-m amperes (:func:`~kljnsim.circuit.current_exponent`):
+    Eve's norm constant is scaled by 4**-m, the trace CSV's currents by 2**-m.
     """
+    m = current_exponent(cfg.network, cfg.noise)
     cal = calibrate(cfg.network, cfg.noise)
+    # times 4**-m in two steps, exact where normal, so no OverflowError
+    cal = replace(cal, norm_constant=cal.norm_constant / 2.0**m / 2.0**m)
     keep_block = trace is not None
     # no first answer lands past the readings a period holds, so a larger budget acts as that many
     budget = min(cfg.max_measurements, -(-cfg.samples_per_bit // cfg.noise.measurement_stride))
@@ -212,13 +218,18 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
         totals.n_alarms = int(np.count_nonzero(alarm.triggered))
         totals.n_alarms_secure = int(np.count_nonzero(alarm.triggered & secure))
         totals.rel_difference_sum = float(alarm.rel_difference[secure].sum())
-        return totals, block if keep_block else None
+        if not keep_block:
+            return totals, None
+        np.ldexp(block.i_alice, -m, out=block.i_alice)  # the trace CSV writes true units
+        if block.i_bob is not block.i_alice:  # without a shunt one array holds both ends
+            np.ldexp(block.i_bob, -m, out=block.i_bob)
+        return totals, block
 
     totals = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64))
     if keep_block:
         trace.write(_TRACE_HEADER)
     chunks = iter_period_blocks(
-        cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk, keep_block
+        cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk, keep_block, m
     )
     for part, block in chunks:
         if block is not None:

@@ -27,7 +27,6 @@ bit-identical at any worker count.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -58,19 +57,16 @@ def solve_network(
     trace CSV writer relies on it to convert that current to text once.
     With a shunt the currents are distinct arrays.
     """
-    aa, ab, ba, bb, na, nb = _coefficients(r_alice, r_bob, pad, noise)
-    i_a = u_alice * aa
-    i_a += u_bob * ab
-    if pad is None or pad.r_shunt is None:
-        i_b = i_a
-    else:
-        i_b = u_alice * ba
-        i_b += u_bob * bb
-    if not node:
-        return i_a, i_b, None
-    v = u_alice * na
-    v += u_bob * nb
-    return i_a, i_b, v
+    shared = pad is None or pad.r_shunt is None
+    return _solve(u_alice, u_bob, _coefficients(r_alice, r_bob, pad, noise), shared, node)
+
+
+def _solve(u_alice, u_bob, coefficients, shared: bool, node: bool):
+    """:func:`solve_network` by the six coefficient arrays of the transfer records; ``i_b is i_a`` when ``shared``."""
+    aa, ab, ba, bb, na, nb = coefficients
+    i_a = u_alice * aa + u_bob * ab
+    i_b = i_a if shared else u_alice * ba + u_bob * bb
+    return i_a, i_b, u_alice * na + u_bob * nb if node else None
 
 
 def _coefficients(r_alice, r_bob, pad: AttenuatorConfig | None, noise: NoiseSpec | None) -> np.ndarray:
@@ -194,6 +190,7 @@ def run_periods(
     n_samples: int,
     rng: np.random.Generator,
     node: bool = False,
+    exponent: int = 0,
 ) -> PeriodBlock:
     """Simulate one block of periods with the given picks, drawing all noise from ``rng``.
 
@@ -201,8 +198,10 @@ def run_periods(
     voltages sit at the Johnson RMS of each party's connected resistor.
     The pad elements are treated as noiseless: their physical temperature
     is negligible against the generators' effective one.  Every row is
-    solved with its own end resistors; the block carries the node voltage
-    only with ``node``.
+    solved with the transfer record of its own end resistors, looked up
+    once per block, whose current coefficients are scaled by
+    ``2**exponent`` (the pass's unit); the block carries the node voltage,
+    unscaled, only with ``node``.
     """
     r_low, r_high = low_high_resistors(net)
     rows = int(alice_high.size)
@@ -212,15 +211,17 @@ def run_periods(
     else:
         u_a = band_limited_stream(rng, noise, rows, n_samples)
         u_b = band_limited_stream(rng, noise, rows, n_samples)
-    r_a = np.where(alice_high, r_high, r_low)[:, None]
-    r_b = np.where(bob_high, r_high, r_low)[:, None]
+    _, records = _records((r_low, r_high), net.pad, noise)
+    coefficients = records[alice_high.astype(np.intp), bob_high.astype(np.intp)]
+    np.ldexp(coefficients[:, :4], exponent, out=coefficients[:, :4])
+    coefficients = coefficients.T[:, :, None]  # six (rows, 1) columns
     # the draws become the currents, CHUNK_SAMPLES samples at a time, so the
     # solve of a long period needs no full-length array beyond the two draws
     shared = net.r_shunt is None
     v = np.empty_like(u_a) if node else None
     for start in range(0, n_samples, CHUNK_SAMPLES):
         samples = np.s_[:, start : start + CHUNK_SAMPLES]
-        i_a, i_b, v_part = solve_network(u_a[samples], u_b[samples], r_a, r_b, net.pad, noise, node=node)
+        i_a, i_b, v_part = _solve(u_a[samples], u_b[samples], coefficients, shared, node)
         u_a[samples] = i_a
         if not shared:
             u_b[samples] = i_b
@@ -237,6 +238,7 @@ def iter_period_blocks(
     master_seed: int,
     per_chunk: Callable[[PeriodBlock], object],
     node: bool = False,
+    exponent: int = 0,
 ) -> Iterator:
     """Yield ``per_chunk`` of each chunk of ``n_bits`` seeded periods, in chunk order.
 
@@ -246,7 +248,7 @@ def iter_period_blocks(
     resistor picks first, then the noise, so every chunk can be produced on
     its own and the result depends only on the seed and the config, never
     on the machine or the worker layout.  The blocks carry the node voltage
-    only with ``node``.
+    only with ``node``, and currents times ``2**exponent``.
 
     ``per_chunk`` runs on the thread that computed the chunk's block.
     Chunks of at least ``POOL_MIN_SAMPLES`` samples run on a pool of
@@ -261,7 +263,7 @@ def iter_period_blocks(
     def chunk(c: int):
         rng = SeededStream(master_seed, c).generator()
         picks = rng.integers(0, 2, size=(min(k, n_bits - firsts[c]), 2)).astype(bool)
-        return per_chunk(run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node))
+        return per_chunk(run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node, exponent))
 
     workers = min(available_workers(), POOL_MAX_WORKERS, len(firsts))
     if workers < 2 or k * n_samples < POOL_MIN_SAMPLES:
@@ -302,24 +304,32 @@ def _window_means(
     return out, c[:, stop - start]
 
 
-def _sweep(i_alice: np.ndarray, i_bob: np.ndarray, policy: AlarmPolicy) -> AlarmReport:
-    """The alarm of every row, windows compared ``CHUNK_SAMPLES`` at a time.
+def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
+    """Slide a window over each row's squared end currents and compare their means.
 
-    The sweep stops after the step in which its last row fired: a fired row
-    keeps the sample and difference of its firing window, so the later
-    windows change nothing it reports.
+    A row fires at the first window whose relative mean-square difference
+    exceeds the tolerance; every period holds at least one window (the
+    config requires ``samples_per_bit >= alarm.window``).  A true single
+    loop can never fire for any tolerance, because the two end currents are
+    one and the same current.  Windows are compared ``CHUNK_SAMPLES`` at a
+    time, so a long period needs no full-length work array, and the sweep
+    stops after the step in which its last row fired, so a period costs the
+    windows up to its first trigger.  A fired row keeps the sample and
+    difference of its firing window, so the reported fields are those of a
+    sweep over every window.  Relative differences are the same in any
+    current unit; in the pass's unit the running sums stay finite.
     """
     w = policy.window
-    n = i_alice.shape[1]
-    rows = np.arange(i_alice.shape[0])
+    n = block.n_samples
+    rows = np.arange(block.n_periods)
     triggered = np.zeros(rows.size, dtype=bool)
     first = np.full(rows.size, -1)
     rel_difference = np.full(rows.size, -np.inf)
     carry_a = carry_b = np.zeros(rows.size)
     for start in range(0, n - w + 1, CHUNK_SAMPLES):
         stop = min(start + CHUNK_SAMPLES, n - w + 1)
-        win_a, carry_a = _window_means(i_alice, w, start, stop, carry_a)
-        win_b, carry_b = _window_means(i_bob, w, start, stop, carry_b)
+        win_a, carry_a = _window_means(block.i_alice, w, start, stop, carry_a)
+        win_b, carry_b = _window_means(block.i_bob, w, start, stop, carry_b)
         rel = np.subtract(win_a, win_b)
         np.abs(rel, out=rel)
         peak = np.maximum(win_a, win_b, out=win_a)
@@ -335,44 +345,3 @@ def _sweep(i_alice: np.ndarray, i_bob: np.ndarray, policy: AlarmPolicy) -> Alarm
         if triggered.all():  # a fired row reads no later window
             break
     return AlarmReport(triggered=triggered, first_trigger_sample=first, rel_difference=rel_difference)
-
-
-def unit_scaled_rows(i_a: np.ndarray, i_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both ``(rows, m)`` current arrays times ``2**-e``, and ``e``, one exponent per row.
-
-    ``e`` puts each row's largest magnitude, over both arrays, in [0.5, 1),
-    so squares and their sums cannot overflow, and the scaling is exact.
-    """
-    _, exponent = np.frexp(np.maximum(np.abs(i_a).max(axis=1), np.abs(i_b).max(axis=1)))
-    scale = -exponent[:, None]
-    return np.ldexp(i_a, scale), np.ldexp(i_b, scale), exponent
-
-
-def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
-    """Slide a window over each row's squared end currents and compare their means.
-
-    A row fires at the first window whose relative mean-square difference
-    exceeds the tolerance; every period holds at least one window (the
-    config requires ``samples_per_bit >= alarm.window``).  A true single
-    loop can never fire for any tolerance, because the two end currents are
-    one and the same current.  Windows are compared ``CHUNK_SAMPLES`` at a
-    time, so a long period needs no full-length work array, and the sweep
-    stops once every row has fired, so a period costs the windows up to its
-    first trigger.  The reported fields are those of a sweep over every
-    window.
-
-    A running sum of squares never decreases, so once it overflows every
-    later window of its row is NaN.  A row that has not fired before that
-    is swept again on both currents scaled by one power of two, which
-    changes no relative difference.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = _sweep(block.i_alice, block.i_bob, policy)
-    if math.isnan(report.rel_difference.sum()):  # differences are at most 1, so only a NaN makes it NaN
-        redo = np.flatnonzero(np.isnan(report.rel_difference))
-        i_a, i_b, _ = unit_scaled_rows(block.i_alice[redo], block.i_bob[redo])
-        scaled = _sweep(i_a, i_b, policy)
-        report.triggered[redo] = scaled.triggered
-        report.first_trigger_sample[redo] = scaled.first_trigger_sample
-        report.rel_difference[redo] = scaled.rel_difference
-    return report

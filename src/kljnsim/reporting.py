@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from typing import Any, Optional, TextIO
 
 from . import __version__
-from .circuit import analytic_mean_square_currents
+from .circuit import analytic_mean_square_currents, current_exponent
 from .config import ExperimentConfig
 from .stats import Z99, analytic_attack_probabilities, calibrate, ratio_or_nan, wilson_ci
 
@@ -48,6 +48,9 @@ def empirical_section(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> 
 
     t = monte_carlo_pass(cfg, trace)
     n_secure_samples = t.n_secure * cfg.samples_per_bit
+    # sums of squares are in the pass's unit 2**-m: a mean square is divided by 4**m in two exact
+    # steps, after the sample count, so only one past the double range becomes inf (null)
+    unit = 2.0 ** current_exponent(cfg.network, cfg.noise)
     return {
         "n_bits": t.n_bits,
         "n_secure": t.n_secure,
@@ -55,8 +58,8 @@ def empirical_section(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> 
         "secure_fraction_ci99": list(wilson_ci(t.n_secure, t.n_bits, Z99)),
         "n_secure_samples": n_secure_samples,
         "ratio": ratio_or_nan(t.low_end_sq_sum, t.high_end_sq_sum),
-        "mean_square_low_end": ratio_or_nan(t.low_end_sq_sum, n_secure_samples),
-        "mean_square_high_end": ratio_or_nan(t.high_end_sq_sum, n_secure_samples),
+        "mean_square_low_end": ratio_or_nan(t.low_end_sq_sum, n_secure_samples) / unit / unit,
+        "mean_square_high_end": ratio_or_nan(t.high_end_sq_sum, n_secure_samples) / unit / unit,
         "alarm": {
             "n_triggered": t.n_alarms,
             "n_triggered_secure": t.n_alarms_secure,
@@ -144,8 +147,8 @@ def build_report(cfg: ExperimentConfig, *, empirical: bool, trace: Optional[Text
 def _sanitize(value: Any) -> Any:
     """Replace non-finite numbers by nulls so the emitted document stays strict JSON.
 
-    NaN is a rate without a denominator; an infinity is a sum of squared
-    currents that overflowed double precision.
+    NaN is a rate without a denominator (no secure period, or no answer
+    to average over).
     """
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}

@@ -116,31 +116,6 @@ def test_alarm_over_long_periods_matches_per_row_reference():
 
 
 
-@pytest.mark.filterwarnings("error")  # the overflow is handled, not warned about
-@pytest.mark.parametrize("step", [protocol.CHUNK_SAMPLES, 7])
-def test_alarm_on_currents_whose_running_sums_overflow(step):
-    # scaled by 2**507, the running sums of squares overflow near sample 1024;
-    # rows fire before it, after it or never, and the results are those of
-    # the unscaled currents
-    n = 2000
-    rng = np.random.default_rng(8)
-    i_alice = rng.standard_normal((4, n))
-    i_bob = i_alice * (1.0 + np.array([[0.6], [0.0], [0.08], [0.01]]) * np.arange(n) / n)
-    i_bob[0] = 0.6 * i_alice[0]
-    scaled = np.ldexp(i_alice, 507), np.ldexp(i_bob, 507)
-    block = PeriodBlock(np.array([False] * 4), np.array([True] * 4), *scaled, scaled[0])
-    policy = AlarmPolicy(rel_tolerance=0.1, window=50)
-    with mock.patch.object(protocol, "CHUNK_SAMPLES", step):
-        report = alarm_sweep(block, policy)
-    expected = [reference_alarm(i_alice[r], i_bob[r], policy) for r in range(4)]
-    assert report.triggered.tolist() == [e[0] for e in expected] == [True, False, True, False]
-    assert report.first_trigger_sample.tolist() == [e[1] for e in expected]
-    assert report.rel_difference.tolist() == [e[2] for e in expected]
-    with np.errstate(over="ignore"):
-        overflow_at = np.argmax(np.isinf(np.cumsum(scaled[0] * scaled[0], axis=1)), axis=1)
-    assert 0 < overflow_at[2] < expected[2][1]
-
-
 LONG = 3 * protocol.CHUNK_SAMPLES + 17  # three steps of CHUNK_SAMPLES windows at window 50
 
 
@@ -170,49 +145,6 @@ def test_alarm_sweep_stops_once_every_row_has_fired(drifts, steps):
     if report.triggered.all():  # the last row to fire fired in the last step swept
         last_window = report.first_trigger_sample.max() - (policy.window - 1)
         assert last_window // protocol.CHUNK_SAMPLES == steps - 1
-
-
-@pytest.mark.filterwarnings("error")
-def test_row_that_fires_before_its_running_sums_overflow():
-    # scaled by 2**505, the running sums overflow in the second step; the row
-    # fires in the first, so the sweep stops there and nothing is swept again
-    block = drifting_block([0.3])
-    scaled = np.ldexp(block.i_alice, 505), np.ldexp(block.i_bob, 505)
-    with np.errstate(over="ignore"):
-        overflow_at = int(np.argmax(np.isinf(np.cumsum(scaled[1] * scaled[1]))))
-    assert protocol.CHUNK_SAMPLES + 50 < overflow_at < LONG
-    policy = AlarmPolicy(rel_tolerance=0.1, window=50)
-    with (
-        mock.patch.object(protocol, "_window_means", wraps=protocol._window_means) as window_means,
-        mock.patch.object(protocol, "_sweep", wraps=protocol._sweep) as sweep,
-    ):
-        report = alarm_sweep(PeriodBlock(block.alice_high, block.bob_high, *scaled, scaled[0]), policy)
-    assert (sweep.call_count, window_means.call_count) == (1, 2)
-    expected = reference_alarm(block.i_alice[0], block.i_bob[0], policy)
-    assert (report.triggered[0], report.first_trigger_sample[0], report.rel_difference[0]) == expected
-    assert expected[1] < protocol.CHUNK_SAMPLES
-
-
-@pytest.mark.filterwarnings("error")  # the overflow is handled, not warned about
-@pytest.mark.parametrize("stride", [1, 3])
-def test_attack_on_currents_whose_squares_overflow(stride):
-    # scaled by 2**515, a current of magnitude 1/8 or more squares to inf; with
-    # a norm constant of 2**-1030 the readings are those of the unscaled
-    # currents at a norm constant of 1
-    rng = np.random.default_rng(9)
-    i_alice = rng.standard_normal((3, 300))
-    i_bob = 0.5 * rng.standard_normal((3, 300))
-    i_bob[2] = i_alice[2]  # a single loop, whose readings never answer
-    scaled = np.ldexp(i_alice, 515), np.ldexp(i_bob, 515)
-    block = PeriodBlock(np.array([False, True, False]), np.array([True, False, True]), *scaled, scaled[0], stride)
-    budget = 40
-    verdicts = row_verdicts(block, EveCalibration(norm_constant=2.0**-1030, threshold=1.0), budget)
-    unit = EveCalibration(norm_constant=1.0, threshold=1.0)
-    for r in range(3):
-        n_a, n_b, first, guess = reference_verdicts(i_alice[r], i_bob[r], unit, stride, budget)
-        assert (verdicts.n_alice_low[r], verdicts.n_bob_low[r]) == (n_a, n_b)
-        assert (verdicts.first_answer[r], verdicts.guess[r]) == (first, guess)
-    assert verdicts.n_alice_low[:2].min() > 0 and verdicts.n_bob_low[2] == 0
 
 
 def row_slice(block, rows):

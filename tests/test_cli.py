@@ -17,6 +17,11 @@ from kljnsim.protocol import iter_period_blocks
 
 # end resistors 1e53 and 1e-287 Ohm around a 1 Ohm shunt
 FAR_BELOW_SHUNT = {"r_alice": 1e53, "r_bob": 1e-287, "pad": {"r_series": 0, "r_shunt": 1}}
+# a padded network at a noise scale 4*k*T_eff*B near 1e305
+LARGE_NOISE_NETWORK = {"r_alice": 1, "r_bob": 10, "pad": {"r_series": 0.0029, "r_shunt": 0.5}}
+LARGE_NOISE = {"t_eff": 1e300, "bandwidth": 1.8e27}
+# end resistors whose LL and HH currents lie about 2**1023 apart
+WIDE_SPAN = {"r_alice": 1e-308, "r_bob": 8e307}
 
 
 def run_cli(argv, capsys):
@@ -506,17 +511,47 @@ class TestSimulate:
         assert rows[0] == ["period", "sample", "i_alice", "i_bob", "v_node"]
         assert len(rows) == 1 + 5 * 50
 
-    @pytest.mark.filterwarnings("error")  # an overflowing sum is no warning, only a null
-    def test_sums_that_overflow_are_null(self, tmp_path, capsys):
-        # finite moments, but squared currents near 3e305 overflow a sum of a thousand samples
+    @pytest.mark.filterwarnings("error")  # and no numpy warning
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "document",
+        [
+            # squared currents near 3e305 and 3e307, whose sums over 10000
+            # samples leave the double range in amperes
+            {"network": {"r_alice": 1e-306, "r_bob": 2e-306}},
+            {"network": {"r_alice": 1e-308, "r_bob": 2e-308}},
+            # a padded network at a noise scale near 1e305
+            {"network": LARGE_NOISE_NETWORK, "noise": LARGE_NOISE},
+        ],
+        ids=["overflow", "squares", "padded-large-noise"],
+    )
+    def test_mean_squares_near_the_double_range(self, tmp_path, capsys, document, seed):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"network": {"r_alice": 1e-306, "r_bob": 2e-306}}))
-        code, out, _ = run_cli(["simulate", "--config", str(config), "--bits", "100"], capsys)
+        config.write_text(json.dumps(document))
+        code, out, _ = run_cli(["simulate", "--config", str(config), "--seed", str(seed), "--bits", "100"], capsys)
         assert code == 0
         strict = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
-        empirical = strict["empirical"]
-        assert empirical["mean_square_low_end"] is None
-        assert empirical["ratio"] is None
+        moments, empirical = strict["analytic"]["moments"], strict["empirical"]
+        # a mean square of n normal samples has SE s*sqrt(2/n); Alice holds the low resistor
+        se = math.sqrt(2 / empirical["n_secure_samples"])
+        for end, expected in (("low", moments["ms_alice"]), ("high", moments["ms_bob"])):
+            assert math.isfinite(empirical[f"mean_square_{end}_end"])
+            assert empirical[f"mean_square_{end}_end"] == pytest.approx(expected, rel=3 * se)
+        # the ratio of two such means, at most sqrt(2) SE of either when independent
+        assert empirical["ratio"] == pytest.approx(moments["ratio"], rel=3 * math.sqrt(2) * se)
+
+    @pytest.mark.filterwarnings("error")
+    def test_mean_square_past_the_double_range_is_null(self, tmp_path, capsys):
+        # closed-form mean squares of 1.754e308; at this seed the sampled ones
+        # lie above the largest double, which only the current unit holds
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"network": {"r_alice": 2.8e-309, "r_bob": 2.9e-309}}))
+        args = ["simulate", "--config", str(config), "--seed", "2", "--bits", "10", "--samples-per-bit", "50"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        empirical = json.loads(out)["empirical"]
+        assert empirical["mean_square_low_end"] is empirical["mean_square_high_end"] is None
+        assert empirical["ratio"] == 1.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", [2, 7])
@@ -611,7 +646,7 @@ class TestNoNumpyWarning:
     """Runs that must print no numpy RuntimeWarning, which ``error`` turns into a failure.
 
     The workflow's warning step runs the same commands; its ``overflow.json``
-    run is ``TestSimulate.test_sums_that_overflow_are_null``.
+    and ``squares.json`` runs are in ``TestSimulate.test_mean_squares_near_the_double_range``.
     """
 
     @pytest.mark.parametrize("mode", ["independent", "waveform"])
@@ -631,29 +666,27 @@ class TestNoNumpyWarning:
         return json.loads(out)["empirical"]
 
     def test_lossless_loop_whose_alarm_sums_overflow(self, tmp_path, capsys):
-        # squared currents near 3e305: the alarm's running sums overflow within
-        # a period, but the two end currents of a single loop are one current
+        # squared currents near 3e305, whose running sums over a period would
+        # overflow in amperes; the two end currents of a single loop are one
+        # current, so the alarm stays silent in any unit
         network = {"network": {"r_alice": 1e-306, "r_bob": 2e-306}}
         alarm = self.simulate(tmp_path, capsys, network, 300, 1000)["alarm"]
         assert alarm["n_triggered"] == 0
         assert alarm["mean_rel_difference_secure"] == 0.0
 
     def test_lossless_loop_whose_squared_currents_overflow(self, tmp_path, capsys):
-        # currents near 1e154 square past the double range before Eve scales
-        # them by a norm constant near 1e-308; the two readings of a single
-        # loop are one reading, so none answers
+        # currents near 1e154, which square past the double range in amperes;
+        # the two readings of a single loop are one reading, so none answers
         network = {"network": {"r_alice": 1e-308, "r_bob": 2e-308}}
         attack = self.simulate(tmp_path, capsys, network, 300, 100)["attack"]
         assert attack["n_trials"] > 0
         assert attack["n_success"] == attack["n_error"] == 0
 
     def test_padded_network_at_a_large_noise_scale(self, tmp_path, capsys):
-        # the alarm's running sums overflow; it must see what it sees on the
-        # same network in normalized noise
-        network = {"r_alice": 1, "r_bob": 10, "pad": {"r_series": 0.0029, "r_shunt": 0.5}}
-        noise = {"t_eff": 1e300, "bandwidth": 1.8e27}
-        si = self.simulate(tmp_path, capsys, {"network": network, "noise": noise}, 40, 20000)
-        normalized = self.simulate(tmp_path, capsys, {"network": network}, 40, 20000)
+        # the alarm's running sums would overflow in amperes; it must see what
+        # it sees on the same network in normalized noise
+        si = self.simulate(tmp_path, capsys, {"network": LARGE_NOISE_NETWORK, "noise": LARGE_NOISE}, 40, 20000)
+        normalized = self.simulate(tmp_path, capsys, {"network": LARGE_NOISE_NETWORK}, 40, 20000)
         for key in ("n_triggered", "n_triggered_secure", "trigger_rate_secure"):
             assert si["alarm"][key] == normalized["alarm"][key]
         assert si["alarm"]["n_triggered_secure"] == si["n_secure"] > 0
@@ -682,6 +715,20 @@ class TestNoNumpyWarning:
         assert err.startswith("kljnsim: config error: network (r_alice=1.0, ")
         assert err.count("\n") == 1
         assert "loop resistance 2*(max(r_alice, r_bob) + r_series) = inf must be finite" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_currents_that_no_one_unit_holds_exit_one(self, tmp_path, capsys, command):
+        # finite moments and loop, but about 2**1023 between the currents of
+        # the LL and the HH connection, which no one current unit holds
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"network": WIDE_SPAN}))
+        args = [command, "--config", str(config)] + (["--bits", "20"] if command == "simulate" else [])
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("kljnsim: config error: network (r_alice=1e-308, r_bob=8e+307, ")
+        assert err.count("\n") == 1
+        assert "end-current scales from 5.590169943749474e-155 to 5e+153 " in err
+        assert "within 2**974 of each other" in err
 
 
 class TestConfigErrorsKeepOutputs:
@@ -713,6 +760,12 @@ class TestConfigErrorsKeepOutputs:
             {"network": {"preset": "gaa-1db"}, "noise": {"t_eff": 1e300, "bandwidth": 3e30}},
             "config error: network (r_alice=1000.0, r_bob=10000.0, r_series=2.9, r_shunt=500.0) "
             "with noise (t_eff=1e+300, bandwidth=3e+30) gives ",
+        ),
+        # currents about 2**1023 apart, which no one current unit holds
+        "wide-current-span": (
+            {"network": WIDE_SPAN},
+            "config error: network (r_alice=1e-308, r_bob=8e+307, r_series=0.0, r_shunt=None) "
+            "with noise (t_eff='normalized', bandwidth=1.0) gives end-current scales ",
         ),
         "window-longer-than-period": (
             {"network": {"preset": "gaa-1db"}, "protocol": {"samples_per_bit": 10}},

@@ -1,15 +1,24 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kljnsim.attack import row_verdicts
-from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
+from kljnsim.circuit import (
+    AttenuatorConfig,
+    NetworkConfig,
+    NoiseSpec,
+    analytic_mean_square_currents,
+    current_exponent,
+    transfer,
+)
 from kljnsim.config import PRESETS, AlarmPolicy, resolve_config
-from kljnsim.noise import SeededStream
+from kljnsim import protocol
+from kljnsim.noise import SeededStream, band_limited_stream, gaussian_stream
 from kljnsim.protocol import (
     CHUNK_SAMPLES,
     PeriodBlock,
@@ -153,6 +162,86 @@ class TestRunBitPeriod:
             assert np.array_equal(block.i_alice[r], i_a)
             assert np.array_equal(block.i_bob[r], i_b)
             assert np.array_equal(block.v_node[r], v)
+
+
+def log_uniform(low_exponent, high_exponent):
+    return st.floats(low_exponent, high_exponent).map(lambda e: 10.0**e)
+
+
+def normal(x):
+    """Where ``x`` is a normal double: finite, and zero or subnormal nowhere."""
+    return np.isfinite(x) & (np.abs(x) >= np.finfo(float).tiny)
+
+
+class TestCurrentUnit:
+    """The Monte Carlo pass's unit 2**-m: exact against the true currents, with headroom for every sum."""
+
+    @given(
+        r_alice=log_uniform(-300, 300),
+        r_bob=log_uniform(-300, 300),
+        r_shunt=st.none() | log_uniform(-300, 300),
+        r_series=st.just(0.0) | log_uniform(-300, 300),
+        # None for normalized noise, else t_eff and bandwidth
+        scales=st.none() | st.tuples(log_uniform(-300, 300), log_uniform(-300, 300)),
+        mode=st.sampled_from(["independent", "waveform"]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_engine_currents_are_the_true_currents_times_two_to_the_m(
+        self, r_alice, r_bob, r_shunt, r_series, scales, mode, seed
+    ):
+        pad = None if r_shunt is None and r_series == 0.0 else AttenuatorConfig(r_series, r_shunt)
+        net = NetworkConfig(r_alice, r_bob, pad)
+        assume(r_alice != r_bob)
+        try:
+            noise = NoiseSpec(mode=mode) if scales is None else NoiseSpec(*scales, mode=mode)
+            analytic_mean_square_currents(net, noise)  # every network rule, the current unit's included
+        except ValueError:
+            assume(False)  # the config rejects the network
+        m = current_exponent(net, noise)
+        alice_high, bob_high = np.array([False, False, True, True]), np.array([False, True, False, True])
+        block = run_periods(alice_high, bob_high, net, noise, 40, SeededStream(seed).generator(), False, m)
+
+        rng = SeededStream(seed).generator()
+        if mode == "independent":
+            u_a, u_b = gaussian_stream(rng, 4, 40), gaussian_stream(rng, 4, 40)
+        else:
+            u_a, u_b = band_limited_stream(rng, noise, 4, 40), band_limited_stream(rng, noise, 4, 40)
+        r_low, r_high = low_high_resistors(net)
+        r_a = np.where(alice_high, r_high, r_low)[:, None]
+        r_b = np.where(bob_high, r_high, r_low)[:, None]
+        true_alice, true_bob, _ = solve_network(u_a, u_b, r_a, r_b, pad, noise, node=False)
+        aa, ab, ba, bb, _, _ = protocol._coefficients(r_a, r_b, pad, noise)
+        compared = 0
+        for engine, true, terms in ((block.i_alice, true_alice, (aa, ab)), (block.i_bob, true_bob, (ba, bb))):
+            # A subnormal coefficient, product or current rounds to fewer bits in
+            # one unit than in the other, so a current is compared where both its
+            # values are normal and each term is either normal and exactly scaled
+            # in both units, or below a quarter of the other term's spacing in
+            # both, where round to nearest leaves the sum at the other term.
+            scaled = [np.ldexp(c, m) for c in terms]  # the engine's coefficients
+            amperes = (u_a * terms[0], u_b * terms[1])
+            unit = (u_a * scaled[0], u_b * scaled[1])
+            exact = normal(engine) & normal(true)
+            for k in (0, 1):
+                alike = normal(amperes[k]) & normal(unit[k]) & (np.ldexp(scaled[k], -m) == terms[k])
+                negligible = [np.abs(p[k]) <= np.spacing(np.abs(p[1 - k])) / 4 for p in (amperes, unit)]
+                exact &= alike | (negligible[0] & negligible[1])
+            assert np.array_equal(engine[exact], np.ldexp(true[exact], m))
+            compared += np.count_nonzero(exact)
+            # 2**40 samples of an 8-sigma square stay finite
+            assert math.isfinite(float(np.max(engine * engine)) * 2.0**46)
+        assert compared > 0
+
+        # the same headroom for each end's variance in each connection, whose smallest is normal
+        variances = []
+        for ra in (r_low, r_high):
+            for rb in (r_low, r_high):
+                record = transfer(ra, rb, pad, math.sqrt(noise.unit_scale * ra), math.sqrt(noise.unit_scale * rb))
+                i_a, i_b = [math.ldexp(c, m) for c in record[:2]], [math.ldexp(c, m) for c in record[2:4]]
+                variances += [sum(c * c for c in i_a), sum(c * c for c in i_b)]
+        assert max(variances) * 2.0**46 < math.inf
+        assert min(variances) >= sys.float_info.min
 
 
 class TestCurrentAlarm:
