@@ -8,11 +8,13 @@ ends stop being equal and their mean squares become resistor-dependent.
 The loop is linear, so one connection of end resistors is fully described
 by its transfer record (:func:`transfer`): the coefficients that map the
 two source voltages to the two end currents and the shunt-node voltage,
-series elements kept.  A network's record is :func:`transfer` at each of
-its four connections (LL, LH, HL, HH), and it is the one circuit rule of
-the Monte Carlo engine, whose solve
-(:func:`kljnsim.protocol.solve_network`) applies it to the sampled sources,
-and it sets the engine's one current unit per run (:func:`current_exponent`).
+series elements kept.  A network's records are :func:`transfer` at each of
+its four connections (LL, LH, HL, HH), the Johnson RMS of each end's
+resistor (:func:`johnson_rms`) folded in, built once per network and noise
+(:func:`connection_records`).  That table is the one circuit rule of the
+Monte Carlo engine, whose blocks (:func:`kljnsim.protocol.run_periods`)
+apply it to unit-variance draws, and it sets the engine's one current unit
+per run (:func:`current_exponent`).
 The closed-form mean-square currents neglect the small series elements
 (they are tiny against the loop resistances), which lets tests measure the
 size of that approximation.  The loop is driven by the two parties'
@@ -24,6 +26,7 @@ scale of every moment; the engine draws their samples
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,6 +197,27 @@ def transfer(
     return tuple(_nearest(n, d) for n in currents) + tuple(_nearest(n, d << 1074) for n in nodes)
 
 
+def johnson_rms(r: float, noise: NoiseSpec) -> float:
+    """RMS voltage of the thermal source of a resistance ``r``: sqrt(4kTrB)."""
+    return math.sqrt(noise.unit_scale * r)
+
+
+@functools.lru_cache(maxsize=64)
+def connection_records(net: NetworkConfig, noise: NoiseSpec) -> tuple:
+    """The transfer records of the four connections, ``records[alice_high][bob_high]``, source RMS folded in.
+
+    Index 0 is the lower of the two end resistors, 1 the higher; each entry
+    is :func:`transfer` with each source at :func:`johnson_rms` of its
+    resistor, so it maps unit-variance draws to the currents and the node
+    voltage.  Built once per network and noise: both are frozen, and a run
+    reads the table from its analytic checks, its current unit and every
+    block.
+    """
+    values = sorted((net.r_alice, net.r_bob))
+    rms = [johnson_rms(r, noise) for r in values]
+    return tuple(tuple(transfer(a, b, net.pad, sa, sb) for b, sb in zip(values, rms)) for a, sa in zip(values, rms))
+
+
 # Each scale of current_exponent lands in [2**-(_HEADROOM + 1), 2**_HEADROOM) in the unit: 2**40
 # squares of an 8-sigma current then sum below 2**1021, and the smallest variance is normal.
 _HEADROOM = 487
@@ -203,15 +227,14 @@ def current_exponent(net: NetworkConfig, noise: NoiseSpec) -> int:
     """The exponent ``m`` of the Monte Carlo engine's current unit: it computes every current times 2**m.
 
     An end's current scale in one connection of end resistors (LL, LH, HL
-    or HH) is the larger magnitude of its two coefficients in that transfer
-    record, source RMS folded in; ``m`` centres the eight scales on 1.
+    or HH) is the larger magnitude of its two coefficients in that
+    connection's record (:func:`connection_records`); ``m`` centres the
+    eight scales on 1.
     Raises ``ValueError`` naming the network and the noise when a scale is
     not a finite normal double (a subnormal record holds too few bits), or
     the scales span more than 2**(2*_HEADROOM), which no one unit holds.
     """
-    values = sorted({net.r_alice, net.r_bob})
-    rms = [math.sqrt(noise.unit_scale * r) for r in values]
-    records = [transfer(a, b, net.pad, sa, sb) for a, sa in zip(values, rms) for b, sb in zip(values, rms)]
+    records = [record for row in connection_records(net, noise) for record in row]
     scales = [max(abs(x), abs(y)) for aa, ab, ba, bb, _, _ in records for x, y in ((aa, ab), (ba, bb))]
     low, high = min(scales), max(scales)
     e_low, e_high = math.frexp(low)[1], math.frexp(high)[1]

@@ -35,8 +35,8 @@ def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> N
     Rows are converted and written a slice of at most ``CHUNK_SAMPLES // 4``
     at a time, so the buffers stay small however long a period is.  A loop
     without a shunt carries one current, and
-    :func:`~kljnsim.protocol.solve_network` then returns one array for both
-    ends, whose text fills both columns.
+    :func:`~kljnsim.protocol.run_periods` then gives the block one array for
+    both ends, whose text fills both columns.
     """
     from .reprtext import SLOT_WORDS, WORD, write_floats, write_ints  # only a trace CSV needs the formatter
 

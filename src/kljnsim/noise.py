@@ -2,7 +2,9 @@
 
 Alice's and Bob's sources are Gaussian voltage generators whose RMS follows
 the 4kTRB thermal-noise law at a (typically emulated, very large) effective
-temperature.  Two sampling modes are supported:
+temperature.  The streams here are unit-variance; each source's RMS
+(:func:`kljnsim.circuit.johnson_rms`) is folded into the transfer records
+that turn them into currents.  Two sampling modes are supported:
 
 * ``independent`` -- every sample is an independent draw, so one sample
   stands for one correlation time of the band-limited physical noise.
@@ -45,11 +47,6 @@ class SeededStream:
     def generator(self) -> np.random.Generator:
         entropy = (self.master_seed & _MASK64, self.stream_id)
         return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def johnson_rms(r, spec: NoiseSpec):
-    """RMS voltage of the thermal source of a resistance ``r`` (scalar or array): sqrt(4kTrB)."""
-    return np.sqrt(spec.unit_scale * r)
 
 
 def gaussian_stream(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:

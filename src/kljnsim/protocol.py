@@ -26,7 +26,6 @@ bit-identical at any worker count.
 
 from __future__ import annotations
 
-import functools
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -34,59 +33,17 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, transfer
+from .circuit import NetworkConfig, NoiseSpec, connection_records
 from .config import AlarmPolicy
-from .noise import SeededStream, band_limited_stream, gaussian_stream, johnson_rms
-
-
-def solve_network(
-    u_alice, u_bob, r_alice, r_bob, pad: AttenuatorConfig | None, noise: NoiseSpec | None = None, *, node=True
-):
-    """End currents and shunt-node voltage for instantaneous source values, by the transfer record.
-
-    ``r_alice``/``r_bob`` are the end resistors connected behind ``pad``;
-    each element is solved with the record of its own pair of resistors
-    (:func:`~kljnsim.circuit.transfer`), series elements kept.  Without
-    ``noise`` the sources are voltages; with it they are unit-variance
-    draws, and each source's Johnson RMS is folded into its coefficients.
-    Accepts scalars or numpy arrays that broadcast together (elementwise),
-    and never writes to its inputs; returns ``(i_alice, i_bob, v_node)``,
-    with ``v_node`` None unless ``node``.  Without a shunt the same current
-    flows at both ends by construction, and ``i_alice is i_bob``: one array
-    (or scalar) is returned for both, with or without series elements; the
-    trace CSV writer relies on it to convert that current to text once.
-    With a shunt the currents are distinct arrays.
-    """
-    shared = pad is None or pad.r_shunt is None
-    return _solve(u_alice, u_bob, _coefficients(r_alice, r_bob, pad, noise), shared, node)
+from .noise import SeededStream, band_limited_stream, gaussian_stream
 
 
 def _solve(u_alice, u_bob, coefficients, shared: bool, node: bool):
-    """:func:`solve_network` by the six coefficient arrays of the transfer records; ``i_b is i_a`` when ``shared``."""
+    """``(i_alice, i_bob, v_node)`` by the six coefficient arrays of the records; ``i_b is i_a`` when ``shared``."""
     aa, ab, ba, bb, na, nb = coefficients
     i_a = u_alice * aa + u_bob * ab
     i_b = i_a if shared else u_alice * ba + u_bob * bb
     return i_a, i_b, u_alice * na + u_bob * nb if node else None
-
-
-def _coefficients(r_alice, r_bob, pad: AttenuatorConfig | None, noise: NoiseSpec | None) -> np.ndarray:
-    """The six entries of each element's transfer record, stacked on a new first axis."""
-    values = tuple(sorted(set(np.ravel(r_alice).tolist()) | set(np.ravel(r_bob).tolist())))
-    resistors, records = _records(values, pad, noise)
-    return np.moveaxis(records[np.searchsorted(resistors, r_alice), np.searchsorted(resistors, r_bob)], -1, 0)
-
-
-@functools.lru_cache(maxsize=64)
-def _records(values: tuple, pad: AttenuatorConfig | None, noise: NoiseSpec | None) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as an array, and the record of every pair of them, ``records[i, j]`` for Alice at ``values[i]``.
-
-    In the engine the values are the public pair, so a run builds four records.
-    """
-    rms = [1.0] * len(values) if noise is None else johnson_rms(np.array(values), noise).tolist()
-    pairs = [[transfer(a, b, pad, rms_a, rms_b) for b, rms_b in zip(values, rms)] for a, rms_a in zip(values, rms)]
-    resistors, records = np.array(values), np.array(pairs)
-    resistors.flags.writeable = records.flags.writeable = False  # cached, so shared by every caller
-    return resistors, records
 
 
 def low_high_resistors(net: NetworkConfig) -> tuple[float, float]:
@@ -198,12 +155,16 @@ def run_periods(
     voltages sit at the Johnson RMS of each party's connected resistor.
     The pad elements are treated as noiseless: their physical temperature
     is negligible against the generators' effective one.  Every row is
-    solved with the transfer record of its own end resistors, looked up
-    once per block, whose current coefficients are scaled by
-    ``2**exponent`` (the pass's unit); the block carries the node voltage,
-    unscaled, only with ``node``.
+    solved with the transfer record of its own connection, indexed once per
+    block by the picks from the network's table
+    (:func:`~kljnsim.circuit.connection_records`), whose current
+    coefficients are scaled by ``2**exponent`` (the pass's unit); the block
+    carries the node voltage, unscaled, only with ``node``.  Without a shunt
+    the same current flows at both ends, and the block holds one array for
+    both (``i_bob is i_alice``); the trace CSV writer converts it to text
+    once.
     """
-    r_low, r_high = low_high_resistors(net)
+    low_high_resistors(net)  # the ends must hold a pair of distinct resistors
     rows = int(alice_high.size)
     if noise.mode == "independent":
         u_a = gaussian_stream(rng, rows, n_samples)
@@ -211,7 +172,7 @@ def run_periods(
     else:
         u_a = band_limited_stream(rng, noise, rows, n_samples)
         u_b = band_limited_stream(rng, noise, rows, n_samples)
-    _, records = _records((r_low, r_high), net.pad, noise)
+    records = np.array(connection_records(net, noise))
     coefficients = records[alice_high.astype(np.intp), bob_high.astype(np.intp)]
     np.ldexp(coefficients[:, :4], exponent, out=coefficients[:, :4])
     coefficients = coefficients.T[:, :, None]  # six (rows, 1) columns

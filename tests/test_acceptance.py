@@ -32,11 +32,12 @@ from kljnsim.circuit import (
     design_tee_pad,
     NoiseSpec,
     parallel_resistance,
+    transfer,
 )
 from kljnsim.cli import main
 from kljnsim.config import PRESETS, AlarmPolicy, ExperimentConfig
 from kljnsim.montecarlo import monte_carlo_pass
-from kljnsim.protocol import alarm_sweep, iter_period_blocks, solve_network
+from kljnsim.protocol import alarm_sweep, iter_period_blocks
 from kljnsim.stats import analytic_attack_probabilities, calibrate, chi2_cdf_1
 
 NOISE = NoiseSpec()
@@ -230,8 +231,8 @@ def test_criterion_8_property_suites(capsys):
 
     # superposition consistency at machine precision (no series element)
     net = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(0.0, 500.0))
-    g_aa = solve_network(1.0, 0.0, net.r_alice, net.r_bob, net.pad)[0]
-    g_ab = solve_network(0.0, 1.0, net.r_alice, net.r_bob, net.pad)[0]
+    # the unit responses: the transfer record at unit source RMS
+    g_aa, g_ab = transfer(net.r_alice, net.r_bob, net.pad)[:2]
     m = analytic_mean_square_currents(net, NOISE)
     ms_super = net.r_alice * g_aa**2 + net.r_bob * g_ab**2
     checks.append(abs(ms_super / m.ms_alice - 1.0) < 1e-12)

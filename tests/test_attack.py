@@ -4,11 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, transfer
 from kljnsim.config import AlarmPolicy, ExperimentConfig
 from kljnsim.montecarlo import EmpiricalTotals, block_totals, monte_carlo_pass
 from kljnsim.noise import SeededStream
-from kljnsim.protocol import PeriodBlock, iter_period_blocks, run_periods, solve_network
+from kljnsim.protocol import PeriodBlock, iter_period_blocks, run_periods
 from kljnsim.stats import EveCalibration, analytic_attack_probabilities, calibrate, wilson_ci
 
 NOISE = NoiseSpec()
@@ -210,10 +210,8 @@ class TestAttackCampaign:
     def test_end_currents_correlated_through_shunt(self):
         # transfer-coefficient oracle for the cross-end correlation, checked
         # against one long simulated period
-        g_aa = solve_network(1.0, 0.0, GAA.r_alice, GAA.r_bob, GAA.pad)[0]
-        g_ab = solve_network(0.0, 1.0, GAA.r_alice, GAA.r_bob, GAA.pad)[0]
-        g_ba = solve_network(1.0, 0.0, GAA.r_alice, GAA.r_bob, GAA.pad)[1]
-        g_bb = solve_network(0.0, 1.0, GAA.r_alice, GAA.r_bob, GAA.pad)[1]
+        # the unit responses: the transfer record at unit source RMS
+        g_aa, g_ab, g_ba, g_bb, _, _ = transfer(GAA.r_alice, GAA.r_bob, GAA.pad)
         var_a, var_b = GAA.r_alice, GAA.r_bob
         cov = var_a * g_aa * g_ba + var_b * g_ab * g_bb
         ms_a = var_a * g_aa**2 + var_b * g_ab**2

@@ -7,17 +7,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from kljnsim import circuit
 from kljnsim.circuit import (
     AttenuatorConfig,
     NetworkConfig,
     analytic_mean_square_currents,
+    connection_records,
     design_tee_pad,
+    johnson_rms,
     NoiseSpec,
     parallel_resistance,
     transfer,
 )
-from kljnsim.noise import johnson_rms
-from kljnsim.protocol import solve_network
+from kljnsim.config import resolve_config
+from kljnsim.noise import SeededStream
+from kljnsim.protocol import run_periods
+from kljnsim.reporting import build_report
 
 NOISE = NoiseSpec()  # normalized: 4kTB = 1
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0), label="gaa-1db")
@@ -26,8 +31,14 @@ LOSSLESS = NetworkConfig(1000.0, 10000.0, None)
 
 
 
+def evaluate(record, u_alice, u_bob):
+    """``(i_alice, i_bob, v_node)`` of a transfer record at source values ``u_alice``/``u_bob``, in floats."""
+    aa, ab, ba, bb, na, nb = record
+    return u_alice * aa + u_bob * ab, u_alice * ba + u_bob * bb, u_alice * na + u_bob * nb
+
+
 def solve(u_alice, u_bob, net: NetworkConfig):
-    return solve_network(u_alice, u_bob, net.r_alice, net.r_bob, net.pad)
+    return evaluate(transfer(net.r_alice, net.r_bob, net.pad), u_alice, u_bob)
 
 
 resistances = st.floats(min_value=1.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -131,6 +142,25 @@ class TestAnalyticMoments:
         assert ms_bob == pytest.approx(m.ms_bob, rel=1e-13)
 
 
+class TestJohnsonRms:
+    def test_normalized(self):
+        assert johnson_rms(1000.0, NoiseSpec()) == pytest.approx(math.sqrt(1000.0), rel=1e-15)
+
+    def test_zero_resistance(self):
+        assert johnson_rms(0.0, NoiseSpec()) == 0.0
+
+    def test_si_value(self):
+        # independent arithmetic oracle with k = 1.380649e-23
+        spec = NoiseSpec(t_eff=300.0, bandwidth=5000.0)
+        assert johnson_rms(1000.0, spec) == pytest.approx(2.878175463727e-7, rel=1e-10)
+
+    @given(r=st.floats(min_value=1e-3, max_value=1e9))
+    @settings(max_examples=50)
+    def test_quadrupled_resistance_doubles_rms(self, r):
+        spec = NoiseSpec()
+        assert johnson_rms(4.0 * r, spec) == 2.0 * johnson_rms(r, spec)
+
+
 class TestCurrentRatio:
     def test_matches_moments_field(self):
         m = analytic_mean_square_currents(GAA, NOISE)
@@ -144,6 +174,12 @@ class TestCurrentRatio:
         m, m_swapped = (analytic_mean_square_currents(n, NOISE) for n in (GAA, swapped))
         assert m.ratio == m_swapped.ratio
         assert (m.ms_alice, m.ms_bob) == (m_swapped.ms_bob, m_swapped.ms_alice)
+
+
+def block_of(net: NetworkConfig):
+    """A three-row block of ``net`` (LH, HL and HH picks) with its node voltage."""
+    alice_high, bob_high = np.array([False, True, True]), np.array([True, False, True])
+    return run_periods(alice_high, bob_high, net, NoiseSpec(), 4, SeededStream(5).generator(), node=True)
 
 
 class TestSolveNetwork:
@@ -176,39 +212,20 @@ class TestSolveNetwork:
     @pytest.mark.parametrize("pad", [None, AttenuatorConfig(2.9, None)], ids=["no-pad", "series-only"])
     def test_single_loop_returns_one_array_for_both_ends(self, pad):
         # the trace CSV writer converts the current to text once when both ends share it
-        u = np.random.default_rng(5).standard_normal((2, 3, 4))
-        i_a, i_b, v = solve_network(u[0], u[1], 1000.0, 10000.0, pad)
-        assert i_a is i_b
-        assert v is not i_a
+        block = block_of(NetworkConfig(1000.0, 10000.0, pad))
+        assert block.i_alice is block.i_bob
+        assert block.v_node is not block.i_alice
 
     def test_shunt_returns_distinct_arrays(self):
-        u = np.random.default_rng(5).standard_normal((2, 3, 4))
-        i_a, i_b, v = solve_network(u[0], u[1], 1000.0, 10000.0, GAA.pad)
-        assert len({id(i_a), id(i_b), id(v)}) == 3
-        assert not np.array_equal(i_a, i_b)
+        block = block_of(GAA)
+        assert len({id(block.i_alice), id(block.i_bob), id(block.v_node)}) == 3
+        assert not np.array_equal(block.i_alice, block.i_bob)
 
     def test_node_current_conservation(self):
         i_a, i_b, v = solve(0.7, -1.3, GAA)
         shunt_current = v / GAA.r_shunt
         assert i_a - i_b == pytest.approx(shunt_current, rel=1e-12)
 
-    def test_vectorized_matches_scalar(self):
-        u_a = np.array([1.0, 0.0, 0.7])
-        u_b = np.array([0.0, 1.0, -1.3])
-        i_a, i_b, v = solve(u_a, u_b, GAA)
-        for k in range(3):
-            assert solve(float(u_a[k]), float(u_b[k]), GAA) == (i_a[k], i_b[k], v[k])
-
-    @pytest.mark.parametrize("pad", [GAA.pad, None, AttenuatorConfig(2.9, None)], ids=["shunt", "no-pad", "no-shunt"])
-    def test_per_row_resistors_match_scalar_solves(self, pad):
-        # one broadcast solve over a block whose rows have their own end resistors
-        r_a = np.array([1000.0, 10000.0, 1000.0])[:, None]
-        r_b = np.array([10000.0, 10000.0, 1000.0])[:, None]
-        u = np.random.default_rng(3).standard_normal((2, 3, 4))
-        i_a, i_b, v = solve_network(u[0], u[1], r_a, r_b, pad)
-        for k in range(3):
-            row = solve_network(u[0][k], u[1][k], float(r_a[k, 0]), float(r_b[k, 0]), pad)
-            assert all(np.array_equal(x[k], y) for x, y in zip((i_a, i_b, v), row))
 
 
 def exact_solve(u_alice, u_bob, r_alice, r_bob, pad):
@@ -238,7 +255,7 @@ FAR_BELOW_SHUNT = NetworkConfig(1e53, 1e-287, AttenuatorConfig(0.0, 1.0))
 
 
 class TestTransferRecord:
-    """``solve_network`` against an exact nodal solve, over every network the config accepts."""
+    """Transfer records, evaluated as the engine does, against an exact nodal solve on every accepted network."""
 
     @given(
         r_alice=log_uniform(-300, 300),
@@ -268,10 +285,9 @@ class TestTransferRecord:
         for ra, rb in ((r_low, r_low), (r_low, r_high), (r_high, r_low), (r_high, r_high)):
             if normalized:  # unit draws, each source's RMS folded into the record
                 rms = johnson_rms(ra, NOISE), johnson_rms(rb, NOISE)
-                got = solve_network(z[0], z[1], ra, rb, pad, NOISE)
             else:  # the draws are the source voltages
                 rms = 1.0, 1.0
-                got = solve_network(z[0], z[1], ra, rb, pad)
+            got = evaluate(transfer(ra, rb, pad, *rms), z[0], z[1])
             u = [Fraction(x) * Fraction(float(s)) for x, s in zip(z, rms)]
             exact, from_a, from_b = exact_solve(*u, ra, rb, pad)
             assume(all(abs(x) < sys.float_info.max for x in (*from_a, *from_b)))
@@ -283,10 +299,32 @@ class TestTransferRecord:
         "net", [GAA, GAA_NO_SERIES, LOSSLESS, FAR_BELOW_SHUNT], ids=["gaa", "no-series", "lossless", "far-below-shunt"]
     )
     def test_coefficients_are_the_unit_responses(self, net):
-        # T's columns are the solve of a unit source at one end
-        aa, ab, ba, bb, na, nb = transfer(net.r_alice, net.r_bob, net.pad)
-        assert solve(1.0, 0.0, net) == (aa, ba, na)
-        assert solve(0.0, 1.0, net) == (ab, bb, nb)
+        # the table maps unit draws to the loop's responses: records[alice_high][bob_high]
+        # is the record of that connection with each source at its Johnson RMS
+        records = connection_records(net, NOISE)
+        r_low, r_high = sorted((net.r_alice, net.r_bob))
+        for alice_high, ra in enumerate((r_low, r_high)):
+            for bob_high, rb in enumerate((r_low, r_high)):
+                expected = transfer(ra, rb, net.pad, johnson_rms(ra, NOISE), johnson_rms(rb, NOISE))
+                assert records[alice_high][bob_high] == expected
+
+    @pytest.mark.parametrize("empirical", [True, False], ids=["simulate", "analyze"])
+    def test_one_report_builds_each_connection_record_once(self, monkeypatch, empirical):
+        # the closed form's checks, the current unit and every block of the
+        # pass read one table of the four records
+        original, calls = circuit.transfer, []
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("kljnsim") and getattr(module, "transfer", None) is original:
+                monkeypatch.setattr(module, "transfer", spy)
+        circuit.connection_records.cache_clear()
+        cfg = resolve_config(None, {"network": {"preset": "gaa-1db"}, "protocol": {"n_bits": 200}})
+        build_report(cfg, empirical=empirical)
+        assert len(calls) == 4
 
 
 def _pad_residuals(pad: AttenuatorConfig, z0: float, loss_db: float) -> tuple[float, float]:

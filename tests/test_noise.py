@@ -4,8 +4,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kljnsim import noise
 from kljnsim.circuit import NORMALIZED, NoiseSpec
@@ -13,7 +11,6 @@ from kljnsim.noise import (
     SeededStream,
     band_limited_stream,
     gaussian_stream,
-    johnson_rms,
     lowpass_kernel,
 )
 from kljnsim.protocol import CHUNK_SAMPLES
@@ -60,25 +57,6 @@ class TestNoiseSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             NoiseSpec(**kwargs)
-
-
-class TestJohnsonRms:
-    def test_normalized(self):
-        assert johnson_rms(1000.0, NoiseSpec()) == pytest.approx(math.sqrt(1000.0), rel=1e-15)
-
-    def test_zero_resistance(self):
-        assert johnson_rms(0.0, NoiseSpec()) == 0.0
-
-    def test_si_value(self):
-        # independent arithmetic oracle with k = 1.380649e-23
-        spec = NoiseSpec(t_eff=300.0, bandwidth=5000.0)
-        assert johnson_rms(1000.0, spec) == pytest.approx(2.878175463727e-7, rel=1e-10)
-
-    @given(r=st.floats(min_value=1e-3, max_value=1e9))
-    @settings(max_examples=50)
-    def test_quadrupled_resistance_doubles_rms(self, r):
-        spec = NoiseSpec()
-        assert johnson_rms(4.0 * r, spec) == 2.0 * johnson_rms(r, spec)
 
 
 def gen(seed, stream_id):

@@ -13,11 +13,12 @@ from kljnsim.circuit import (
     NetworkConfig,
     NoiseSpec,
     analytic_mean_square_currents,
+    connection_records,
     current_exponent,
+    johnson_rms,
     transfer,
 )
 from kljnsim.config import PRESETS, AlarmPolicy, resolve_config
-from kljnsim import protocol
 from kljnsim.noise import SeededStream, band_limited_stream, gaussian_stream
 from kljnsim.protocol import (
     CHUNK_SAMPLES,
@@ -26,7 +27,6 @@ from kljnsim.protocol import (
     iter_period_blocks,
     low_high_resistors,
     run_periods,
-    solve_network,
 )
 from kljnsim.stats import EveCalibration, wilson_ci
 
@@ -34,6 +34,9 @@ NOISE = NoiseSpec()
 GAA = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, 500.0))
 LOSSLESS = NetworkConfig(1000.0, 10000.0, None)
 SERIES_ONLY = NetworkConfig(1000.0, 10000.0, AttenuatorConfig(2.9, None))
+# r_bob sits about 1e287 below the shunt, where a nodal solve that takes
+# i_a = (u_a - v)/r_a cancels catastrophically
+FAR_BELOW_SHUNT = NetworkConfig(1e53, 1e-287, AttenuatorConfig(0.0, 1.0))
 PICKS = {"LL": (False, False), "LH": (False, True), "HL": (True, False), "HH": (True, True)}
 
 
@@ -138,7 +141,9 @@ class TestRunBitPeriod:
         assert abs(ms_lh - ms_hl) < 3.0 * np.sqrt(2.0) * se
         assert ms_lh == pytest.approx(expected, rel=0.02)
 
-    @pytest.mark.parametrize("net", [GAA, LOSSLESS], ids=["gaa", "lossless"])
+    @pytest.mark.parametrize(
+        "net", [GAA, LOSSLESS, FAR_BELOW_SHUNT], ids=["gaa", "lossless", "far-below-shunt"]
+    )
     @pytest.mark.parametrize(
         "alice_high, bob_high",
         [
@@ -149,19 +154,20 @@ class TestRunBitPeriod:
     )
     def test_block_matches_row_by_row_solve(self, net, alice_high, bob_high):
         # the block solves with per-row resistors; every row must equal the
-        # solve of its own noise with its own resistors
+        # record of its own connection evaluated on its own noise
         alice_high, bob_high = np.array(alice_high), np.array(bob_high)
         k = alice_high.size
         block = run_periods(alice_high, bob_high, net, NOISE, 32, SeededStream(5, 0).generator(), node=True)
         rng = SeededStream(5, 0).generator()
         u_a, u_b = rng.standard_normal((k, 32)), rng.standard_normal((k, 32))
+        r_low, r_high = low_high_resistors(net)
         for r in range(k):
-            r_a = 10000.0 if alice_high[r] else 1000.0
-            r_b = 10000.0 if bob_high[r] else 1000.0
-            i_a, i_b, v = solve_network(u_a[r], u_b[r], r_a, r_b, net.pad, NOISE)
-            assert np.array_equal(block.i_alice[r], i_a)
-            assert np.array_equal(block.i_bob[r], i_b)
-            assert np.array_equal(block.v_node[r], v)
+            r_a = r_high if alice_high[r] else r_low
+            r_b = r_high if bob_high[r] else r_low
+            aa, ab, ba, bb, na, nb = transfer(r_a, r_b, net.pad, johnson_rms(r_a, NOISE), johnson_rms(r_b, NOISE))
+            assert np.array_equal(block.i_alice[r], u_a[r] * aa + u_b[r] * ab)
+            assert np.array_equal(block.i_bob[r], u_a[r] * ba + u_b[r] * bb)
+            assert np.array_equal(block.v_node[r], u_a[r] * na + u_b[r] * nb)
 
 
 def log_uniform(low_exponent, high_exponent):
@@ -207,11 +213,11 @@ class TestCurrentUnit:
             u_a, u_b = gaussian_stream(rng, 4, 40), gaussian_stream(rng, 4, 40)
         else:
             u_a, u_b = band_limited_stream(rng, noise, 4, 40), band_limited_stream(rng, noise, 4, 40)
+        # the true currents: each row's record from the table, at exponent 0
+        records = np.array(connection_records(net, noise))[alice_high.astype(np.intp), bob_high.astype(np.intp)]
+        aa, ab, ba, bb = (records[:, j, None] for j in range(4))
+        true_alice, true_bob = u_a * aa + u_b * ab, u_a * ba + u_b * bb
         r_low, r_high = low_high_resistors(net)
-        r_a = np.where(alice_high, r_high, r_low)[:, None]
-        r_b = np.where(bob_high, r_high, r_low)[:, None]
-        true_alice, true_bob, _ = solve_network(u_a, u_b, r_a, r_b, pad, noise, node=False)
-        aa, ab, ba, bb, _, _ = protocol._coefficients(r_a, r_b, pad, noise)
         compared = 0
         for engine, true, terms in ((block.i_alice, true_alice, (aa, ab)), (block.i_bob, true_bob, (ba, bb))):
             # A subnormal coefficient, product or current rounds to fewer bits in
