@@ -20,22 +20,52 @@ The closed-form mean-square currents neglect the small series elements
 size of that approximation.  The loop is driven by the two parties'
 Johnson-noise generators, whose settings (:class:`NoiseSpec`) set the
 scale of every moment; the engine draws their samples
-(:mod:`kljnsim.noise`).  This module needs no numpy, so ``analyze`` and
-``design-pad`` run without it.
+(:mod:`kljnsim.noise`).  This module imports neither numpy nor
+``dataclasses``, so ``analyze`` and ``design-pad`` run without them: its
+records are ``typing.NamedTuple`` tuples, and :class:`Validated` checks the
+settings records when they are built and when ``_replace`` copies them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple
 
 BOLTZMANN = 1.380649e-23  # J/K
 NORMALIZED = "normalized"
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class Validated:
+    """Checks of a record, a ``typing.NamedTuple``, at construction and in each ``_replace``.
+
+    A validated record derives from this class and from the NamedTuple of
+    its fields, in that order, and defines ``_check``, which raises
+    ``ValueError`` for a field out of range.  NamedTuple builds its
+    ``_replace`` copies in ``_make``, past ``__new__``; here ``_make``
+    constructs, so a changed copy is checked as a new record is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        return cls(*iterable)
+
+
+class _NoiseFields(NamedTuple):
+    t_eff: float | str = NORMALIZED
+    bandwidth: float = 1.0
+    mode: str = "independent"
+    oversample: int = 8
+
+
+class NoiseSpec(Validated, _NoiseFields):
     """Noise generator settings shared by both parties.
 
     ``t_eff`` is either an effective temperature in kelvin or the token
@@ -44,12 +74,9 @@ class NoiseSpec:
     ratios and probabilities.
     """
 
-    t_eff: float | str = NORMALIZED
-    bandwidth: float = 1.0
-    mode: str = "independent"
-    oversample: int = 8
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # each message starts with the field name; config parsing prefixes the section
         if isinstance(self.t_eff, str):
             if self.t_eff != NORMALIZED:
@@ -85,38 +112,44 @@ class NoiseSpec:
         return 1 if self.mode == "independent" else self.oversample
 
 
-@dataclass(frozen=True)
-class AttenuatorConfig:
+class _AttenuatorFields(NamedTuple):
+    r_series: float = 0.0
+    r_shunt: float | None = None
+
+
+class AttenuatorConfig(Validated, _AttenuatorFields):
     """Symmetric T-pad: ``r_series`` on each side of the ``r_shunt`` leg.
 
     ``r_shunt=None`` means there is no shunt leg at all, so the loop stays
     single.  The open branch is never encoded as a float infinity.
     """
 
-    r_series: float = 0.0
-    r_shunt: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 <= self.r_series < math.inf:
             raise ValueError("r_series must be finite and >= 0")
         if self.r_shunt is not None and not 0 < self.r_shunt < math.inf:
             raise ValueError("r_shunt must be finite and > 0 (use None for no shunt)")
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class _NetworkFields(NamedTuple):
+    r_alice: float
+    r_bob: float
+    pad: AttenuatorConfig | None = None
+    label: str = ""
+
+
+class NetworkConfig(Validated, _NetworkFields):
     """End resistors and pad of one loop instantiation.
 
     ``r_alice``/``r_bob`` are the resistors currently connected at the two
     ends; ``pad=None`` is the ideal lossless single loop.
     """
 
-    r_alice: float
-    r_bob: float
-    pad: AttenuatorConfig | None = None
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.r_alice < math.inf:
             raise ValueError("r_alice must be finite and > 0")
         if not 0 < self.r_bob < math.inf:
@@ -131,8 +164,7 @@ class NetworkConfig:
         return self.pad.r_shunt if self.pad is not None else None
 
 
-@dataclass(frozen=True)
-class CurrentMoments:
+class CurrentMoments(NamedTuple):
     """Mean-square end currents and their imbalance ratio (>= 1)."""
 
     ms_alice: float
@@ -209,7 +241,7 @@ def connection_records(net: NetworkConfig, noise: NoiseSpec) -> tuple:
     Index 0 is the lower of the two end resistors, 1 the higher; each entry
     is :func:`transfer` with each source at :func:`johnson_rms` of its
     resistor, so it maps unit-variance draws to the currents and the node
-    voltage.  Built once per network and noise: both are frozen, and a run
+    voltage.  Built once per network and noise: both are immutable, and a run
     reads the table from its analytic checks, its current unit and every
     block.
     """

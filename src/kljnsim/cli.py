@@ -4,7 +4,8 @@ Exit codes are a stable contract for scripting: 0 on success, 1 for any
 configuration problem, 2 for runtime failures such as unwritable outputs,
 running out of memory or a numpy that does not import.  Only ``simulate``
 imports numpy, through the Monte Carlo engine; ``analyze`` and
-``design-pad`` run without it.
+``design-pad`` run without it, and without ``dataclasses``, ``inspect`` or
+``datetime``.
 ``KLJN_SEED`` in the environment supplies the master seed when ``--seed``
 is not given; an explicit ``master_seed`` in the config file ranks below
 both.

@@ -5,31 +5,35 @@ network must be resolvable (explicit values or a preset); unknown keys are
 rejected before any computation, with the offending key named.  A key that
 is absent takes the model class's default.  Command-line overrides are
 written into the document at their keys (each flag's ``dest`` in
-``cli.build_parser``), so one parser validates both.
+``cli.build_parser``), so one parser validates both.  The records are
+named tuples (:class:`kljnsim.circuit.Validated`), checked when built and
+when copied with ``_replace``; ``to_dict`` echoes them with ``_asdict``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
-from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, design_tee_pad
+from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, Validated, design_tee_pad
 
 
 class ConfigError(ValueError):
     """Invalid or unresolvable experiment configuration."""
 
 
-@dataclass(frozen=True)
-class AlarmPolicy:
-    """Current-comparison defense parameters: tolerance and window length."""
-
+class _AlarmFields(NamedTuple):
     rel_tolerance: float = 0.1
     window: int = 50
 
-    def __post_init__(self) -> None:
+
+class AlarmPolicy(Validated, _AlarmFields):
+    """Current-comparison defense parameters: tolerance and window length."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0 < self.rel_tolerance < math.inf:
             raise ValueError("rel_tolerance must be finite and > 0")
         if self.window < 2:
@@ -54,21 +58,24 @@ def _preset_networks() -> dict[str, NetworkConfig]:
 PRESETS = _preset_networks()
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved settings for one analyze/simulate run."""
-
+class _ExperimentFields(NamedTuple):
     network: NetworkConfig
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    noise: NoiseSpec = NoiseSpec()
     n_bits: int = 1000
     samples_per_bit: int = 100
-    alarm: AlarmPolicy = field(default_factory=AlarmPolicy)
+    alarm: AlarmPolicy = AlarmPolicy()
     max_measurements: int = 64
     master_seed: int = 0
     report_path: Optional[str] = None
     trace_csv: Optional[str] = None
 
-    def __post_init__(self) -> None:
+
+class ExperimentConfig(Validated, _ExperimentFields):
+    """Fully resolved settings for one analyze/simulate run."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.n_bits < 1:
             raise ConfigError("protocol.n_bits must be >= 1")
         if self.samples_per_bit < self.alarm.window:
@@ -81,13 +88,16 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Echo in the same shape the file schema uses (round-trippable)."""
+        network = self.network._asdict()
+        if self.network.pad is not None:
+            network["pad"] = self.network.pad._asdict()  # an object, as in the file, not a list
         return {
-            "network": asdict(self.network),
-            "noise": asdict(self.noise),
+            "network": network,
+            "noise": self.noise._asdict(),
             "protocol": {
                 "n_bits": self.n_bits,
                 "samples_per_bit": self.samples_per_bit,
-                "alarm": asdict(self.alarm),
+                "alarm": self.alarm._asdict(),
             },
             "attack": {"max_measurements": self.max_measurements},
             "master_seed": self.master_seed,

@@ -13,7 +13,7 @@ into the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
 import numpy as np
@@ -206,7 +206,7 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
     m = current_exponent(cfg.network, cfg.noise)
     cal = calibrate(cfg.network, cfg.noise)
     # times 4**-m in two steps, exact where normal, so no OverflowError
-    cal = replace(cal, norm_constant=cal.norm_constant / 2.0**m / 2.0**m)
+    cal = cal._replace(norm_constant=cal.norm_constant / 2.0**m / 2.0**m)
     keep_block = trace is not None
     # no first answer lands past the readings a period holds, so a larger budget acts as that many
     budget = min(cfg.max_measurements, -(-cfg.samples_per_bit // cfg.noise.measurement_stride))

@@ -7,15 +7,15 @@ an agreement section that pairs each empirical rate with its analytic
 counterpart as a coverage boolean, so downstream tooling never has to
 recompute the comparison.  Numbers are serialized at full precision
 (shortest round-trip form).  This module needs no numpy: only a report
-with an empirical section imports the engine.
+with an empirical section imports the engine.  Nor does it import
+``datetime``: the timestamp is written from ``time`` (:func:`utc_isoformat`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
-from datetime import datetime, timezone
+import time
 from typing import Any, Optional, TextIO
 
 from . import __version__
@@ -31,13 +31,26 @@ SCHEMA_VERSION = 1
 RNG_LAYOUT = 2
 
 
+def utc_isoformat(t: float) -> str:
+    """The instant ``t`` (seconds since the epoch) as ``datetime.fromtimestamp(t, timezone.utc).isoformat()`` writes it.
+
+    The fraction is rounded half to even to whole microseconds and left out
+    when it is zero, as there; ``time`` writes it without the ``datetime``
+    import.
+    """
+    fraction, seconds = math.modf(t)
+    carry, microseconds = divmod(round(fraction * 1e6), 1_000_000)
+    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(int(seconds) + carry))
+    return f"{text}.{microseconds:06d}+00:00" if microseconds else f"{text}+00:00"
+
+
 def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
     """Closed-form numbers for the resolved network: its moments, calibration and probabilities records."""
     moments = analytic_mean_square_currents(cfg.network, cfg.noise)
     return {
-        "moments": asdict(moments),
-        "calibration": asdict(calibrate(cfg.network, cfg.noise)),
-        "probabilities": asdict(analytic_attack_probabilities(moments.ratio)),
+        "moments": moments._asdict(),
+        "calibration": calibrate(cfg.network, cfg.noise)._asdict(),
+        "probabilities": analytic_attack_probabilities(moments.ratio)._asdict(),
     }
 
 
@@ -133,7 +146,7 @@ def build_report(cfg: ExperimentConfig, *, empirical: bool, trace: Optional[Text
             "tool_version": __version__,
             "rng_layout": RNG_LAYOUT,
             "master_seed": cfg.master_seed,
-            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+            "timestamp_utc": utc_isoformat(time.time()),
         },
         "config": cfg.to_dict(),
         "analytic": analytic_section(cfg),

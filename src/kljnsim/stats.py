@@ -1,9 +1,13 @@
-"""Closed-form attack statistics: Eve's calibration, the attack probabilities and confidence intervals."""
+"""Closed-form attack statistics: Eve's calibration, the attack probabilities and confidence intervals.
+
+Its records are named tuples, exported with ``_asdict``; the module imports
+neither numpy nor ``dataclasses``.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import NetworkConfig, NoiseSpec, analytic_mean_square_currents
 
@@ -15,8 +19,7 @@ def ratio_or_nan(num: float, den: float) -> float:
     return num / den if den else math.nan
 
 
-@dataclass(frozen=True)
-class EveCalibration:
+class EveCalibration(NamedTuple):
     """Eve's public-knowledge constants.
 
     ``norm_constant`` is the reciprocal of the theoretical mean-square
@@ -50,8 +53,7 @@ def chi2_cdf_1(x: float) -> float:
     return math.erf(math.sqrt(0.5 * x))
 
 
-@dataclass(frozen=True)
-class AttackProbabilities:
+class AttackProbabilities(NamedTuple):
     """Outcome probabilities of the single-measurement threshold comparison."""
 
     p_success: float

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+from datetime import datetime, timezone
 
 import pytest
 
@@ -13,6 +14,7 @@ from kljnsim import cli, montecarlo, protocol
 from kljnsim.cli import main
 from kljnsim.config import resolve_config
 from kljnsim.protocol import iter_period_blocks
+from kljnsim.reporting import utc_isoformat
 
 
 # end resistors 1e53 and 1e-287 Ohm around a 1 Ohm shunt
@@ -47,6 +49,21 @@ class TestAnalyze:
         assert round(probs["p_error"], 3) == 0.018
         assert round(probs["p_no_answer"], 2) == 0.67
         assert "empirical" not in report
+
+    @pytest.mark.parametrize(
+        "t",
+        [0.0, 1792411200.0, 1792411200.25, 1792411200.0000025, 1792411200.9999996, 1792411200.123456, -1.5, 253402300799.0],
+    )
+    def test_timestamp_is_the_isoformat_of_its_instant(self, t):
+        # whole seconds leave out the fraction; the fraction rounds half to even to microseconds
+        assert utc_isoformat(t) == datetime.fromtimestamp(t, timezone.utc).isoformat()
+
+    def test_report_timestamp_is_now(self, capsys):
+        before = datetime.now(timezone.utc)
+        _, out, _ = run_cli(["analyze", "--preset", "gaa-1db"], capsys)
+        stamp = datetime.fromisoformat(load_report(out)["provenance"]["timestamp_utc"])
+        assert stamp.utcoffset().total_seconds() == 0
+        assert before <= stamp <= datetime.now(timezone.utc)
 
     def test_lossless_preset(self, capsys):
         code, out, _ = run_cli(["analyze", "--preset", "lossless"], capsys)

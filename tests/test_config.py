@@ -1,12 +1,14 @@
 import copy
 import json
+import math
 
 import pytest
 
 from kljnsim import cli
-from kljnsim.circuit import AttenuatorConfig, NetworkConfig
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
 from kljnsim.config import (
     PRESETS,
+    AlarmPolicy,
     ConfigError,
     ExperimentConfig,
     parse_config,
@@ -329,3 +331,60 @@ class TestExperimentConfig:
             ExperimentConfig(network=PRESETS["lossless"], n_bits=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(network=PRESETS["lossless"], max_measurements=0)
+
+
+GAA = PRESETS["gaa-1db"]
+# one valid record of each validated class, with changes that break one check each
+CHANGES = [
+    (NoiseSpec(), {"t_eff": "hot"}),
+    (NoiseSpec(), {"t_eff": -1.0}),
+    (NoiseSpec(), {"bandwidth": math.inf}),
+    (NoiseSpec(), {"mode": "burst"}),
+    (NoiseSpec(), {"oversample": 1}),
+    (NoiseSpec(), {"t_eff": 1e-300, "bandwidth": 1e-300}),
+    (AttenuatorConfig(), {"r_series": -1.0}),
+    (AttenuatorConfig(), {"r_shunt": 0.0}),
+    (GAA, {"r_alice": 0.0}),
+    (GAA, {"r_bob": math.inf}),
+    (AlarmPolicy(), {"rel_tolerance": 0.0}),
+    (AlarmPolicy(), {"window": 1}),
+    (ExperimentConfig(network=GAA), {"n_bits": 0}),
+    (ExperimentConfig(network=GAA), {"samples_per_bit": 49}),
+    (ExperimentConfig(network=GAA), {"max_measurements": 0}),
+    (ExperimentConfig(network=GAA), {"master_seed": 2**63}),
+]
+
+
+class TestRecords:
+    """The config records are named tuples whose checks hold for new records and changed copies alike."""
+
+    @pytest.mark.parametrize(
+        "record, changes", CHANGES, ids=[f"{type(r).__name__}-{'-'.join(c)}" for r, c in CHANGES]
+    )
+    def test_changed_copy_raises_what_construction_raises(self, record, changes):
+        with pytest.raises(ValueError) as built:
+            type(record)(**{**record._asdict(), **changes})
+        with pytest.raises(ValueError) as copied:
+            record._replace(**changes)
+        assert type(copied.value) is type(built.value)
+        assert str(copied.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "record", [NoiseSpec(), AttenuatorConfig(), GAA, AlarmPolicy(), ExperimentConfig(GAA)], ids=type
+    )
+    def test_valid_copy_is_a_record_of_its_class(self, record):
+        field, value = next(iter(record._asdict().items()))
+        copy = record._replace(**{field: value})
+        assert type(copy) is type(record)
+        assert copy == record
+
+    def test_records_are_tuples(self):
+        assert AttenuatorConfig(2.9, 500.0) == (2.9, 500.0)
+        assert tuple(NoiseSpec()) == ("normalized", 1.0, "independent", 8)
+        assert GAA._asdict()["pad"] is GAA.pad
+
+    def test_echo_writes_the_pad_as_an_object(self):
+        network = ExperimentConfig(network=GAA).to_dict()["network"]
+        pad = {"r_series": 2.9, "r_shunt": 500.0}
+        assert network == {"r_alice": 1000.0, "r_bob": 10000.0, "pad": pad, "label": "gaa-1db"}
+        assert ExperimentConfig(network=PRESETS["lossless"]).to_dict()["network"]["pad"] is None

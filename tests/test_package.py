@@ -55,6 +55,23 @@ def test_analyze_and_design_pad_load_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_analyze_and_design_pad_load_no_dataclasses_inspect_or_datetime():
+    # the front's records are named tuples and its timestamp comes from time; -S keeps a
+    # site hook from importing any of these modules before the commands run
+    code = (
+        "import contextlib, io, sys\n"
+        "import kljnsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert kljnsim.cli.main(['analyze', '--preset', 'gaa-1db']) == 0\n"
+        "    assert kljnsim.cli.main(['design-pad', '--loss-db', '1', '--z0', '50']) == 0\n"
+        "print(sorted({name.split('.')[0] for name in sys.modules} & {'numpy', 'dataclasses', 'inspect', 'datetime'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_simulate_loads_numpy_before_build_report():
     # bench/child.py times kljnsim.cli.build_report, wrapped on the module after
     # import: numpy must be loaded before that call, and numpy.random still loads

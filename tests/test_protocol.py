@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,12 +78,12 @@ class TestLowHighResistors:
         assert low_high_resistors(GAA) == (1000.0, 10000.0)
 
     def test_swapped_ends_give_the_same_pair(self):
-        assert low_high_resistors(replace(GAA, r_alice=10000.0, r_bob=1000.0)) == (1000.0, 10000.0)
+        assert low_high_resistors(GAA._replace(r_alice=10000.0, r_bob=1000.0)) == (1000.0, 10000.0)
 
     def test_equal_ends_rejected(self):
         with pytest.raises(ValueError, match="network.r_alice and network.r_bob must differ"):
-            low_high_resistors(replace(GAA, r_alice=10.0, r_bob=10.0))
-        equal = replace(LOSSLESS, r_alice=10.0, r_bob=10.0)
+            low_high_resistors(GAA._replace(r_alice=10.0, r_bob=10.0))
+        equal = LOSSLESS._replace(r_alice=10.0, r_bob=10.0)
         with pytest.raises(ValueError, match="must differ"):
             run_periods(np.array([True]), np.array([False]), equal, NOISE, 8, SeededStream(0).generator())
 

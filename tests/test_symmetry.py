@@ -6,7 +6,6 @@ the same picks, and the closed form exchanges the two ends' moments.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +33,7 @@ def test_swapping_alice_and_bob(preset, seed, n_bits, samples_per_bit, mode):
         samples_per_bit=samples_per_bit,
         master_seed=seed,
     )
-    swapped = replace(cfg, network=replace(net, r_alice=net.r_bob, r_bob=net.r_alice))
+    swapped = cfg._replace(network=net._replace(r_alice=net.r_bob, r_bob=net.r_alice))
     report = json.loads(report_json(build_report(cfg, empirical=True)))
     mirror = json.loads(report_json(build_report(swapped, empirical=True)))
 
