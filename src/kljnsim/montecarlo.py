@@ -5,38 +5,43 @@ sums (:class:`EmpiricalTotals`), which also derives every other count, rate
 and interval of the report's empirical section.  Every empirical rate
 carries its 99% Wilson interval.  With a trace stream, the pass also dumps
 every sample as CSV, whose numbers :mod:`kljnsim.reprtext` turns into
-text.  This module and the engine it drives (:mod:`kljnsim.protocol`,
-:mod:`kljnsim.noise`, :mod:`kljnsim.attack`, :mod:`kljnsim.reprtext`) are
-the only ones that import numpy; :mod:`kljnsim.reporting` turns the totals
-into the report.
+text; on Linux with two or more CPUs, a forked worker
+(:mod:`kljnsim.traceworker`) renders every other chunk of a trace of short
+chunks.  This module and the engine it drives (:mod:`kljnsim.protocol`,
+:mod:`kljnsim.noise`, :mod:`kljnsim.attack`, :mod:`kljnsim.reprtext`,
+:mod:`kljnsim.traceworker`) are the only ones that import numpy;
+:mod:`kljnsim.reporting` turns the totals into the report.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
+from . import protocol
 from .attack import row_verdicts
 from .circuit import current_exponent
 from .config import ExperimentConfig
-from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, iter_period_blocks
+from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, iter_period_blocks
 from .stats import Z99, EveCalibration, calibrate, ratio_or_nan, wilson_ci
 
 _TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
 
 
-def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> None:
-    """One CSV row per sample, in period order, converted to text in numpy.
+def _render_trace(block: PeriodBlock, first_period: int, emit: Callable[[bytes], object]) -> None:
+    """Pass ``emit`` the CSV rows of ``block``, one per sample in period order, as ASCII text converted in numpy.
 
     No field ever needs quoting (integers and the ``repr`` text of floats),
     so the text is byte for byte what ``csv.writer``'s excel dialect writes.
-    Rows are converted and written a slice of at most ``CHUNK_SAMPLES // 4``
-    at a time, so the buffers stay small however long a period is.  A loop
-    without a shunt carries one current, and
-    :func:`~kljnsim.protocol.run_periods` then gives the block one array for
-    both ends, whose text fills both columns.
+    Rows are converted and emitted a slice of at most ``CHUNK_SAMPLES // 4``
+    at a time, so the buffers stay small however long a period is, and no
+    slice is held while the next is converted.  A loop without a shunt
+    carries one current, and :func:`~kljnsim.protocol.run_periods` then
+    gives the block one array for both ends, whose text fills both columns.
     """
     from .reprtext import SLOT_WORDS, WORD, write_floats, write_ints  # only a trace CSV needs the formatter
 
@@ -55,7 +60,7 @@ def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> N
         chars[:, at + width] = ord(",")
         return words
 
-    def text(start: int, stop: int) -> str:
+    def text(start: int, stop: int) -> bytes:
         period, sample = np.divmod(np.arange(start, stop), n)
         first_row, last_row = start // n, (stop - 1) // n
         # one period's samples, or from 0 to n - 1 when the slice holds the end of a period
@@ -78,11 +83,16 @@ def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> N
             write_floats(fields, values)
         for j, separator in enumerate(separators):
             fields[:, j, -1] |= separator
-        return words.tobytes().translate(None, b"\0").decode("ascii")
+        return words.tobytes().translate(None, b"\0")
 
     slice_rows = CHUNK_SAMPLES // 4
     for start in range(0, block.n_periods * n, slice_rows):
-        trace.write(text(start, min(start + slice_rows, block.n_periods * n)))
+        emit(text(start, min(start + slice_rows, block.n_periods * n)))
+
+
+def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> None:
+    """Write the CSV rows of ``block`` (:func:`_render_trace`), numbered from ``first_period``, one slice per call."""
+    _render_trace(block, first_period, lambda text: trace.write(text.decode("ascii")))
 
 
 def _rate(count: str, total: str) -> tuple[property, property]:
@@ -193,15 +203,36 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
     )
 
 
+def _splits(chunk_samples: int, n_chunks: int) -> bool:
+    """Whether a traced pass of ``n_chunks`` chunks of ``chunk_samples`` samples forks a worker for its odd chunks.
+
+    It does on Linux, with at least 2 chunks, each shorter than the thread
+    pool's (``POOL_MIN_SAMPLES``), and at least 2 CPUs in the process's
+    affinity mask.  Both limits are read from :mod:`protocol` at call time,
+    as :func:`iter_period_blocks` reads them.
+    """
+    return (
+        sys.platform == "linux"
+        and n_chunks >= 2
+        and chunk_samples < protocol.POOL_MIN_SAMPLES
+        and protocol.available_workers() >= 2
+    )
+
+
 def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> EmpiricalTotals:
     """One streaming pass over every seeded block: protocol, alarm, attack, optional trace CSV to ``trace``.
 
     Each chunk is reduced to its totals on the thread that computed it (see
     :func:`iter_period_blocks` for when that is a pool thread); this thread
     merges them and writes the CSV header, then the rows in chunk order, so
-    the thread layout cannot change a bit of the result.  Currents are in
-    one unit of 2**-m amperes (:func:`~kljnsim.circuit.current_exponent`):
-    Eve's norm constant is scaled by 4**-m, the trace CSV's currents by 2**-m.
+    the thread layout cannot change a bit of the result.  A traced pass of
+    short chunks on two or more CPUs (:func:`_splits`) forks one worker
+    (:mod:`kljnsim.traceworker`) that computes the odd chunks and renders
+    their CSV text, the dearest part of a trace, while this process does the
+    even ones; this process still writes every row and merges every total,
+    in chunk order.  Currents are in one unit of 2**-m amperes
+    (:func:`~kljnsim.circuit.current_exponent`): Eve's norm constant is
+    scaled by 4**-m, the trace CSV's currents by 2**-m.
     """
     m = current_exponent(cfg.network, cfg.noise)
     cal = calibrate(cfg.network, cfg.noise)
@@ -225,14 +256,25 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
             np.ldexp(block.i_bob, -m, out=block.i_bob)
         return totals, block
 
+    def chunks(selected: slice = slice(None)) -> Iterator:
+        return iter_period_blocks(
+            cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk, keep_block, m, selected
+        )
+
     totals = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64))
+    k = chunk_periods(cfg.samples_per_bit)
+    n_chunks = len(range(0, cfg.n_bits, k))
     if keep_block:
         trace.write(_TRACE_HEADER)
-    chunks = iter_period_blocks(
-        cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk, keep_block, m
-    )
-    for part, block in chunks:
-        if block is not None:
-            _write_trace_rows(trace, block, totals.n_bits)
-        totals.merge(part)
+    if keep_block and _splits(k * cfg.samples_per_bit, n_chunks):
+        from .traceworker import in_chunk_order  # only a split trace needs the worker
+
+        in_order = in_chunk_order(chunks, n_chunks, k, trace, _render_trace)
+    else:
+        in_order = nullcontext(chunks())
+    with in_order as parts:
+        for part, block in parts:
+            if block is not None:
+                _write_trace_rows(trace, block, totals.n_bits)
+            totals.merge(part)
     return totals

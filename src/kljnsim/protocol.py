@@ -131,6 +131,11 @@ POOL_MIN_SAMPLES = 4 * CHUNK_SAMPLES
 POOL_MAX_WORKERS = 2
 
 
+def chunk_periods(n_samples: int) -> int:
+    """``K``, the periods in a chunk of RNG layout 2: as many whole periods as fit in ``CHUNK_SAMPLES``, at least 1."""
+    return max(1, CHUNK_SAMPLES // n_samples)
+
+
 def available_workers() -> int:
     """CPUs this process may run on: its affinity mask, which ``taskset`` sets."""
     try:
@@ -200,15 +205,17 @@ def iter_period_blocks(
     per_chunk: Callable[[PeriodBlock], object],
     node: bool = False,
     exponent: int = 0,
+    chunks: slice = slice(None),
 ) -> Iterator:
-    """Yield ``per_chunk`` of each chunk of ``n_bits`` seeded periods, in chunk order.
+    """Yield ``per_chunk`` of each chunk of ``n_bits`` seeded periods that ``chunks`` selects, in chunk order.
 
     Chunk ``c`` holds periods ``c*K`` to ``(c+1)*K - 1`` with
-    ``K = max(1, CHUNK_SAMPLES // n_samples)`` (the last chunk may be
-    shorter).  Its stream ``(master_seed, c)`` draws the ``(K, 2)`` fair
-    resistor picks first, then the noise, so every chunk can be produced on
-    its own and the result depends only on the seed and the config, never
-    on the machine or the worker layout.  The blocks carry the node voltage
+    ``K = max(1, CHUNK_SAMPLES // n_samples)`` (:func:`chunk_periods`; the
+    last chunk may be shorter), and ``chunks`` slices the chunk numbers
+    (``slice(1, None, 2)``: the odd ones).  Its stream ``(master_seed, c)``
+    draws the ``(K, 2)`` fair resistor picks first, then the noise, so every
+    chunk can be produced on its own and the result depends only on the seed
+    and the config, never on the machine or the worker layout.  The blocks carry the node voltage
     only with ``node``, and currents times ``2**exponent``.
 
     ``per_chunk`` runs on the thread that computed the chunk's block.
@@ -218,24 +225,25 @@ def iter_period_blocks(
     flight; shorter chunks run inline.  Either way results are yielded in
     chunk order.
     """
-    k = max(1, CHUNK_SAMPLES // n_samples)
+    k = chunk_periods(n_samples)
     firsts = range(0, n_bits, k)
+    selected = range(len(firsts))[chunks]
 
     def chunk(c: int):
         rng = SeededStream(master_seed, c).generator()
         picks = rng.integers(0, 2, size=(min(k, n_bits - firsts[c]), 2)).astype(bool)
         return per_chunk(run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node, exponent))
 
-    workers = min(available_workers(), POOL_MAX_WORKERS, len(firsts))
+    workers = min(available_workers(), POOL_MAX_WORKERS, len(selected))
     if workers < 2 or k * n_samples < POOL_MIN_SAMPLES:
-        yield from map(chunk, range(len(firsts)))
+        yield from map(chunk, selected)
         return
     from concurrent.futures import ThreadPoolExecutor  # short runs skip this import
 
     pool = ThreadPoolExecutor(workers)
     pending: deque = deque()
     try:
-        for c in range(len(firsts)):
+        for c in selected:
             pending.append(pool.submit(chunk, c))
             if len(pending) > workers:
                 yield pending.popleft().result()

@@ -76,6 +76,7 @@ def empirical_section(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> 
         "alarm": {
             "n_triggered": t.n_alarms,
             "n_triggered_secure": t.n_alarms_secure,
+            "n_triggered_nonsecure": t.n_alarms - t.n_alarms_secure,
             "trigger_rate_secure": ratio_or_nan(t.n_alarms_secure, t.n_secure),
             "mean_rel_difference_secure": ratio_or_nan(t.rel_difference_sum, t.n_secure),
         },
