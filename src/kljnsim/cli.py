@@ -192,7 +192,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # numpy.random is not part of it: numpy loads that submodule lazily, at the
     # first SeededStream.generator() inside build_report, so the pass pays for
     # that import, about 20 ms: a first flagship build_report took 80-86 ms and
-    # later ones in the same process 59-64 ms (2-CPU x86 VM, numpy 2.4.6).
+    # later ones in the same process 59-64 ms (2-CPU x86 VM, numpy 2.4.6).  A
+    # pass that forks a worker loads it earlier, with kljnsim.worker, so the
+    # worker inherits it.
     try:
         from . import montecarlo  # noqa: F401
     except ImportError as exc:

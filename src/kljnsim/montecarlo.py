@@ -5,16 +5,17 @@ sums (:class:`EmpiricalTotals`), which also derives every other count, rate
 and interval of the report's empirical section.  Every empirical rate
 carries its 99% Wilson interval.  With a trace stream, the pass also dumps
 every sample as CSV, whose numbers :mod:`kljnsim.reprtext` turns into
-text; on Linux with two or more CPUs, a forked worker
-(:mod:`kljnsim.traceworker`) renders every other chunk of a trace of short
-chunks.  This module and the engine it drives (:mod:`kljnsim.protocol`,
-:mod:`kljnsim.noise`, :mod:`kljnsim.attack`, :mod:`kljnsim.reprtext`,
-:mod:`kljnsim.traceworker`) are the only ones that import numpy;
-:mod:`kljnsim.reporting` turns the totals into the report.
+text.  On Linux with two or more CPUs, a traced pass or a pass of long
+chunks forks one worker (:mod:`kljnsim.worker`) that computes every other
+chunk (see :func:`_splits`).  This module and the engine it drives
+(:mod:`kljnsim.protocol`, :mod:`kljnsim.noise`, :mod:`kljnsim.attack`,
+:mod:`kljnsim.reprtext`, :mod:`kljnsim.worker`) are the only ones that
+import numpy; :mod:`kljnsim.reporting` turns the totals into the report.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -22,7 +23,6 @@ from typing import Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
-from . import protocol
 from .attack import row_verdicts
 from .circuit import current_exponent
 from .config import ExperimentConfig
@@ -30,6 +30,12 @@ from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, it
 from .stats import Z99, EveCalibration, calibrate, ratio_or_nan, wilson_ci
 
 _TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
+# Smallest chunk for which an untraced pass forks a worker.  The fork costs
+# about 5 ms per pass, which untraced passes of short chunks do not win back:
+# gaa-1db runs of 500 to 2000 bits of 100 samples took about 5 ms longer with
+# it.  Every multi-period chunk holds at most CHUNK_SAMPLES samples, so only
+# long single periods reach this size.
+FORK_MIN_SAMPLES = 4 * CHUNK_SAMPLES
 
 
 def _render_trace(block: PeriodBlock, first_period: int, emit: Callable[[bytes], object]) -> None:
@@ -203,34 +209,39 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
     )
 
 
-def _splits(chunk_samples: int, n_chunks: int) -> bool:
-    """Whether a traced pass of ``n_chunks`` chunks of ``chunk_samples`` samples forks a worker for its odd chunks.
+def available_workers() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset`` sets."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    It does on Linux, with at least 2 chunks, each shorter than the thread
-    pool's (``POOL_MIN_SAMPLES``), and at least 2 CPUs in the process's
-    affinity mask.  Both limits are read from :mod:`protocol` at call time,
-    as :func:`iter_period_blocks` reads them.
+
+def _splits(chunk_samples: int, n_chunks: int, traced: bool) -> bool:
+    """Whether a pass of ``n_chunks`` chunks of ``chunk_samples`` samples forks a worker for its odd chunks.
+
+    It does on Linux, with at least 2 CPUs in the process's affinity mask and
+    at least 2 chunks, when it writes a trace CSV (text conversion is most of
+    a trace's cost) or its chunks hold at least ``FORK_MIN_SAMPLES`` samples.
     """
     return (
         sys.platform == "linux"
         and n_chunks >= 2
-        and chunk_samples < protocol.POOL_MIN_SAMPLES
-        and protocol.available_workers() >= 2
+        and (traced or chunk_samples >= FORK_MIN_SAMPLES)
+        and available_workers() >= 2
     )
 
 
 def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> EmpiricalTotals:
     """One streaming pass over every seeded block: protocol, alarm, attack, optional trace CSV to ``trace``.
 
-    Each chunk is reduced to its totals on the thread that computed it (see
-    :func:`iter_period_blocks` for when that is a pool thread); this thread
-    merges them and writes the CSV header, then the rows in chunk order, so
-    the thread layout cannot change a bit of the result.  A traced pass of
-    short chunks on two or more CPUs (:func:`_splits`) forks one worker
-    (:mod:`kljnsim.traceworker`) that computes the odd chunks and renders
-    their CSV text, the dearest part of a trace, while this process does the
-    even ones; this process still writes every row and merges every total,
-    in chunk order.  Currents are in one unit of 2**-m amperes
+    Each chunk is reduced to its totals by the process that computed it.  A
+    pass that splits (:func:`_splits`) forks one worker
+    (:mod:`kljnsim.worker`) that computes the odd chunks, and renders their
+    CSV text on a traced pass, while this process does the even ones.  This
+    process writes the CSV header, then every row, and merges every total,
+    all in chunk order, so the split cannot change a bit of the result.
+    Currents are in one unit of 2**-m amperes
     (:func:`~kljnsim.circuit.current_exponent`): Eve's norm constant is
     scaled by 4**-m, the trace CSV's currents by 2**-m.
     """
@@ -257,17 +268,18 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
         return totals, block
 
     def chunks(selected: slice = slice(None)) -> Iterator:
-        return iter_period_blocks(
-            cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, per_chunk, keep_block, m, selected
+        blocks = iter_period_blocks(
+            cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, keep_block, m, selected
         )
+        return map(per_chunk, blocks)
 
     totals = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64))
     k = chunk_periods(cfg.samples_per_bit)
     n_chunks = len(range(0, cfg.n_bits, k))
     if keep_block:
         trace.write(_TRACE_HEADER)
-    if keep_block and _splits(k * cfg.samples_per_bit, n_chunks):
-        from .traceworker import in_chunk_order  # only a split trace needs the worker
+    if _splits(k * cfg.samples_per_bit, n_chunks, keep_block):
+        from .worker import in_chunk_order  # only a split pass needs the worker
 
         in_order = in_chunk_order(chunks, n_chunks, k, trace, _render_trace)
     else:

@@ -14,8 +14,8 @@ that turn them into currents.  Two sampling modes are supported:
 
 All randomness is derived from a single master seed through keyed
 ``SeedSequence`` streams, one per fixed-size chunk of bit periods, so
-results never depend on worker count or evaluation order.  Long chunks are
-drawn and filtered on a thread pool; :mod:`kljnsim.protocol` describes it.
+results never depend on worker count or evaluation order: a pass may
+compute every other chunk in a forked worker (:mod:`kljnsim.worker`).
 The streams are part of the numpy engine, which only ``simulate`` loads;
 their settings (:class:`kljnsim.circuit.NoiseSpec`) are not.
 """

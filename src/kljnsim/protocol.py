@@ -15,21 +15,16 @@ the alarm sweep.
 
 Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
 one ``(K, n)`` array per observable, drawn from one keyed random stream
-(RNG layout 2, see :func:`iter_period_blocks`).  Chunks of at least
-``POOL_MIN_SAMPLES`` samples (single periods that long) are computed on a
-thread pool, one thread per CPU that the process may run on, at most
-``POOL_MAX_WORKERS``; ``taskset`` limits them further.  numpy releases the
-GIL in the normal draws, the waveform filter and the large array
-operations.  Results come back in chunk order and are tested
-bit-identical at any worker count.
+(RNG layout 2, see :func:`iter_period_blocks`).  Every chunk can be
+produced on its own, so a pass may compute a slice of the chunks in a
+second process (:mod:`kljnsim.montecarlo` decides when); the blocks depend
+only on the seed and the config.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -120,28 +115,11 @@ class PeriodBlock:
 # The chunk of RNG layout 2 (``reporting.RNG_LAYOUT``): one keyed stream per
 # CHUNK_SAMPLES samples of whole periods.
 CHUNK_SAMPLES = 8192
-# Smallest chunk worth a thread.  Going from 1 to 2 threads, the Monte Carlo
-# pass ran 0.92-1.33x on chunks of about 8192 samples, 1.06-1.54x on 16384
-# and 1.40-1.72x from 32768 up (two crossover tables in BENCH_6.json).
-# Every multi-period chunk holds at most CHUNK_SAMPLES samples, so only long
-# single periods reach the pool.
-POOL_MIN_SAMPLES = 4 * CHUNK_SAMPLES
-# Most threads a pool gets.  Speedup and peak memory were measured up to 2
-# threads only; each extra thread holds one more chunk's working set.
-POOL_MAX_WORKERS = 2
 
 
 def chunk_periods(n_samples: int) -> int:
     """``K``, the periods in a chunk of RNG layout 2: as many whole periods as fit in ``CHUNK_SAMPLES``, at least 1."""
     return max(1, CHUNK_SAMPLES // n_samples)
-
-
-def available_workers() -> int:
-    """CPUs this process may run on: its affinity mask, which ``taskset`` sets."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def run_periods(
@@ -202,12 +180,11 @@ def iter_period_blocks(
     noise: NoiseSpec,
     n_samples: int,
     master_seed: int,
-    per_chunk: Callable[[PeriodBlock], object],
     node: bool = False,
     exponent: int = 0,
     chunks: slice = slice(None),
-) -> Iterator:
-    """Yield ``per_chunk`` of each chunk of ``n_bits`` seeded periods that ``chunks`` selects, in chunk order.
+) -> Iterator[PeriodBlock]:
+    """Yield the block of each chunk of ``n_bits`` seeded periods that ``chunks`` selects, in chunk order.
 
     Chunk ``c`` holds periods ``c*K`` to ``(c+1)*K - 1`` with
     ``K = max(1, CHUNK_SAMPLES // n_samples)`` (:func:`chunk_periods`; the
@@ -215,42 +192,16 @@ def iter_period_blocks(
     (``slice(1, None, 2)``: the odd ones).  Its stream ``(master_seed, c)``
     draws the ``(K, 2)`` fair resistor picks first, then the noise, so every
     chunk can be produced on its own and the result depends only on the seed
-    and the config, never on the machine or the worker layout.  The blocks carry the node voltage
-    only with ``node``, and currents times ``2**exponent``.
-
-    ``per_chunk`` runs on the thread that computed the chunk's block.
-    Chunks of at least ``POOL_MIN_SAMPLES`` samples run on a pool of
-    :func:`available_workers` threads, capped at ``POOL_MAX_WORKERS`` and at
-    the number of chunks, with at most one chunk more than threads in
-    flight; shorter chunks run inline.  Either way results are yielded in
-    chunk order.
+    and the config, never on the machine or the process that computes it.
+    The blocks carry the node voltage only with ``node``, and currents times
+    ``2**exponent``.
     """
     k = chunk_periods(n_samples)
     firsts = range(0, n_bits, k)
-    selected = range(len(firsts))[chunks]
-
-    def chunk(c: int):
+    for c in range(len(firsts))[chunks]:
         rng = SeededStream(master_seed, c).generator()
         picks = rng.integers(0, 2, size=(min(k, n_bits - firsts[c]), 2)).astype(bool)
-        return per_chunk(run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node, exponent))
-
-    workers = min(available_workers(), POOL_MAX_WORKERS, len(selected))
-    if workers < 2 or k * n_samples < POOL_MIN_SAMPLES:
-        yield from map(chunk, selected)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # short runs skip this import
-
-    pool = ThreadPoolExecutor(workers)
-    pending: deque = deque()
-    try:
-        for c in selected:
-            pending.append(pool.submit(chunk, c))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)  # an abandoned pass starts no further chunk
+        yield run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node, exponent)
 
 
 def _window_means(

@@ -1,14 +1,14 @@
-"""A second CPU for a traced pass: one forked worker that renders every other chunk's CSV text.
+"""A second CPU for the Monte Carlo pass: one forked worker that computes every other chunk.
 
-Text conversion is most of the cost of a trace CSV.  On a traced pass of
-short chunks (see ``montecarlo._splits`` for when), the pass forks one
-worker after the engine has loaded, so the worker pays no numpy import.
-The worker computes the odd chunks and streams each one down a pipe: its
-CSV text in the writer's slices of at most ``CHUNK_SAMPLES // 4`` rows,
-then its :class:`~kljnsim.montecarlo.EmpiricalTotals`.  The main process
-computes the even chunks, writes every row and merges every total in chunk
-order, so the CSV and the report are those of a pass on one CPU.  Only the
-pass loads this module.
+On a pass that splits (see ``montecarlo._splits`` for when), the pass forks
+one worker after the engine has loaded, so the worker pays no numpy import.
+The worker computes the odd chunks and streams each one down a pipe: on a
+traced pass its CSV text first, in the writer's slices of at most
+``CHUNK_SAMPLES // 4`` rows, then its
+:class:`~kljnsim.montecarlo.EmpiricalTotals`.  The main process computes
+the even chunks, writes every row and merges every total in chunk order, so
+the CSV and the report are those of a pass on one CPU.  Only a pass that
+splits loads this module.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pickle
 import signal
 import warnings
 from contextlib import contextmanager, suppress
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn, Optional, TextIO
 
 # numpy loads numpy.random lazily, at the first draw; loaded here, before the fork,
 # the worker inherits it instead of loading it while this process does the same
@@ -41,15 +41,16 @@ def _send(pipe: BinaryIO, message: object) -> None:
 
 
 def _serve_odd_chunks(chunks: Iterator, k: int, render: Render, fd: int) -> NoReturn:
-    """The forked worker: down the pipe ``fd``, each odd chunk's CSV text slice by slice, then its totals.
+    """The forked worker: down the pipe ``fd``, each odd chunk's CSV text slice by slice (traced), then its totals.
 
     It leaves only through ``os._exit``, so it never flushes a buffer it
     inherited (the trace's header, standard output) and never runs the
     parent's cleanup, which removes or replaces the outputs; that is why it
     catches every exception.  A failure is sent as one line of text.  It
-    ignores SIGINT: on an interrupt the parent ends it.  The pipe's
-    backpressure holds it at most a pipe's worth of text (about one chunk's)
-    ahead of the parent's reads.
+    ignores SIGINT: on an interrupt the parent ends it.  On a traced pass the
+    pipe's backpressure holds it at most a pipe's worth of text (about one
+    chunk's) ahead of the parent's reads; untraced, it sends only small
+    totals and may finish its chunks first, holding one chunk at a time.
     """
     status = 1
     try:
@@ -57,7 +58,8 @@ def _serve_odd_chunks(chunks: Iterator, k: int, render: Render, fd: int) -> NoRe
         pipe = open(fd, "wb")
         try:
             for c, (part, block) in zip(itertools.count(1, 2), chunks):
-                render(block, c * k, lambda text: _send(pipe, text))
+                if block is not None:
+                    render(block, c * k, lambda text: _send(pipe, text))
                 _send(pipe, part)
             status = 0
         except BaseException as exc:
@@ -67,33 +69,35 @@ def _serve_odd_chunks(chunks: Iterator, k: int, render: Render, fd: int) -> NoRe
         os._exit(status)
 
 
-def _receive(pipe: BinaryIO, trace: TextIO) -> EmpiricalTotals:
-    """Write one worker chunk's CSV text to ``trace`` as it arrives; return the chunk's totals."""
+def _receive(pipe: BinaryIO, trace: Optional[TextIO]) -> EmpiricalTotals:
+    """Write one worker chunk's CSV text, if any, to ``trace`` as it arrives; return the chunk's totals."""
     while True:
         try:
             message = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError("trace CSV worker ended before its last chunk") from None
+            raise ChildProcessError("worker ended before its last chunk") from None
         if isinstance(message, bytes):
             trace.write(message.decode("ascii"))
         elif isinstance(message, str):
-            raise ChildProcessError(f"trace CSV worker failed: {message}")
+            raise ChildProcessError(f"worker failed: {message}")
         else:
             return message
 
 
 @contextmanager
 def in_chunk_order(
-    chunks: Callable[[slice], Iterator], n_chunks: int, k: int, trace: TextIO, render: Render
+    chunks: Callable[[slice], Iterator], n_chunks: int, k: int, trace: Optional[TextIO], render: Render
 ) -> Iterator[Iterator]:
     """Every chunk's ``(totals, block)`` in chunk order, the odd ones from a forked worker.
 
-    ``chunks`` gives the pass's chunks that a slice of chunk numbers selects,
+    ``chunks`` gives the ``(totals, block)`` of the pass's chunks that a
+    slice of chunk numbers selects, with ``block`` None on an untraced pass;
     ``k`` is the periods per chunk and ``render`` the CSV writer's text
-    source.  Each odd chunk is yielded as ``(totals, None)`` once the worker's
-    text of it is written to ``trace``.  The worker is reaped before this
-    returns, killed first if the pass stops early.  A worker that fails or
-    dies raises :class:`ChildProcessError` here, a runtime error (exit 2).
+    source.  Each odd chunk is yielded as ``(totals, None)`` once the
+    worker's text of it, if any, is written to ``trace``.  The worker is
+    reaped before this returns, killed first if the pass stops early.  A
+    worker that fails or dies raises :class:`ChildProcessError` here, a
+    runtime error (exit 2).
     """
     read_fd, write_fd = os.pipe()
     with suppress(OSError):  # a smaller pipe only costs overlap
@@ -103,8 +107,8 @@ def in_chunk_order(
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with more than one thread forks, and
-            # numpy's OpenBLAS may keep one; the worker calls no BLAS routine, and
-            # OpenBLAS resets its thread pool in a forked child
+            # numpy's OpenBLAS may keep one; OpenBLAS resets its thread pool in a
+            # forked child
             warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
             pid = os.fork()
     except BaseException:

@@ -209,7 +209,7 @@ def test_criterion_7_alarm_detection(capsys):
     n_secure = 0
     n_triggered = 0
     diffs = []
-    for block in iter_period_blocks(20_500, GAA, NOISE, 50, SEED + 2, lambda block: block):
+    for block in iter_period_blocks(20_500, GAA, NOISE, 50, SEED + 2):
         report = alarm_sweep(block, policy)
         secure = block.secure
         n_secure += int(secure.sum())

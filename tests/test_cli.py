@@ -286,7 +286,7 @@ class TestSimulate:
         writer = csv.writer(expected)
         writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
         period = 0
-        for block in iter_period_blocks(bits, cfg.network, cfg.noise, samples, 3, lambda block: block, True):
+        for block in iter_period_blocks(bits, cfg.network, cfg.noise, samples, 3, True):
             for r in range(block.n_periods):
                 for k in range(block.n_samples):
                     writer.writerow(
@@ -463,7 +463,7 @@ class TestSimulate:
         with pytest.raises(KeyboardInterrupt):
             main(args)
         # on two CPUs a forked worker renders the odd chunks, so this process writes chunks 0 and 2 itself
-        split = sys.platform == "linux" and protocol.available_workers() >= 2
+        split = sys.platform == "linux" and montecarlo.available_workers() >= 2
         assert blocks == [0, 162 if split else 81]
         assert report.read_bytes() == b"previous report\n"
         assert trace.read_bytes() == b"previous,trace\n"

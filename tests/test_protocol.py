@@ -299,7 +299,7 @@ class TestCurrentAlarm:
 
 
 def picks(n_bits, seed, n_samples=10):
-    blocks = list(iter_period_blocks(n_bits, LOSSLESS, NOISE, n_samples, seed, lambda block: block))
+    blocks = list(iter_period_blocks(n_bits, LOSSLESS, NOISE, n_samples, seed))
     return np.concatenate([b.alice_high for b in blocks]), np.concatenate([b.bob_high for b in blocks])
 
 
@@ -323,7 +323,7 @@ class TestRunKeyExchange:
 
     @staticmethod
     def exchange(n_bits, net, n_samples, policy, seed):
-        blocks = list(iter_period_blocks(n_bits, net, NOISE, n_samples, seed, lambda block: block))
+        blocks = list(iter_period_blocks(n_bits, net, NOISE, n_samples, seed))
         return blocks, [alarm_sweep(b, policy) for b in blocks]
 
     def test_lossless_thousand_bits(self):
@@ -357,7 +357,7 @@ class TestRunKeyExchange:
     def test_key_bits_follow_states(self):
         # secure rows are exactly those with opposite picks, and secure_rows
         # keeps their picks, so the key bits alice_high stay with their rows
-        for block in iter_period_blocks(80, LOSSLESS, NOISE, 60, 31, lambda block: block):
+        for block in iter_period_blocks(80, LOSSLESS, NOISE, 60, 31):
             assert np.array_equal(block.secure, block.alice_high ^ block.bob_high)
             sec = block.secure_rows()
             assert np.array_equal(sec.alice_high, block.alice_high[block.secure])
@@ -369,7 +369,7 @@ class TestRunKeyExchange:
         # 3000 samples per period give chunks of 2 periods, the last one short
         n_samples = 3000
         k = CHUNK_SAMPLES // n_samples
-        blocks = list(iter_period_blocks(5, GAA, NOISE, n_samples, 7, lambda block: block))
+        blocks = list(iter_period_blocks(5, GAA, NOISE, n_samples, 7))
         assert [b.n_periods for b in blocks] == [k, k, 1]
         for c, block in enumerate(blocks):
             rng = SeededStream(7, c).generator()
@@ -380,7 +380,7 @@ class TestRunKeyExchange:
             assert np.array_equal(block.i_bob, direct.i_bob)
 
     def test_long_periods_get_one_stream_each(self):
-        blocks = list(iter_period_blocks(3, GAA, NOISE, CHUNK_SAMPLES + 1, 4, lambda block: block))
+        blocks = list(iter_period_blocks(3, GAA, NOISE, CHUNK_SAMPLES + 1, 4))
         assert [b.n_periods for b in blocks] == [1, 1, 1]
 
     @given(
@@ -401,10 +401,7 @@ class TestRunKeyExchange:
             "protocol": {"n_bits": n_bits, "samples_per_bit": samples_per_bit, "alarm": {"window": window}},
         }
         cfg = resolve_config(document, {})
-        shapes = list(
-            iter_period_blocks(
-                cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, lambda b: b.i_alice.shape
-            )
-        )
+        blocks = iter_period_blocks(cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed)
+        shapes = [b.i_alice.shape for b in blocks]
         assert all(rows >= 1 and n == samples_per_bit for rows, n in shapes)
         assert sum(rows for rows, _ in shapes) == n_bits
