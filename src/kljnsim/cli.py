@@ -189,12 +189,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     # The numpy engine loads here, once: after the config is checked and before
     # any output is opened, so an engine that fails to import leaves no file.
-    # numpy.random is not part of it: numpy loads that submodule lazily, at the
-    # first SeededStream.generator() inside build_report, so the pass pays for
-    # that import, about 20 ms: a first flagship build_report took 80-86 ms and
-    # later ones in the same process 59-64 ms (2-CPU x86 VM, numpy 2.4.6).  A
-    # pass that forks a worker loads it earlier, with kljnsim.worker, so the
-    # worker inherits it.
+    # numpy.random is not part of it: numpy loads that submodule lazily, and
+    # kljnsim.noise.import_numpy_random imports it at the first
+    # SeededStream.generator() inside build_report, so the pass pays for that
+    # import: 6.9 ms, where numpy's plain import took 13.0 ms, most of the
+    # difference in the hmac, hashlib and OpenSSL that its unused secrets import
+    # loads (medians of 20 fresh processes, 2-CPU x86 VM, numpy 2.4.6).  A pass
+    # that forks a worker loads it earlier, with kljnsim.worker, so the worker
+    # inherits it.
     try:
         from . import montecarlo  # noqa: F401
     except ImportError as exc:

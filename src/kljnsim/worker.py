@@ -22,14 +22,16 @@ import warnings
 from contextlib import contextmanager, suppress
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn, Optional, TextIO
 
-# numpy loads numpy.random lazily, at the first draw; loaded here, before the fork,
-# the worker inherits it instead of loading it while this process does the same
-import numpy.random  # noqa: F401
-
+from .noise import import_numpy_random
 from .protocol import PeriodBlock
 
 if TYPE_CHECKING:
     from .montecarlo import EmpiricalTotals
+
+# numpy.random otherwise loads at the first stream build; loaded here, before the fork,
+# the worker inherits it instead of loading it while this process does the same.  It
+# goes through the same helper as a stream build, so OpenSSL stays out of both processes.
+import_numpy_random()
 
 # montecarlo._render_trace: pass a block's CSV text, rows numbered from a first period, to a callback
 Render = Callable[[PeriodBlock, int, Callable[[bytes], object]], None]

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kljnsim
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +93,87 @@ def test_simulate_loads_numpy_before_build_report():
     )
     proc = run_python(code, [str(ROOT / "src")])
     assert proc.returncode == 0, proc.stderr
+
+
+OPENSSL_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "gaa-1db", "--seed", "7", "--bits", "2000", "--samples-per-bit", "100"],
+        ["simulate", "--preset", "lossless", "--bits", "800", "--samples-per-bit", "100", "--trace-csv", os.devnull],
+    ],
+    ids=["flagship", "trace-dump-forked"],
+)
+def test_simulate_loads_numpy_random_without_openssl(argv):
+    # numpy.random would load secrets -> hmac -> hashlib -> _hashlib (OpenSSL) for a
+    # randbits that kljnsim never calls; a traced pass of 10 chunks forks its worker,
+    # whose module loads numpy.random before the fork.  Afterwards secrets is the real
+    # module and unseeded SeedSequences still draw fresh entropy.
+    code = (
+        "import contextlib, io, sys\n"
+        "openssl = set(sys.argv[1].split(','))\n"
+        "print(sorted(openssl & set(sys.modules)))\n"
+        "import kljnsim.cli, kljnsim.montecarlo as montecarlo\n"
+        "montecarlo.available_workers = lambda: 2  # a traced pass forks on one CPU too\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert kljnsim.cli.main(sys.argv[2:]) == 0\n"
+        "print(sorted(openssl & set(sys.modules)), 'numpy.random' in sys.modules, 'kljnsim.worker' in sys.modules)\n"
+        "import secrets, numpy.random\n"
+        "fresh = numpy.random.SeedSequence().entropy != numpy.random.SeedSequence().entropy\n"
+        "print(hasattr(secrets, 'token_hex'), fresh)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    args = [sys.executable, "-c", code, ",".join(OPENSSL_MODULES), *argv]
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_start, after, real = proc.stdout.splitlines()
+    if at_start != "[]":
+        pytest.skip(f"this interpreter loads {at_start} at start-up")
+    forked = "--trace-csv" in argv and sys.platform == "linux"
+    assert after == f"[] True {forked}"
+    assert real == "True True"
+
+
+# a numpy that takes more than randbits from secrets: one imports something else
+# from it first, the other loses randbits from the stand-in, so numpy's own
+# bit_generator fails halfway through its import
+ASKS_FOR_MORE = {
+    "token-hex": "    from secrets import token_hex  # noqa: F401\n",
+    "no-randbits": (
+        "    stand_in = sys.modules.get('secrets')\n"
+        "    if stand_in is not None and not hasattr(stand_in, 'token_hex'):\n"
+        "        del stand_in.randbits\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("asks", ASKS_FOR_MORE.values(), ids=ASKS_FOR_MORE.keys())
+def test_numpy_random_falls_back_to_the_plain_import(asks):
+    code = (
+        "import sys\n"
+        "from kljnsim import noise\n"
+        "calls = []\n"
+        "def import_module(name, real=noise.import_module):\n"
+        "    calls.append(name)\n"
+        f"{asks}"
+        "    return real(name)\n"
+        "noise.import_module = import_module\n"
+        "numpy_random = noise.import_numpy_random()\n"
+        "assert numpy_random is sys.modules['numpy.random'], numpy_random\n"
+        "assert calls == ['numpy.random'] * 2, calls\n"
+        "assert hasattr(sys.modules['secrets'], 'token_hex'), 'the stand-in secrets was left behind'\n"
+        "print(noise.SeededStream(7, 3).generator().standard_normal(4).tolist())\n"
+    )
+    plain = (
+        "import numpy.random\n"
+        "print(numpy.random.default_rng(numpy.random.SeedSequence((7, 3))).standard_normal(4).tolist())\n"
+    )
+    procs = [run_python(source, [str(ROOT / "src")]) for source in (code, plain)]
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+    assert procs[0].stdout == procs[1].stdout
 
 
 def test_without_numpy_simulate_exits_2_and_the_rest_works(tmp_path):
