@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Sweep the pad's shunt resistance and tabulate the resulting leak.
 
-Shows how the current imbalance (and with it Eve's success rate) dies off
-as the shunt leg stiffens toward an open branch, i.e. as the topology
-approaches the intact single loop.  Output is CSV on stdout, ready for any
-plotting tool.
+Shows how the current imbalance dies off as the shunt leg stiffens toward
+an open branch, i.e. as the topology approaches the intact single loop.
+What dies off with it is Eve's margin, p_success - p_error, not her success
+rate: at r_shunt = 1e7 ohm both rates read 0.216625, so her guess is a coin
+flip.  The attack columns are the independent-reading model, which treats
+her two end readings as independent; the exact simultaneous-reading model
+(ROADMAP item 1) would send both rates to 0 there: a nearly intact loop
+carries nearly one current, so her two readings fall on the same side of
+her threshold.  Output is CSV on stdout, ready for any plotting tool.
 """
 
 import csv

@@ -20,7 +20,7 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Any, Iterator, Optional, Sequence, TextIO
+from typing import IO, Any, BinaryIO, Iterator, Optional, Sequence, TextIO
 
 from .circuit import design_tee_pad
 from .config import ConfigError, ExperimentConfig, load_config_file, resolve_config
@@ -95,7 +95,7 @@ def _env_seed() -> Optional[int]:
 
 
 @contextlib.contextmanager
-def _replaced_on_success(path: str, newline: Optional[str]) -> Iterator[TextIO]:
+def _replaced_on_success(path: str, binary: bool) -> Iterator[IO]:
     """A temporary file beside ``path`` that replaces it once the body has finished without an exception.
 
     On any failure, an interrupt included, the temporary file is removed and
@@ -113,7 +113,7 @@ def _replaced_on_success(path: str, newline: Optional[str]) -> Iterator[TextIO]:
         mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline=newline, encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fd, mode)
             yield fh
         os.replace(tmp, target)
@@ -130,19 +130,19 @@ def _replaceable(path: str) -> bool:
         return True
 
 
-def _open_output(path: str, newline: Optional[str]) -> contextlib.AbstractContextManager[TextIO]:
+def _open_output(path: str, binary: bool) -> contextlib.AbstractContextManager[IO]:
     """``path`` opened for writing: through a temporary file when :func:`_replaceable`, else directly.
 
     Devices, pipes, FIFOs and terminals are written directly.
     """
     if _replaceable(path):
-        return _replaced_on_success(path, newline)
-    return open(path, "a", newline=newline, encoding="utf-8")
+        return _replaced_on_success(path, binary)
+    return open(path, "ab") if binary else open(path, "a", encoding="utf-8")
 
 
 @contextlib.contextmanager
-def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tuple[TextIO, Optional[TextIO]]]:
-    """The report's destination (standard output without a path) and the optional trace CSV.
+def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tuple[TextIO, Optional[BinaryIO]]]:
+    """The report's destination (standard output without a path) and the optional trace CSV, opened in binary.
 
     Both are opened before any computation, so an unwritable path fails
     fast.  A regular file is written to a temporary file in its directory,
@@ -158,8 +158,8 @@ def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tup
             raise ConfigError(f"output.report and output.trace_csv both name the file {target}")
     with contextlib.ExitStack() as stack:
         files = [
-            None if path is None else stack.enter_context(_open_output(path, newline))
-            for path, newline in ((report, None), (trace, ""))
+            None if path is None else stack.enter_context(_open_output(path, binary))
+            for path, binary in ((report, False), (trace, True))
         ]
         yield sys.stdout if files[0] is None else files[0], files[1]
 

@@ -3,11 +3,11 @@
 The pass reduces every chunk to one flat record of independent counts and
 sums (:class:`EmpiricalTotals`), which also derives every other count, rate
 and interval of the report's empirical section.  Every empirical rate
-carries its 99% Wilson interval.  With a trace stream, the pass also dumps
-every sample as CSV, whose numbers :mod:`kljnsim.reprtext` turns into
-text.  On Linux with two or more CPUs, a traced pass or a pass of long
-chunks forks one worker (:mod:`kljnsim.worker`) that computes every other
-chunk (see :func:`_splits`).  This module and the engine it drives
+carries its 99% Wilson interval.  With a binary trace stream, the pass
+also dumps every sample as CSV, whose numbers :mod:`kljnsim.reprtext`
+turns into ASCII.  On Linux with two or more CPUs, a traced pass or a pass
+of long chunks forks one worker (:mod:`kljnsim.worker`) that computes every
+other chunk (see :func:`_splits`).  This module and the engine it drives
 (:mod:`kljnsim.protocol`, :mod:`kljnsim.noise`, :mod:`kljnsim.attack`,
 :mod:`kljnsim.reprtext`, :mod:`kljnsim.worker`) are the only ones that
 import numpy; :mod:`kljnsim.reporting` turns the totals into the report.
@@ -19,7 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Optional, TextIO
+from typing import BinaryIO, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .config import ExperimentConfig
 from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, iter_period_blocks
 from .stats import Z99, EveCalibration, calibrate, ratio_or_nan, wilson_ci
 
-_TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
+_TRACE_HEADER = b"period,sample,i_alice,i_bob,v_node\r\n"
 # Smallest chunk for which an untraced pass forks a worker.  The fork costs
 # about 5 ms per pass, which untraced passes of short chunks do not win back:
 # gaa-1db runs of 500 to 2000 bits of 100 samples took about 5 ms longer with
@@ -38,16 +38,18 @@ _TRACE_HEADER = "period,sample,i_alice,i_bob,v_node\r\n"
 FORK_MIN_SAMPLES = 4 * CHUNK_SAMPLES
 
 
-def _render_trace(block: PeriodBlock, first_period: int, emit: Callable[[bytes], object]) -> None:
-    """Pass ``emit`` the CSV rows of ``block``, one per sample in period order, as ASCII text converted in numpy.
+def _render_trace(block: PeriodBlock, first_period: int, emit: Callable[[bytes], object], exponent: int) -> None:
+    """Pass ``emit`` the CSV rows of ``block``, one per sample in period order, as ASCII bytes converted in numpy.
 
     No field ever needs quoting (integers and the ``repr`` text of floats),
-    so the text is byte for byte what ``csv.writer``'s excel dialect writes.
-    Rows are converted and emitted a slice of at most ``CHUNK_SAMPLES // 4``
-    at a time, so the buffers stay small however long a period is, and no
-    slice is held while the next is converted.  A loop without a shunt
-    carries one current, and :func:`~kljnsim.protocol.run_periods` then
-    gives the block one array for both ends, whose text fills both columns.
+    so the bytes are those that ``csv.writer``'s excel dialect writes.  The
+    block's currents, in the pass's unit of 2**-exponent amperes, are written
+    in amperes; the block itself is never written to.  Rows are converted and
+    emitted a slice of at most ``CHUNK_SAMPLES // 4`` at a time, so the
+    buffers stay small however long a period is, and no slice is held while
+    the next is converted.  A loop without a shunt carries one current, and
+    :func:`~kljnsim.protocol.run_periods` then gives the block one array for
+    both ends, whose text fills both columns.
     """
     from .reprtext import SLOT_WORDS, WORD, write_floats, write_ints  # only a trace CSV needs the formatter
 
@@ -79,7 +81,8 @@ def _render_trace(block: PeriodBlock, first_period: int, emit: Callable[[bytes],
         samples = numbers(first_sample, last_sample, sample_width, period_width + 1, head)
         words[:, :head] = periods.take(period - first_row, axis=0) | samples.take(sample - first_sample, axis=0)
         fields = words[:, head:].reshape(-1, 3, SLOT_WORDS)
-        values = np.stack([c[start:stop] for c in columns], axis=-1)
+        values = np.stack([c[start:stop] for c in columns], axis=-1)  # a copy: the block stays as computed
+        np.ldexp(values[:, :-1], -exponent, out=values[:, :-1])
         if shared:
             write_floats(fields[:, ::2], values)
             # Bob's text is Alice's, copied as one item per slot rather than word by word
@@ -96,9 +99,9 @@ def _render_trace(block: PeriodBlock, first_period: int, emit: Callable[[bytes],
         emit(text(start, min(start + slice_rows, block.n_periods * n)))
 
 
-def _write_trace_rows(trace: TextIO, block: PeriodBlock, first_period: int) -> None:
+def _write_trace_rows(trace: BinaryIO, block: PeriodBlock, first_period: int, exponent: int) -> None:
     """Write the CSV rows of ``block`` (:func:`_render_trace`), numbered from ``first_period``, one slice per call."""
-    _render_trace(block, first_period, lambda text: trace.write(text.decode("ascii")))
+    _render_trace(block, first_period, trace.write, exponent)
 
 
 def _rate(count: str, total: str) -> tuple[property, property]:
@@ -232,13 +235,13 @@ def _splits(chunk_samples: int, n_chunks: int, traced: bool) -> bool:
     )
 
 
-def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> EmpiricalTotals:
+def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) -> EmpiricalTotals:
     """One streaming pass over every seeded block: protocol, alarm, attack, optional trace CSV to ``trace``.
 
     Each chunk is reduced to its totals by the process that computed it.  A
     pass that splits (:func:`_splits`) forks one worker
     (:mod:`kljnsim.worker`) that computes the odd chunks, and renders their
-    CSV text on a traced pass, while this process does the even ones.  This
+    CSV bytes on a traced pass, while this process does the even ones.  This
     process writes the CSV header, then every row, and merges every total,
     all in chunk order, so the split cannot change a bit of the result.
     Currents are in one unit of 2**-m amperes
@@ -260,12 +263,7 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
         totals.n_alarms = int(np.count_nonzero(alarm.triggered))
         totals.n_alarms_secure = int(np.count_nonzero(alarm.triggered & secure))
         totals.rel_difference_sum = float(alarm.rel_difference[secure].sum())
-        if not keep_block:
-            return totals, None
-        np.ldexp(block.i_alice, -m, out=block.i_alice)  # the trace CSV writes true units
-        if block.i_bob is not block.i_alice:  # without a shunt one array holds both ends
-            np.ldexp(block.i_bob, -m, out=block.i_bob)
-        return totals, block
+        return totals, block if keep_block else None
 
     def chunks(selected: slice = slice(None)) -> Iterator:
         blocks = iter_period_blocks(
@@ -281,12 +279,12 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> E
     if _splits(k * cfg.samples_per_bit, n_chunks, keep_block):
         from .worker import in_chunk_order  # only a split pass needs the worker
 
-        in_order = in_chunk_order(chunks, n_chunks, k, trace, _render_trace)
+        in_order = in_chunk_order(chunks, n_chunks, k, trace, lambda b, first, emit: _render_trace(b, first, emit, m))
     else:
         in_order = nullcontext(chunks())
     with in_order as parts:
         for part, block in parts:
             if block is not None:
-                _write_trace_rows(trace, block, totals.n_bits)
+                _write_trace_rows(trace, block, totals.n_bits, m)
             totals.merge(part)
     return totals

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Any, Optional, TextIO
+from typing import Any, BinaryIO, Optional, TextIO
 
 from . import __version__
 from .circuit import analytic_mean_square_currents, current_exponent
@@ -54,7 +54,7 @@ def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def empirical_section(cfg: ExperimentConfig, trace: Optional[TextIO] = None) -> dict[str, Any]:
+def empirical_section(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) -> dict[str, Any]:
     """The report's empirical section: the totals of the Monte Carlo pass, with the numbers they give."""
     # the numpy engine; `simulate` has imported it before the report is built
     from .montecarlo import monte_carlo_pass
@@ -135,11 +135,11 @@ def agreement_section(analytic: dict[str, Any], empirical: dict[str, Any]) -> di
     }
 
 
-def build_report(cfg: ExperimentConfig, *, empirical: bool, trace: Optional[TextIO] = None) -> dict[str, Any]:
+def build_report(cfg: ExperimentConfig, *, empirical: bool, trace: Optional[BinaryIO] = None) -> dict[str, Any]:
     """Assemble the full run report; runs the Monte Carlo pass when asked to.
 
-    With ``trace``, an open text stream, the pass also dumps every sample
-    there as CSV.
+    With ``trace``, an open binary stream, the pass also dumps every sample
+    there as CSV bytes, currents in amperes.
     """
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,

@@ -3,7 +3,7 @@
 On a pass that splits (see ``montecarlo._splits`` for when), the pass forks
 one worker after the engine has loaded, so the worker pays no numpy import.
 The worker computes the odd chunks and streams each one down a pipe: on a
-traced pass its CSV text first, in the writer's slices of at most
+traced pass its CSV bytes first, in the writer's slices of at most
 ``CHUNK_SAMPLES // 4`` rows, then its
 :class:`~kljnsim.montecarlo.EmpiricalTotals`.  The main process computes
 the even chunks, writes every row and merges every total in chunk order, so
@@ -20,7 +20,7 @@ import pickle
 import signal
 import warnings
 from contextlib import contextmanager, suppress
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn, Optional, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, NoReturn, Optional
 
 from .noise import import_numpy_random
 from .protocol import PeriodBlock
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 # goes through the same helper as a stream build, so OpenSSL stays out of both processes.
 import_numpy_random()
 
-# montecarlo._render_trace: pass a block's CSV text, rows numbered from a first period, to a callback
+# montecarlo._render_trace in the pass's unit: pass a block's CSV bytes, rows numbered from a period, to a callback
 Render = Callable[[PeriodBlock, int, Callable[[bytes], object]], None]
 
 
@@ -43,14 +43,14 @@ def _send(pipe: BinaryIO, message: object) -> None:
 
 
 def _serve_odd_chunks(chunks: Iterator, k: int, render: Render, fd: int) -> NoReturn:
-    """The forked worker: down the pipe ``fd``, each odd chunk's CSV text slice by slice (traced), then its totals.
+    """The forked worker: down the pipe ``fd``, each odd chunk's CSV bytes slice by slice (traced), then its totals.
 
     It leaves only through ``os._exit``, so it never flushes a buffer it
     inherited (the trace's header, standard output) and never runs the
     parent's cleanup, which removes or replaces the outputs; that is why it
     catches every exception.  A failure is sent as one line of text.  It
     ignores SIGINT: on an interrupt the parent ends it.  On a traced pass the
-    pipe's backpressure holds it at most a pipe's worth of text (about one
+    pipe's backpressure holds it at most a pipe's worth of rows (about one
     chunk's) ahead of the parent's reads; untraced, it sends only small
     totals and may finish its chunks first, holding one chunk at a time.
     """
@@ -61,7 +61,7 @@ def _serve_odd_chunks(chunks: Iterator, k: int, render: Render, fd: int) -> NoRe
         try:
             for c, (part, block) in zip(itertools.count(1, 2), chunks):
                 if block is not None:
-                    render(block, c * k, lambda text: _send(pipe, text))
+                    render(block, c * k, lambda rows: _send(pipe, rows))
                 _send(pipe, part)
             status = 0
         except BaseException as exc:
@@ -71,15 +71,15 @@ def _serve_odd_chunks(chunks: Iterator, k: int, render: Render, fd: int) -> NoRe
         os._exit(status)
 
 
-def _receive(pipe: BinaryIO, trace: Optional[TextIO]) -> EmpiricalTotals:
-    """Write one worker chunk's CSV text, if any, to ``trace`` as it arrives; return the chunk's totals."""
+def _receive(pipe: BinaryIO, trace: Optional[BinaryIO]) -> EmpiricalTotals:
+    """Write one worker chunk's CSV bytes, if any, to ``trace`` as they arrive; return the chunk's totals."""
     while True:
         try:
             message = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):
             raise ChildProcessError("worker ended before its last chunk") from None
         if isinstance(message, bytes):
-            trace.write(message.decode("ascii"))
+            trace.write(message)
         elif isinstance(message, str):
             raise ChildProcessError(f"worker failed: {message}")
         else:
@@ -88,22 +88,22 @@ def _receive(pipe: BinaryIO, trace: Optional[TextIO]) -> EmpiricalTotals:
 
 @contextmanager
 def in_chunk_order(
-    chunks: Callable[[slice], Iterator], n_chunks: int, k: int, trace: Optional[TextIO], render: Render
+    chunks: Callable[[slice], Iterator], n_chunks: int, k: int, trace: Optional[BinaryIO], render: Render
 ) -> Iterator[Iterator]:
     """Every chunk's ``(totals, block)`` in chunk order, the odd ones from a forked worker.
 
     ``chunks`` gives the ``(totals, block)`` of the pass's chunks that a
     slice of chunk numbers selects, with ``block`` None on an untraced pass;
-    ``k`` is the periods per chunk and ``render`` the CSV writer's text
+    ``k`` is the periods per chunk and ``render`` the CSV writer's byte
     source.  Each odd chunk is yielded as ``(totals, None)`` once the
-    worker's text of it, if any, is written to ``trace``.  The worker is
+    worker's rows of it, if any, are written to ``trace``.  The worker is
     reaped before this returns, killed first if the pass stops early.  A
     worker that fails or dies raises :class:`ChildProcessError` here, a
     runtime error (exit 2).
     """
     read_fd, write_fd = os.pipe()
     with suppress(OSError):  # a smaller pipe only costs overlap
-        # room for a chunk's text, at most 8192 rows of at most 95 bytes, so the worker
+        # room for a chunk's rows, at most 8192 rows of at most 95 bytes, so the worker
         # renders the next chunk while this process works on its own
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
     try:

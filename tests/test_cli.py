@@ -450,11 +450,11 @@ class TestSimulate:
     def test_interrupt_mid_csv_keeps_outputs(self, tmp_path, monkeypatch):
         blocks = []
 
-        def interrupted_on_second_block(trace, block, first_period):
+        def interrupted_on_second_block(trace, block, first_period, m):
             blocks.append(first_period)
             if len(blocks) == 2:
                 raise KeyboardInterrupt
-            write_trace_rows(trace, block, first_period)
+            write_trace_rows(trace, block, first_period, m)
 
         write_trace_rows = montecarlo._write_trace_rows
         monkeypatch.setattr(montecarlo, "_write_trace_rows", interrupted_on_second_block)
@@ -524,20 +524,23 @@ class TestSimulate:
         if existing:
             assert path.read_bytes() == b"previous\n"
 
-    def test_outputs_to_pipes(self):
-        # standard output and error are pipes here, which cannot be sought
+    def test_outputs_to_pipes(self, tmp_path, capsys):
+        # standard output and error are pipes here, which cannot be sought; the trace
+        # through the pipe is byte for byte that of a regular file, line endings included
         args = ["simulate", "--preset", "gaa-1db", "--bits", "5", "--samples-per-bit", "50"]
         proc = subprocess.run(
             [sys.executable, "-m", "kljnsim", *args, "--out", "/dev/stdout", "--trace-csv", "/dev/stderr"],
             capture_output=True,
-            text=True,
             env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        assert load_report(proc.stdout)["empirical"]["n_bits"] == 5
-        rows = list(csv.reader(io.StringIO(proc.stderr)))
+        assert load_report(proc.stdout.decode())["empirical"]["n_bits"] == 5
+        rows = list(csv.reader(io.StringIO(proc.stderr.decode("ascii"), newline="")))
         assert rows[0] == ["period", "sample", "i_alice", "i_bob", "v_node"]
         assert len(rows) == 1 + 5 * 50
+        trace = tmp_path / "trace.csv"
+        assert run_cli([*args, "--out", os.devnull, "--trace-csv", str(trace)], capsys)[0] == 0
+        assert proc.stderr == trace.read_bytes()
 
     @pytest.mark.filterwarnings("error")  # and no numpy warning
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,8 +1,10 @@
 """The trace CSV row writer against ``csv.writer``, byte for byte.
 
-``montecarlo._write_trace_rows`` formats rows itself; the oracle writes each
-sample's row through ``csv.writer`` (excel dialect) on its own.  Blocks
-longer than ``CHUNK_SAMPLES`` samples cross the writer's write-call size.
+``montecarlo._write_trace_rows`` formats rows itself, as bytes; the oracle
+writes each sample's row through ``csv.writer`` (excel dialect) on its own.
+A block holds its currents in the pass's unit of 2**-m amperes, which the
+rows give in amperes.  Blocks longer than ``CHUNK_SAMPLES`` samples cross
+the writer's write-call size.
 """
 
 import csv
@@ -26,20 +28,21 @@ def make_block(i_alice, i_bob, v_node) -> PeriodBlock:
     return PeriodBlock(picks, ~picks, i_alice, i_bob, v_node)
 
 
-def written(block: PeriodBlock, first_period: int) -> bytes:
-    out = io.StringIO(newline="")
-    _write_trace_rows(out, block, first_period)
-    return out.getvalue().encode("utf-8")
+def written(block: PeriodBlock, first_period: int, m: int = 0) -> bytes:
+    out = io.BytesIO()
+    _write_trace_rows(out, block, first_period, m)
+    return out.getvalue()
 
 
-def expected(block: PeriodBlock, first_period: int) -> bytes:
-    out = io.StringIO(newline="")
-    writer = csv.writer(out)
+def expected(block: PeriodBlock, first_period: int, m: int = 0) -> bytes:
+    """``csv.writer``'s rows of ``block``: both currents times 2**-m, in amperes, and ``v_node`` as it is."""
+    out = io.BytesIO()
+    writer = csv.writer(io.TextIOWrapper(out, encoding="ascii", newline="", write_through=True))
     for r in range(block.n_periods):
         for k in range(block.n_samples):
-            row = (float(block.i_alice[r, k]), float(block.i_bob[r, k]), float(block.v_node[r, k]))
-            writer.writerow((first_period + r, k, *row))
-    return out.getvalue().encode("utf-8")
+            i_alice, i_bob = (float(np.ldexp(i[r, k], -m)) for i in (block.i_alice, block.i_bob))
+            writer.writerow((first_period + r, k, i_alice, i_bob, float(block.v_node[r, k])))
+    return out.getvalue()
 
 
 def bob_column(i_alice: np.ndarray, columns: str) -> np.ndarray:
@@ -60,13 +63,19 @@ def test_awkward_values_match_csv_writer(shape, first_period, columns):
     size = shape[0] * shape[1]
     values = np.resize(np.array(AWKWARD), size).reshape(shape)
     block = make_block(values, bob_column(values, columns), np.roll(values, 2))
-    text = written(block, first_period)
-    assert text == expected(block, first_period)
-    assert text.count(b"\r\n") == size
-    # every awkward value is written in each column once the block holds them all
-    if size >= len(AWKWARD):
-        for value in ("-0.0", "5e-324", "1e-05", "1e+16", "1.7976931348623157e+308", "inf", "-inf", "nan"):
-            assert f",{value},".encode() in text
+    # currents in amperes (m = 0), or in units that push the awkward values past the double range both ways
+    with np.errstate(over="ignore"):  # at m = -1000, currents of 1e16 and up are inf in amperes
+        for m in (0, 1000, -1000):
+            text = written(block, first_period, m)
+            assert text == expected(block, first_period, m)
+            assert text.count(b"\r\n") == size
+            # every awkward value is written in each column once the block holds them all
+            if size >= len(AWKWARD):
+                for value in ("-0.0", "5e-324", "1e-05", "1e+16", "1.7976931348623157e+308", "inf", "-inf", "nan"):
+                    assert f",{float(np.ldexp(float(value), -m))!r},".encode() in text  # a current, in amperes
+                    assert f",{value}\r\n".encode() in text  # v_node, never scaled
+    # the writer leaves the block as it was
+    assert np.array_equal(block.i_alice, np.resize(np.array(AWKWARD), size).reshape(shape), equal_nan=True)
 
 
 FLOATS = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -91,17 +100,18 @@ def random_bits_block(shape, seed) -> PeriodBlock:
 @example(block=random_bits_block((2, CHUNK_SAMPLES), 5), first_period=10**6)
 @example(block=random_bits_block((1, 2 * CHUNK_SAMPLES + 3), 6), first_period=0)
 def test_random_blocks_match_csv_writer(block, first_period):
-    assert written(block, first_period) == expected(block, first_period)
+    with np.errstate(invalid="ignore"):  # ldexp quiets a signalling NaN, with a warning
+        assert written(block, first_period) == expected(block, first_period)
 
 
 class RowCounts:
-    """A text sink that keeps only the number of rows in each ``write``."""
+    """A byte sink that keeps only the number of rows in each ``write``."""
 
     def __init__(self):
         self.rows = []
 
-    def write(self, text: str) -> None:
-        self.rows.append(text.count("\r\n"))
+    def write(self, rows: bytes) -> None:
+        self.rows.append(rows.count(b"\r\n"))
 
 
 def zeros_block(shape) -> PeriodBlock:
@@ -114,7 +124,7 @@ def zeros_block(shape) -> PeriodBlock:
 )
 def test_each_write_holds_at_most_chunk_samples_rows(shape):
     sink = RowCounts()
-    _write_trace_rows(sink, zeros_block(shape), 0)
+    _write_trace_rows(sink, zeros_block(shape), 0, 0)
     assert sum(sink.rows) == shape[0] * shape[1]
     assert max(sink.rows) <= CHUNK_SAMPLES
 
@@ -131,7 +141,7 @@ def test_memory_does_not_grow_with_the_period(make):
         block = make((1, n_samples))
         tracemalloc.start()
         try:
-            _write_trace_rows(RowCounts(), block, 0)
+            _write_trace_rows(RowCounts(), block, 0, 0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -73,7 +73,7 @@ def config(preset, bits, samples, mode="independent", seed=0):
 
 
 def run(cfg, csv):
-    trace = io.StringIO(newline="") if csv else None
+    trace = io.BytesIO() if csv else None
     report = build_report(cfg, empirical=True, trace=trace)
     del report["provenance"]["timestamp_utc"]
     return report_json(report), None if trace is None else trace.getvalue()
