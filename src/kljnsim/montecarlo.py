@@ -7,7 +7,9 @@ carries its 99% Wilson interval.  With a binary trace stream, the pass
 also dumps every sample as CSV, whose numbers :mod:`kljnsim.reprtext`
 turns into ASCII.  On Linux with two or more CPUs, a traced pass or a pass
 of long chunks forks one worker (:mod:`kljnsim.worker`) that computes every
-other chunk (see :func:`_splits`).  This module and the engine it drives
+other chunk (see :func:`_splits`).  A pass on Linux also raises glibc's
+heap thresholds (:func:`_keep_heap`), a setting that lasts for the rest of
+the process.  This module and the engine it drives
 (:mod:`kljnsim.protocol`, :mod:`kljnsim.noise`, :mod:`kljnsim.attack`,
 :mod:`kljnsim.reprtext`, :mod:`kljnsim.worker`) are the only ones that
 import numpy; :mod:`kljnsim.reporting` turns the totals into the report.
@@ -15,6 +17,7 @@ import numpy; :mod:`kljnsim.reporting` turns the totals into the report.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import sys
 from contextlib import nullcontext
@@ -36,6 +39,30 @@ _TRACE_HEADER = b"period,sample,i_alice,i_bob,v_node\r\n"
 # it.  Every multi-period chunk holds at most CHUNK_SAMPLES samples, so only
 # long single periods reach this size.
 FORK_MIN_SAMPLES = 4 * CHUNK_SAMPLES
+# glibc's mallopt parameters and the largest values its dynamic thresholds reach on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_heap() -> None:
+    """Keep each chunk's freed arrays on the heap for the next chunk, for the rest of this process.
+
+    glibc sets its mmap threshold to the size of the first large block freed,
+    and its trim threshold to twice that.  A long waveform chunk first frees a
+    402 KB white-noise array, so glibc would hand the top of its 1.2 MB heap
+    back to the kernel after every chunk and fault it in again in the next.
+    This sets both thresholds to the highest values the dynamic rule reaches
+    (32 MiB and 64 MiB) before the first free.  The setting is the process's
+    own and lasts until it exits; a forked worker inherits it.  Off Linux, or
+    where the C library has no ``mallopt``, it does nothing.
+    """
+    if sys.platform != "linux":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # the loaded C library; find_library would spawn processes
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
 def _render_trace(block: PeriodBlock, first_period: int, emit: Callable[[bytes], object], exponent: int) -> None:
@@ -271,6 +298,7 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
         )
         return map(per_chunk, blocks)
 
+    _keep_heap()  # before the first chunk frees anything, and before the fork
     totals = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64))
     k = chunk_periods(cfg.samples_per_bit)
     n_chunks = len(range(0, cfg.n_bits, k))

@@ -6,8 +6,9 @@ neither numpy nor ``dataclasses``.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .circuit import NetworkConfig, NoiseSpec, analytic_mean_square_currents
 
@@ -78,6 +79,11 @@ def analytic_attack_probabilities(ratio: float) -> AttackProbabilities:
     p_success = p_weak_below * (1.0 - p_strong_below)
     p_error = (1.0 - p_weak_below) * p_strong_below
     p_no_answer = p_weak_below * p_strong_below + (1.0 - p_weak_below) * (1.0 - p_strong_below)
+    return _attack_probabilities(p_success, p_error, p_no_answer)
+
+
+def _attack_probabilities(p_success: float, p_error: float, p_no_answer: float) -> AttackProbabilities:
+    """The record of one trial's three outcome probabilities, with the mean trials to an answer and its fidelity."""
     p_answer = p_success + p_error
     return AttackProbabilities(
         p_success=p_success,
@@ -86,6 +92,121 @@ def analytic_attack_probabilities(ratio: float) -> AttackProbabilities:
         expected_measurements=1.0 / p_answer if p_answer > 0 else math.inf,
         conditional_fidelity=ratio_or_nan(p_success, p_answer),
     )
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[tuple[float, float], ...]:
+    """The 64 (node, weight) pairs of Gauss-Legendre quadrature on [-1, 1], built once on first use.
+
+    Each node is a root of the Legendre polynomial P_64, found by Newton's
+    method from the asymptotic guess cos(pi*(i - 1/4)/(n + 1/2)); its weight
+    is 2/((1 - x**2)*P_64'(x)**2) (Numerical Recipes, section 4.6).
+    """
+    n = 64
+    pairs = []
+    for i in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            slope = n * (x * p - p_prev) / (x * x - 1.0)
+            step = p / slope
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        weight = 2.0 / ((1.0 - x * x) * slope * slope)
+        pairs += [(x, weight), (-x, weight)]
+    return tuple(pairs)
+
+
+def _integral(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The integral of ``f`` over [lo, hi] by 64-point Gauss-Legendre."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return half * sum(w * f(mid + half * x) for x, w in _gauss_legendre())
+
+
+def _scaled_moments(record: tuple) -> tuple[float, int, float, int, float, float]:
+    """A transfer record's second moments, each end's entries scaled by a power of two so that none overflows.
+
+    Returns ``(ms_a, e_a, ms_b, e_b, cov, det)``: Alice's entries are scaled
+    by 2**-e_a so that the larger lies in [0.5, 1), Bob's likewise; ms_a and
+    ms_b are the scaled mean squares (the true ones times 4**-e), cov the
+    scaled covariance and det the scaled determinant aa*bb - ab*ba.
+    """
+    e_a = math.frexp(max(abs(record[0]), abs(record[1])))[1]
+    e_b = math.frexp(max(abs(record[2]), abs(record[3])))[1]
+    aa, ab = math.ldexp(record[0], -e_a), math.ldexp(record[1], -e_a)
+    ba, bb = math.ldexp(record[2], -e_b), math.ldexp(record[3], -e_b)
+    return aa * aa + ab * ab, e_a, ba * ba + bb * bb, e_b, aa * ba + ab * bb, aa * bb - ab * ba
+
+
+def end_correlation(record: tuple) -> float:
+    """The correlation of the two end currents that a transfer record gives for one reading instant.
+
+    With i_alice = aa*z_a + ab*z_b and i_bob = ba*z_a + bb*z_b
+    (:func:`~kljnsim.circuit.transfer`), it is (aa*ba + ab*bb) over the root
+    of the two mean squares aa**2 + ab**2 and ba**2 + bb**2.
+    """
+    ms_a, _, ms_b, _, cov, _ = _scaled_moments(record)
+    return cov / math.sqrt(ms_a * ms_b)
+
+
+def _inside(cut: float) -> float:
+    """P(|Z| < cut) for a standard normal Z."""
+    return math.erf(cut / math.sqrt(2.0))
+
+
+def exact_attack_probabilities(record: tuple, cal: EveCalibration) -> AttackProbabilities:
+    """Eve's per-trial probabilities on one secure connection's transfer ``record``, both ends read at one instant.
+
+    ``record`` is :func:`~kljnsim.circuit.transfer`'s, source RMS folded in
+    (an entry of :func:`~kljnsim.circuit.connection_records`), and ``cal``
+    is Eve's calibration in amperes.  The two readings are standard normals
+    Z_s and Z_w scaled by the root mean squares of the strong end (the larger
+    mean square, the low resistor's) and of the weak end, with correlation
+    rho (:func:`end_correlation`); series elements are kept.  An end's reading
+    exceeds the threshold when |Z| exceeds its cut sqrt(threshold /
+    (norm_constant * mean square)): ``a`` at the strong end, ``b`` at the
+    weak end.  With sigma = sqrt(1 - rho**2), the chance that neither
+    exceeds is the integral over |z| < b of
+    phi(z) * [Phi((a - rho*z)/sigma) - Phi((-a - rho*z)/sigma)], by
+    64-point Gauss-Legendre (Genz, Stat. Comput. 14:251 (2004)); a trial
+    succeeds with P(|Z_w| < b) minus that, and errs with P(|Z_s| < a) minus
+    that.  Readings that are proportional (sigma = 0, as on a loop without
+    a shunt, whose two readings are the same) take the limit: P(|Z| <
+    min(a, b)) for neither, so identical readings give exact zeros, an
+    infinite mean number of trials and a NaN fidelity.  Pure Python: the
+    quadrature nodes are built at the first call.
+    """
+    ms_a, e_a, ms_b, e_b, cov, det = _scaled_moments(record)
+    # the cuts, with norm_constant * mean square = (norm_constant * 4**e) * scaled mean square
+    cut_a = math.sqrt(cal.threshold / (math.ldexp(cal.norm_constant, 2 * e_a) * ms_a))
+    cut_b = math.sqrt(cal.threshold / (math.ldexp(cal.norm_constant, 2 * e_b) * ms_b))
+    a, b = min(cut_a, cut_b), max(cut_a, cut_b)  # the strong end has the larger mean square, the smaller cut
+    root = math.sqrt(ms_a * ms_b)
+    rho = abs(cov) / root  # the sign of rho does not change |Z_s| and |Z_w|
+    sigma = abs(det) / root  # sqrt(1 - rho**2) through the determinant, which keeps its digits near rho = 1
+    if sigma == 0.0:
+        both_inside = _inside(a)
+    else:
+
+        def strong_inside(z: float) -> float:
+            """phi(z) * P(|Z_s| < a | Z_w = z)."""
+            upper, lower = (a - rho * z) / sigma, (-a - rho * z) / sigma
+            density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            return density * 0.5 * (math.erf(upper / math.sqrt(2.0)) - math.erf(lower / math.sqrt(2.0)))
+
+        # The integrand is even in z.  Phi((a - rho*z)/sigma) falls from 1 to 0 within 8 of its widths
+        # sigma/rho of z = a/rho, which the nodes resolve only on a piece of its own.
+        knots = [0.0, b]
+        if rho > 0.0:
+            edge, width = a / rho, 8.0 * sigma / rho
+            knots = sorted({0.0, b, *(min(max(z, 0.0), b) for z in (edge - width, edge, edge + width))})
+        both_inside = 2.0 * sum(_integral(strong_inside, lo, hi) for lo, hi in zip(knots, knots[1:]))
+    p_success = _inside(b) - both_inside
+    p_error = _inside(a) - both_inside
+    return _attack_probabilities(p_success, p_error, 1.0 - p_success - p_error)
 
 
 def wilson_ci(successes: int, trials: int, z: float) -> tuple[float, float]:

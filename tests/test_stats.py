@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kljnsim.circuit import NoiseSpec, connection_records
+from kljnsim.config import PRESETS
 from kljnsim.stats import (
+    EveCalibration,
     analytic_attack_probabilities,
+    calibrate,
     chi2_cdf_1,
+    end_correlation,
+    exact_attack_probabilities,
     wilson_ci,
 )
 
@@ -82,6 +88,94 @@ class TestAnalyticAttackProbabilities:
         margins = [p.p_success - p.p_error for p in probs]
         assert all(a >= b for a, b in zip(errors, errors[1:]))
         assert all(a <= b for a, b in zip(margins, margins[1:]))
+
+
+def secure_records(preset):
+    """The LH and HL transfer records of a preset network, with Eve's calibration."""
+    net, noise = PRESETS[preset], NoiseSpec()
+    records = connection_records(net, noise)
+    return (records[0][1], records[1][0]), calibrate(net, noise)
+
+
+def record_of(cut_alice, cut_bob, rho):
+    """A transfer record whose end readings have correlation ``rho`` and, at unit calibration, the given cuts."""
+    sa, sb = 1.0 / cut_alice, 1.0 / cut_bob  # at norm_constant 1 and threshold 1 an end exceeds when |Z| > 1/rms
+    return (sa, 0.0, sb * rho, sb * math.sqrt(1.0 - rho * rho), 0.0, 0.0)
+
+
+class TestExactAttackProbabilities:
+    # Frozen bivariate-normal orthant oracle of simultaneous readings, the one
+    # tests/test_attack.py and bench/gate.py hold for gaa-1db.
+    @pytest.mark.parametrize(
+        "preset, rho, rates, fidelity, measurements",
+        [
+            ("gaa-1db", 0.2515, (0.305916, 0.015511, 0.678573), 0.951744, 3.111126),
+            ("gaa-0p1db", 0.8496, (0.132627, 0.070329, 0.797045), 0.653477, 4.927193),
+        ],
+    )
+    def test_reproduces_the_frozen_oracle(self, preset, rho, rates, fidelity, measurements):
+        records, cal = secure_records(preset)
+        for record in records:  # both secure orientations
+            p = exact_attack_probabilities(record, cal)
+            assert round(end_correlation(record), 4) == rho
+            assert tuple(round(x, 6) for x in p[:3]) == rates
+            assert round(p.conditional_fidelity, 6) == fidelity
+            assert round(p.expected_measurements, 6) == measurements
+
+    def test_lossless_readings_never_answer(self):
+        records, cal = secure_records("lossless")
+        for record in records:
+            p = exact_attack_probabilities(record, cal)
+            assert (p.p_success, p.p_error, p.p_no_answer) == (0.0, 0.0, 1.0)
+            assert p.expected_measurements == math.inf
+            assert math.isnan(p.conditional_fidelity)
+            assert end_correlation(record) == 1.0
+
+    def test_uncorrelated_readings_give_the_independent_product(self):
+        p = exact_attack_probabilities(record_of(1.0, math.sqrt(4.95), 0.0), EveCalibration(1.0, 1.0))
+        q = analytic_attack_probabilities(4.95)
+        for x, y in zip(p, q):
+            assert x == pytest.approx(y, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [1.0 - 1e-6, -(1.0 - 1e-9)])
+    def test_nearly_identical_readings(self, rho):
+        # |Z_s| and |Z_w| differ by about 1e-3 at most, so the weak end never exceeds 5 while the strong
+        # end stays below 0.2: no error, and success exactly when the strong reading lies in 0.2 < |Z| < 5
+        p = exact_attack_probabilities(record_of(0.2, 5.0, rho), EveCalibration(1.0, 1.0))
+        assert abs(p.p_error) < 1e-14
+        assert p.p_success == pytest.approx(math.erf(5.0 / math.sqrt(2.0)) - math.erf(0.2 / math.sqrt(2.0)), abs=1e-14)
+
+    @pytest.mark.parametrize("e", [-900, 1000])
+    def test_noise_scale_far_from_one(self, e):
+        # at bandwidth 2**e the product of the two mean squares leaves the double range;
+        # scaling the noise by a power of two scales every current exactly, so nothing may move
+        net = PRESETS["gaa-1db"]
+        noise = NoiseSpec(t_eff=300.0, bandwidth=math.ldexp(1.0, e))
+        record, cal = connection_records(net, noise)[0][1], calibrate(net, noise)
+        unit = NoiseSpec(t_eff=300.0, bandwidth=1.0)
+        unit_record, unit_cal = connection_records(net, unit)[0][1], calibrate(net, unit)
+        assert end_correlation(record) == end_correlation(unit_record)
+        assert exact_attack_probabilities(record, cal) == exact_attack_probabilities(unit_record, unit_cal)
+
+    @given(
+        cut_alice=st.floats(min_value=0.05, max_value=4.0),
+        cut_bob=st.floats(min_value=0.05, max_value=4.0),
+        rho=st.floats(min_value=-0.995, max_value=0.995),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_against_bivariate_normal_monte_carlo(self, cut_alice, cut_bob, rho):
+        n = 400_000
+        z_a, z_2 = np.random.default_rng(2014).standard_normal((2, n))
+        z_b = rho * z_a + math.sqrt(1.0 - rho * rho) * z_2
+        above_a, above_b = np.abs(z_a) > cut_alice, np.abs(z_b) > cut_bob
+        # the end with the larger mean square, the smaller cut, holds the low resistor
+        alice_low = cut_alice <= cut_bob
+        strong_alone = np.mean(above_a & ~above_b) if alice_low else np.mean(above_b & ~above_a)
+        weak_alone = np.mean(above_b & ~above_a) if alice_low else np.mean(above_a & ~above_b)
+        p = exact_attack_probabilities(record_of(cut_alice, cut_bob, rho), EveCalibration(1.0, 1.0))
+        for exact, sampled in ((p.p_success, strong_alone), (p.p_error, weak_alone)):
+            se = math.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
+            assert abs(sampled - exact) < 5.0 * se
 
 
 class TestWilsonCi:
