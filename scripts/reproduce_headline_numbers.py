@@ -8,15 +8,18 @@ and the alarm behaviour, each next to a seeded empirical estimate.  Beside
 the paper's independent-reading numbers it prints the exact
 simultaneous-reading model, which reads Eve's two end currents at one
 instant, and each empirical rate's deviation from both models in standard
-errors.
+errors.  Beside the threshold attack it prints the exact error of Eve's
+current comparison, at one reading and at a period's readings.
 """
 
+import math
 import sys
 
+from kljnsim.circuit import connection_records
 from kljnsim.cli import ArgumentParser
 from kljnsim.config import PRESETS, resolve_config
 from kljnsim.reporting import build_report
-from kljnsim.stats import chi2_cdf_1
+from kljnsim.stats import chi2_cdf_1, comparison_error
 
 
 def main() -> None:
@@ -30,7 +33,7 @@ def main() -> None:
     cfg = resolve_config(None, {"network": {"preset": args.preset}, "master_seed": args.seed,
                                 "protocol.n_bits": args.bits, "protocol.samples_per_bit": args.samples_per_bit})
     # every number printed comes from this report, the one `kljnsim simulate` writes, except the
-    # two chi-squared CDF values, which the report does not carry
+    # two chi-squared CDF values and the comparison's errors, which the report does not carry
     report = build_report(cfg, empirical=True)
     net = cfg.network
     moments = report["analytic"]["moments"]
@@ -53,6 +56,16 @@ def main() -> None:
           f"p_no_answer = {exact['p_no_answer']:.4f}")
     print(f"  expected measurements per answered bit = {exact['expected_measurements']:.3f}")
     print(f"  fidelity of an emitted guess           = {exact['conditional_fidelity']:.4f}")
+    print()
+    readings = -(-cfg.samples_per_bit // cfg.noise.measurement_stride)
+    lh_record = connection_records(net, cfg.noise)[0][1]
+
+    def error(n):  # NaN where the two end currents are one and the comparison never answers
+        e = comparison_error(lh_record, n)
+        return "never answers" if math.isnan(e) else f"{e:.4g}"
+
+    print("current comparison, exact  (the end with the larger sum of i^2 holds the low resistor)")
+    print(f"  error at 1 reading = {error(1)}   at {readings} readings (one period) = {error(readings)}")
     print()
 
     emp = report["empirical"]

@@ -2,7 +2,8 @@
 
 The pass reduces every chunk to one flat record of independent counts and
 sums (:class:`EmpiricalTotals`), which also derives every other count, rate
-and interval of the report's empirical section.  Every empirical rate
+and interval of the report's empirical section; Eve's threshold rule is
+applied in that reduction (:func:`block_totals`).  Every empirical rate
 carries its 99% Wilson interval.  With a binary trace stream, the pass
 also dumps every sample as CSV, whose numbers :mod:`kljnsim.reprtext`
 turns into ASCII.  Every chunk is one stream of messages, its CSV byte
@@ -13,9 +14,9 @@ CPUs, a traced pass or a pass of long chunks forks one worker
 :func:`_splits`).  A pass on Linux also raises glibc's
 heap thresholds (:func:`_keep_heap`), a setting that lasts for the rest of
 the process.  This module and the engine it drives
-(:mod:`kljnsim.protocol`, :mod:`kljnsim.noise`, :mod:`kljnsim.attack`,
-:mod:`kljnsim.reprtext`, :mod:`kljnsim.worker`) are the only ones that
-import numpy; :mod:`kljnsim.reporting` turns the totals into the report.
+(:mod:`kljnsim.protocol`, :mod:`kljnsim.noise`, :mod:`kljnsim.reprtext`,
+:mod:`kljnsim.worker`) are the only ones that import numpy;
+:mod:`kljnsim.reporting` turns the totals into the report.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import BinaryIO, Iterator, Optional, Union
 
 import numpy as np
 
-from .attack import row_verdicts
 from .circuit import current_exponent
 from .config import ExperimentConfig
 from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, iter_period_blocks
@@ -205,43 +205,63 @@ class EmpiricalTotals:
 def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int) -> EmpiricalTotals:
     """Period counts, secure-period moments and Eve's counts of one block; the alarm fields stay 0.
 
-    Eve attacks the secure rows, which this picks from the block.  Every
-    reading is a standalone trial; then she repeats readings, one
-    correlation time apart, until one answers.  A period with no answer
-    within ``max_measurements`` readings counts as given up, never silently
-    guessed.
+    Eve attacks the secure rows, reading both end currents at one instant,
+    one correlation time (``measurement_stride`` samples) apart.  She
+    scales each reading's square by her norm constant, the reciprocal of
+    the public mean square at the high-resistance end, and compares it with
+    her threshold at the moment ratio (:func:`~kljnsim.stats.calibrate`;
+    currents in a unit of 2**-m need the norm constant times 4**-m).  A
+    reading answers when exactly one end exceeds the threshold: that end
+    holds the low resistor.  Readings equal to the threshold answer nothing,
+    and on an intact single loop, whose two readings are one current, no
+    reading ever answers.  Every reading is a standalone trial; then she
+    repeats readings until one answers.  A period with no answer within
+    ``max_measurements`` readings counts as given up, never silently guessed.
     """
-    sec = block.secure_rows()
-    v = row_verdicts(sec, cal, max_measurements)
-    key_bit = sec.alice_high  # 1 when Alice holds the high resistor (HL)
-    success = np.where(key_bit, v.n_bob_low, v.n_alice_low)
-    error = np.where(key_bit, v.n_alice_low, v.n_bob_low)
-    sq_a = np.einsum("ij,ij->i", sec.i_alice, sec.i_alice)
-    sq_b = np.einsum("ij,ij->i", sec.i_bob, sec.i_bob)
+    secure = np.flatnonzero(block.secure)
+    i_a, i_b, key_bit = block.i_alice, block.i_bob, block.alice_high  # key bit 1 when Alice holds the high resistor
+    if secure.size < block.n_periods:
+        i_a, i_b, key_bit = i_a[secure], i_b[secure], key_bit[secure]
+    stride = block.measurement_stride
+    x = np.stack((i_a[:, ::stride], i_b[:, ::stride]))
+    x *= x
+    x *= cal.norm_constant
+    xa, xb = x
+    t = cal.threshold
+    alice_low = (xa > t) & (xb < t)
+    bob_low = (xb > t) & (xa < t)
+    answered = alice_low[:, :max_measurements] | bob_low[:, :max_measurements]
+    has = answered.any(axis=1)
+    first = answered.argmax(axis=1)[has]
+    # the first answer names Alice's end as low, bit 0, or Bob's, bit 1
+    correct = alice_low[has, first] != key_bit[has]
+    n_alice_low = np.count_nonzero(alice_low, axis=1)
+    n_bob_low = np.count_nonzero(bob_low, axis=1)
+    success = np.where(key_bit, n_bob_low, n_alice_low)
+    error = np.where(key_bit, n_alice_low, n_bob_low)
+    sq_a = np.einsum("ij,ij->i", i_a, i_a)
+    sq_b = np.einsum("ij,ij->i", i_b, i_b)
     # the low resistor sits at Alice's end on LH rows, at Bob's on HL rows
     low_end_sq_sum = float(np.where(key_bit, sq_b, sq_a).sum())
     high_end_sq_sum = float(np.where(key_bit, sq_a, sq_b).sum())
     return EmpiricalTotals(
-        np.bincount(v.first_answer[v.first_answer >= 0] + 1, minlength=max_measurements + 1),
+        np.bincount(first + 1, minlength=max_measurements + 1),
         n_bits=block.n_periods,
-        n_secure=sec.n_periods,
+        n_secure=secure.size,
         n_hl=int(np.count_nonzero(key_bit)),
         low_end_sq_sum=low_end_sq_sum,
         high_end_sq_sum=high_end_sq_sum,
-        n_trials=sec.n_periods * v.n_measurements,
+        n_trials=secure.size * alice_low.shape[1],
         n_success=int(success.sum()),
         n_error=int(error.sum()),
         hl_successes=int(success[key_bit].sum()),
-        n_correct=int(np.count_nonzero(v.guess == key_bit)),
+        n_correct=int(np.count_nonzero(correct)),
     )
 
 
 def available_workers() -> int:
-    """CPUs this process may run on: its affinity mask, which ``taskset`` sets."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    """CPUs this process may run on: its affinity mask, which ``taskset`` sets (Linux only)."""
+    return len(os.sched_getaffinity(0))
 
 
 def _splits(chunk_samples: int, n_chunks: int, traced: bool) -> bool:

@@ -11,7 +11,8 @@ currents, which an intact single loop can never produce.
 
 This module is part of the numpy engine, which only ``simulate`` loads:
 the solve of the loop by its transfer record, the blocks of periods and
-the alarm sweep.
+the alarm sweep.  Eve's threshold rule reads the blocks where each chunk
+is reduced (:func:`kljnsim.montecarlo.block_totals`).
 
 Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
 one ``(K, n)`` array per observable, drawn from one keyed random stream
@@ -96,20 +97,6 @@ class PeriodBlock:
     def secure(self) -> np.ndarray:
         """``(K,)`` mask of the rows with opposite picks (LH/HL)."""
         return self.alice_high != self.bob_high
-
-    def secure_rows(self) -> "PeriodBlock":
-        """The block restricted to its LH/HL rows (itself when every row is secure)."""
-        index = np.flatnonzero(self.secure)
-        if index.size == self.n_periods:
-            return self
-        return PeriodBlock(
-            self.alice_high[index],
-            self.bob_high[index],
-            self.i_alice[index],
-            self.i_bob[index],
-            None if self.v_node is None else self.v_node[index],
-            self.measurement_stride,
-        )
 
 
 # The chunk of RNG layout 2 (``reporting.RNG_LAYOUT``): one keyed stream per

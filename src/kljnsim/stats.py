@@ -1,4 +1,4 @@
-"""Closed-form attack statistics: Eve's calibration, the attack probabilities and confidence intervals.
+"""Closed-form attack statistics: Eve's calibration, attack probabilities, comparison error and confidence intervals.
 
 Its records are named tuples, exported with ``_asdict``; the module imports
 neither numpy nor ``dataclasses``.
@@ -13,6 +13,10 @@ from typing import Callable, NamedTuple
 from .circuit import NetworkConfig, NoiseSpec, analytic_mean_square_currents
 
 Z99 = 2.576  # two-sided 99% normal quantile, used for every interval in the reports
+# The absolute error of exact_attack_probabilities' quadrature is at most 2e-15: against scipy's quad
+# at 400 random (a, b, rho), rho up to 1 - 1e-12 included.  A rate five times that, 1e-14, is still
+# within the error of 0, and any Monte Carlo run tells it from 0 only after some 1e14 trials.
+QUADRATURE_ABS_ERROR = 1e-14
 
 
 def ratio_or_nan(num: float, den: float) -> float:
@@ -176,8 +180,10 @@ def exact_attack_probabilities(record: tuple, cal: EveCalibration) -> AttackProb
     that.  Readings that are proportional (sigma = 0, as on a loop without
     a shunt, whose two readings are the same) take the limit: P(|Z| <
     min(a, b)) for neither, so identical readings give exact zeros, an
-    infinite mean number of trials and a NaN fidelity.  Pure Python: the
-    quadrature nodes are built at the first call.
+    infinite mean number of trials and a NaN fidelity.  A rate smaller than
+    the quadrature's error (``QUADRATURE_ABS_ERROR``) is returned as 0, so
+    readings proportional to far below rounding give those zeros too.  Pure
+    Python: the quadrature nodes are built at the first call.
     """
     ms_a, e_a, ms_b, e_b, cov, det = _scaled_moments(record)
     # the cuts, with norm_constant * mean square = (norm_constant * 4**e) * scaled mean square
@@ -206,9 +212,110 @@ def exact_attack_probabilities(record: tuple, cal: EveCalibration) -> AttackProb
             width = 8.0 * sigma / rho
             knots = sorted({0.0, b, *(min(max(z, 0.0), b) for z in (edge - width, edge, edge + width))})
         both_inside = 2.0 * sum(_integral(strong_inside, lo, hi) for lo, hi in zip(knots, knots[1:]))
-    p_success = _inside(b) - both_inside
-    p_error = _inside(a) - both_inside
+    # each rate is a difference of two numbers near 1 where the readings are nearly proportional
+    p_success, p_error = (
+        0.0 if abs(p) < QUADRATURE_ABS_ERROR else p for p in (_inside(b) - both_inside, _inside(a) - both_inside)
+    )
     return _attack_probabilities(p_success, p_error, 1.0 - p_success - p_error)
+
+
+def _stirling_remainder(a: float) -> float:
+    """lgamma(a) less Stirling's (a - 1/2)*log(a) - a + log(2*pi)/2, for a > 0.
+
+    Below 10 it is read from ``math.lgamma``, whose value there has few
+    digits before the point; from 10 on it is Stirling's series up to its
+    a**-9 term, whose next term is below 2e-14.
+    """
+    if a < 10.0:
+        return math.lgamma(a) - (a - 0.5) * math.log(a) + a - 0.5 * math.log(2.0 * math.pi)
+    r = 1.0 / (a * a)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / a
+
+
+def _symmetric_beta(a: float, x: float, y: float) -> float:
+    """The regularized incomplete beta function I_x(a, a), with ``y`` = 1 - x given to full precision.
+
+    For x <= 1/2 it is x**a * y**a / (a * B(a, a)) times a continued
+    fraction evaluated by the modified Lentz method (Numerical Recipes,
+    section 6.4); above, 1 - I_y(a, a).  The prefactor is taken in log
+    space as a*log(4xy) - log(4*pi*a)/2 plus the Stirling remainders of
+    Gamma(2a) and Gamma(a) (:func:`_stirling_remainder`): there the large
+    terms of log B(a, a) cancel by hand, where from ``math.lgamma`` alone
+    they would carry its rounding, about 1e-11 at a = 5000, into the
+    result.  So the far tails keep their relative accuracy.
+    """
+    if x > y:
+        return 1.0 - _symmetric_beta(a, y, x)
+    if x == 0.0:
+        return 0.0
+    # 4xy = 1 - (y - x)**2, in which y - x is exact for x >= 1/4
+    log_4xy = math.log(4.0 * x * y) if x < 0.25 else math.log1p(-(y - x) ** 2)
+    remainders = _stirling_remainder(2.0 * a) - 2.0 * _stirling_remainder(a)
+    front = math.exp(a * log_4xy - 0.5 * math.log(4.0 * math.pi * a) + remainders)
+    if front == 0.0:
+        return 0.0
+    tiny = 1e-300  # stands in for a zero denominator
+    c, d = 1.0, 1.0 / (1.0 - (2.0 * a) * x / (a + 1.0) or tiny)
+    fraction = d
+    for m in range(1, 100_000):  # converges in O(sqrt(a)) steps
+        # the fraction's even and odd coefficients, at b = a
+        even = m * (a - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = -(a + m) * (2.0 * a + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        for coefficient in (even, odd):
+            d = 1.0 / (1.0 + coefficient * d or tiny)
+            c = 1.0 + coefficient / c or tiny
+            fraction *= d * c
+        if abs(d * c - 1.0) < 1e-16:  # the last step moved the fraction by less than a rounding
+            break
+    return front * fraction
+
+
+def _comparison_law(c: tuple, d: tuple, n: int, weights: tuple = (1.0, -1.0)) -> float:
+    """P(sum over n readings of alpha*u**2 + beta*w**2 < 0), for linear readings u = c.z and w = d.z.
+
+    ``c`` and ``d`` are 2-vectors and z two independent standard normals,
+    drawn afresh at each reading; ``weights`` (alpha, beta) are of order
+    one and of opposite signs.  (u, w) has the covariance S = [[c.c, c.d], [c.d,
+    d.d]], so one reading's form is lambda+ * X - |lambda-| * Y, with X and
+    Y independent chi-squared of one degree and lambda+- the eigenvalues of
+    diag(alpha, beta) * S.  Over n readings the form is negative with
+    probability I_x(n/2, n/2), x = |lambda-| / (lambda+ + |lambda-|).  The
+    eigenvalues come from the trace and the determinant alpha*beta*(c0*d1 -
+    c1*d0)**2, the smaller in magnitude as the determinant over the larger,
+    from entries scaled by powers of two (:func:`_scaled_moments`), so that
+    nothing cancels or overflows.  NaN when the form is identically 0
+    (lambda+ = lambda- = 0).
+    """
+    cc, e_c, dd, e_d, _, det = _scaled_moments((*c, *d))
+    e = max(e_c, e_d)  # the weights absorb the scales: alpha*u**2 = (alpha * 4**e_c) * (u * 2**-e_c)**2
+    alpha, beta = math.ldexp(weights[0], 2 * (e_c - e)), math.ldexp(weights[1], 2 * (e_d - e))
+    half = 0.5 * (alpha * cc + beta * dd)  # half the trace
+    product = alpha * beta * det * det  # the determinant, lambda+ * lambda- <= 0
+    root = math.sqrt(half * half - product)
+    if half >= 0.0:
+        lam_plus = half + root
+        lam_minus = product / lam_plus if lam_plus > 0.0 else 0.0
+    else:
+        lam_minus = half - root
+        lam_plus = product / lam_minus
+    if lam_plus == 0.0 and lam_minus == 0.0:
+        return math.nan
+    total = lam_plus - lam_minus
+    return _symmetric_beta(0.5 * n, -lam_minus / total, lam_plus / total)
+
+
+def comparison_error(record: tuple, n: int) -> float:
+    """The error of Eve's current comparison over ``n`` readings of the LH transfer ``record``.
+
+    She names the end with the larger sum of squared currents over a
+    period's readings as the low resistor's.  ``record`` is the LH entry of
+    :func:`~kljnsim.circuit.connection_records` (Alice's end holds the low
+    resistor), read at n independent instants; the comparison errs when
+    Bob's end has the larger sum, with probability I_x(n/2, n/2)
+    (:func:`_comparison_law`).  NaN on a loop without a shunt, whose two
+    currents are one: the statistic is identically 0 and never answers.
+    """
+    return _comparison_law(record[:2], record[2:4], n)
 
 
 def wilson_ci(successes: int, trials: int, z: float) -> tuple[float, float]:

@@ -7,6 +7,8 @@ where its deviation is null (a model rate of 0 or 1, as on a loop without a
 shunt, whose two readings are one), the run gives the model's value
 exactly.  The independent-reading product lies far outside on the presets
 with a correlated pair of readings.  Each report is built once per module.
+A network whose two readings are proportional to far below rounding passes
+every check too, in runs of 200 periods.
 """
 
 import json
@@ -97,3 +99,19 @@ def test_the_independent_product_lies_far_outside(reports, preset):
     # Eve's two readings are correlated through the shunt (rho 0.85 on gaa-0p1db) or identical (lossless)
     deviations = reports[preset, 7]["agreement"]["deviation_se"]["independent"]
     assert all(abs(deviations[name]) > 100 for name in RATES)
+
+
+# the CI's found.json network: r_bob about 1e287 below a 1-ohm shunt, so Eve's two readings are
+# proportional to far below rounding (rho 1.0), yet not exactly
+FOUND = {"r_alice": 1e53, "r_bob": 1e-287, "pad": {"r_series": 0, "r_shunt": 1}}
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_every_agreement_check_holds_on_readings_proportional_below_rounding(seed):
+    # the exact model's rates there are 0 to within its quadrature's error, and so are the run's
+    cfg = resolve_config(None, {"network": FOUND, "master_seed": seed, "protocol.n_bits": 200})
+    report = json.loads(report_json(build_report(cfg, empirical=True)))
+    assert (report["analytic"]["exact"]["p_success"], report["analytic"]["exact"]["p_error"]) == (0.0, 0.0)
+    checks = {name: value for name, value in report["agreement"].items() if name != "deviation_se"}
+    assert len(checks) == 6
+    assert checks == dict.fromkeys(checks, True)

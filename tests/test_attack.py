@@ -50,7 +50,8 @@ def built_trace(x_alice, x_bob, state="LH"):
 
 
 def secure_blocks(n_bits, net, n_samples, seed):
-    return map(PeriodBlock.secure_rows, iter_period_blocks(n_bits, net, NOISE, n_samples, seed))
+    """The seeded blocks of ``n_bits`` periods, whose secure rows :func:`block_totals` attacks."""
+    return iter_period_blocks(n_bits, net, NOISE, n_samples, seed)
 
 
 def campaign_tally(n_bits, net, samples_per_bit, master_seed):

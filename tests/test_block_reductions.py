@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kljnsim.attack import row_verdicts
 from kljnsim import protocol
 from kljnsim.config import AlarmPolicy
 from kljnsim.montecarlo import EmpiricalTotals, block_totals
@@ -166,22 +165,23 @@ def test_attack_matches_per_row_reference(stride, data):
         norm_constant=data.draw(st.sampled_from([1.0, 0.25])),
         threshold=data.draw(st.sampled_from([0.25, 1.0, 4.0])),
     )
-    verdicts = row_verdicts(block, cal, budget)
     totals = block_totals(block, cal, budget)
 
     expected = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64), n_bits=block.n_periods)
-    assert verdicts.n_measurements == n_readings
     for r in range(block.n_periods):
-        i_a, i_b = block.i_alice[r], block.i_bob[r]
-        n_a, n_b, first, guess = reference_verdicts(i_a, i_b, cal, stride, budget)
-        assert verdicts.n_alice_low[r] == n_a
-        assert verdicts.n_bob_low[r] == n_b
-        assert verdicts.first_answer[r] == first
-        assert verdicts.guess[r] == guess
         if block.alice_high[r] == block.bob_high[r]:
             continue  # Eve attacks the secure periods only
+        i_a, i_b = block.i_alice[r], block.i_bob[r]
+        n_a, n_b, first, guess = reference_verdicts(i_a, i_b, cal, stride, budget)
         key_bit = int(block.alice_high[r])  # 1 when Alice holds the high resistor
         success, error = (n_b, n_a) if key_bit else (n_a, n_b)
+        # the row's verdicts, read from the totals of the row alone
+        row = block_totals(row_slice(block, slice(r, r + 1)), cal, budget)
+        assert row.n_trials == n_readings
+        assert (row.n_success, row.n_error) == (success, error)
+        # a row first answered at reading k (1-based) adds 1 to entry k; an unanswered row adds nothing
+        assert row.measurements_hist.tolist() == [int(first >= 0 and k == first + 1) for k in range(budget + 1)]
+        assert row.n_correct == (first >= 0 and guess == key_bit)
         sq_a, sq_b = float(i_a @ i_a), float(i_b @ i_b)
         expected.n_secure += 1
         expected.n_hl += key_bit

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kljnsim.attack import row_verdicts
 from kljnsim.circuit import (
     AttenuatorConfig,
     NetworkConfig,
@@ -18,6 +17,7 @@ from kljnsim.circuit import (
     transfer,
 )
 from kljnsim.config import PRESETS, AlarmPolicy, resolve_config
+from kljnsim.montecarlo import block_totals
 from kljnsim.noise import SeededStream, band_limited_stream, gaussian_stream
 from kljnsim.protocol import (
     CHUNK_SAMPLES,
@@ -56,7 +56,6 @@ class TestClassifyState:
         block = one_period(GAA, 4, state=state)
         assert (block.alice_high[0], block.bob_high[0]) == PICKS[state]
         assert bool(block.secure[0]) is secure
-        assert (block.secure_rows().n_periods == 1) is secure
 
     def test_key_bit_convention(self):
         # the key bit is alice_high: Eve's guess names the end she reads as
@@ -67,8 +66,10 @@ class TestClassifyState:
         i_alice = np.where(alice_high[:, None], at_high_end, at_low_end)
         i_bob = np.where(alice_high[:, None], at_low_end, at_high_end)
         block = PeriodBlock(alice_high, ~alice_high, i_alice, i_bob, np.zeros_like(i_alice))
-        guess = row_verdicts(block, EveCalibration(norm_constant=1.0, threshold=4.95), 1).guess
-        assert guess.tolist() == [0, 1] == alice_high.astype(int).tolist()
+        totals = block_totals(block, EveCalibration(norm_constant=1.0, threshold=4.95), 1)
+        # both rows answer at their first reading, and both guesses are the key bit
+        assert totals.measurements_hist.tolist() == [0, 2]
+        assert totals.n_correct == 2
 
 
 class TestLowHighResistors:
@@ -355,14 +356,9 @@ class TestRunKeyExchange:
             assert np.array_equal(ba.i_alice, bb.i_alice)
 
     def test_key_bits_follow_states(self):
-        # secure rows are exactly those with opposite picks, and secure_rows
-        # keeps their picks, so the key bits alice_high stay with their rows
+        # secure rows are exactly those with opposite picks
         for block in iter_period_blocks(80, LOSSLESS, NOISE, 60, 31):
             assert np.array_equal(block.secure, block.alice_high ^ block.bob_high)
-            sec = block.secure_rows()
-            assert np.array_equal(sec.alice_high, block.alice_high[block.secure])
-            assert np.array_equal(sec.bob_high, ~sec.alice_high)
-            assert np.array_equal(sec.i_alice, block.i_alice[block.secure])
 
     def test_iter_matches_record(self):
         # chunk c is run_periods on the picks drawn first from stream (seed, c);

@@ -32,6 +32,9 @@ def test_reproduce_headline_numbers():
     # the exact model's numbers, read from the report, beside the independent product's
     assert "exact simultaneous-reading model  (rho = 0.2515)" in lines
     assert "  p_success = 0.3059  p_error = 0.0155  p_no_answer = 0.6786" in lines
+    # the comparison's exact error beside the threshold attack, at 1 reading and at a period's 100
+    comparison = lines.index("current comparison, exact  (the end with the larger sum of i^2 holds the low resistor)")
+    assert lines[comparison + 1] == "  error at 1 reading = 0.264   at 100 readings (one period) = 3.474e-15"
     header = lines.index("deviation from each model in standard errors   exact  independent")
     rows = [line.split() for line in lines[header + 1 :]]
     assert [row[0] for row in rows] == [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kljnsim.circuit import NoiseSpec, connection_records
@@ -11,7 +11,10 @@ from kljnsim.stats import (
     EveCalibration,
     analytic_attack_probabilities,
     calibrate,
+    _comparison_law,
+    _symmetric_beta,
     chi2_cdf_1,
+    comparison_error,
     end_correlation,
     exact_attack_probabilities,
     wilson_ci,
@@ -184,6 +187,106 @@ class TestExactAttackProbabilities:
         for exact, sampled in ((p.p_success, strong_alone), (p.p_error, weak_alone)):
             se = math.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
             assert abs(sampled - exact) < 5.0 * se
+
+
+class TestComparisonError:
+    """Eve's current comparison over n readings of the LH record errs with probability I_x(n/2, n/2)."""
+
+    # checked against scipy.special.betainc at the eigenvalues of diag(1, -1) times the record's covariance
+    @pytest.mark.parametrize(
+        "preset, errors",
+        [("gaa-1db", (0.2640, 3.474e-15, 1.475e-28)), ("gaa-0p1db", (0.4231, 0.007757, 3.053e-4))],
+    )
+    def test_reproduces_the_table(self, preset, errors):
+        (record, _), _ = secure_records(preset)
+        assert tuple(float(f"{comparison_error(record, n):.4g}") for n in (1, 100, 200)) == errors
+
+    @pytest.mark.parametrize("preset", ["gaa-1db", "gaa-0p1db"])
+    def test_against_betainc_at_the_eigenvalues(self, preset):
+        betainc = pytest.importorskip("scipy.special").betainc
+        (record, _), _ = secure_records(preset)
+        rows = np.array(record[:4]).reshape(2, 2)
+        lam_minus, lam_plus = sorted(np.linalg.eigvals(np.diag([1.0, -1.0]) @ rows @ rows.T).real.tolist())
+        x = -lam_minus / (lam_plus - lam_minus)
+        for n in (1, 2, 10, 100, 200, 1000):
+            # far-tail digits move with x's last bits, by about n/2 times its rounding
+            assert comparison_error(record, n) == pytest.approx(betainc(n / 2, n / 2, x), rel=1e-11)
+
+    def test_lossless_comparison_never_answers(self):
+        # one current at both ends: the statistic is identically 0 and its error undefined
+        (record, _), _ = secure_records("lossless")
+        assert all(math.isnan(comparison_error(record, n)) for n in (1, 100, 200))
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 5.0, 50.0, 500.0, 5000.0])
+    @pytest.mark.parametrize("x", [1e-3, 0.01, 0.1, 0.25, 0.3, 0.45, 0.499, 0.5, 0.7])
+    def test_incomplete_beta_against_betainc(self, a, x):
+        # relative accuracy in the far tails, n = 2a readings up to 10**4
+        betainc = pytest.importorskip("scipy.special").betainc
+        expected = betainc(a, a, x)
+        if expected < 1e-300:  # below the normal range, where relative accuracy ends
+            assert _symmetric_beta(a, x, 1.0 - x) < 1e-290
+        else:
+            assert _symmetric_beta(a, x, 1.0 - x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @given(rows=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_one_reading_is_sheppards_orthant_probability(self, rows):
+        # i_a**2 - i_b**2 = U*V with U = i_a + i_b and V = i_a - i_b, which has the
+        # opposite sign with probability 1/2 - arcsin(rho_UV)/pi (Sheppard, 1899)
+        aa, ab, ba, bb = rows
+        ms_a, ms_b, cov = aa * aa + ab * ab, ba * ba + bb * bb, aa * ba + ab * bb
+        var_u, var_v = ms_a + ms_b + 2.0 * cov, ms_a + ms_b - 2.0 * cov
+        assume(min(var_u, var_v) > 1e-6)
+        rho_uv = (ms_a - ms_b) / math.sqrt(var_u * var_v)
+        assume(abs(rho_uv) < 0.99)  # where the arcsine of this rho keeps its digits
+        expected = 0.5 - math.asin(rho_uv) / math.pi
+        assert comparison_error((aa, ab, ba, bb, 0.0, 0.0), 1) == pytest.approx(expected, rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("preset", ["gaa-1db", "gaa-0p1db"])
+    def test_below_the_bhattacharyya_bound(self, preset):
+        # the Bayes error at equal priors lies below half the Bhattacharyya coefficient of
+        # the LH and HL laws, raised to the number of readings (Kailath, 1967)
+        (lh, hl), _ = secure_records(preset)
+        covs = [np.array(r[:4]).reshape(2, 2) @ np.array(r[:4]).reshape(2, 2).T for r in (lh, hl)]
+        dets = [np.linalg.det(c) for c in covs]
+        bc = (dets[0] * dets[1]) ** 0.25 / math.sqrt(np.linalg.det((covs[0] + covs[1]) / 2))
+        for n in (1, 10, 100, 200, 1000):
+            assert comparison_error(lh, n) < 0.5 * bc**n
+
+    @pytest.mark.parametrize("n, periods", [(1, 40_000), (100, 20_000)])
+    def test_against_bivariate_normal_monte_carlo(self, n, periods):
+        (record, _), _ = secure_records("gaa-0p1db")
+        aa, ab, ba, bb = record[:4]
+        z_a, z_b = np.random.default_rng(2014).standard_normal((2, periods, n))
+        i_a, i_b = aa * z_a + ab * z_b, ba * z_a + bb * z_b
+        sampled = np.mean(np.einsum("ij,ij->i", i_b, i_b) > np.einsum("ij,ij->i", i_a, i_a))
+        exact = comparison_error(record, n)
+        assert abs(sampled - exact) < 3.0 * math.sqrt(exact * (1.0 - exact) / periods)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, -1.0), (0.9, -1.0), (-1.0, 0.9), (2.0, -0.25)])
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_weighted_law_of_independent_readings(self, alpha, beta, n):
+        # u = z_1 and w = 3*z_2 give the form alpha*X + 9*beta*Y, with X and Y independent chi-squared
+        # of n degrees and X / (X + Y) of law Beta(n/2, n/2); it is negative on one side of
+        # x = 9|beta| / (|alpha| + 9|beta|), below it where alpha > 0 and above it where alpha < 0
+        special = pytest.importorskip("scipy.special")
+        x = 9.0 * abs(beta) / (abs(alpha) + 9.0 * abs(beta))
+        tail = special.betainc if alpha > 0 else special.betaincc
+        p = _comparison_law((1.0, 0.0), (0.0, 3.0), n, (alpha, beta))
+        assert p == pytest.approx(tail(n / 2, n / 2, x), rel=1e-12)
+
+    def test_readings_far_apart_in_scale(self):
+        # u = 2**500 * z_1 outweighs w = 3 * 2**-500 * z_2 beyond any double
+        assert _comparison_law((2.0**500, 0.0), (0.0, 3.0 * 2.0**-500), 10) == 0.0
+        assert _comparison_law((0.0, 3.0 * 2.0**-500), (2.0**500, 0.0), 10) == 1.0
+
+    @pytest.mark.parametrize("e", [-900, 1000])
+    def test_noise_scale_far_from_one(self, e):
+        # scaling the noise by a power of two scales every current exactly, so nothing may move
+        net = PRESETS["gaa-0p1db"]
+        record = connection_records(net, NoiseSpec(t_eff=300.0, bandwidth=math.ldexp(1.0, e)))[0][1]
+        unit_record = connection_records(net, NoiseSpec(t_eff=300.0, bandwidth=1.0))[0][1]
+        assert comparison_error(record, 100) == comparison_error(unit_record, 100)
 
 
 class TestWilsonCi:
