@@ -1,22 +1,20 @@
 """The Monte Carlo pass of ``simulate``: its totals and the trace CSV.
 
 The pass reduces every chunk to one flat record of independent counts and
-sums (:class:`EmpiricalTotals`), which also derives every other count, rate
-and interval of the report's empirical section; Eve's threshold rule is
-applied in that reduction (:func:`block_totals`).  Every empirical rate
-carries its 99% Wilson interval.  With a binary trace stream, the pass
+sums (:class:`EmpiricalTotals`); Eve's threshold rule is applied in that
+reduction (:func:`block_totals`).  With a binary trace stream, the pass
 also dumps every sample as CSV, whose numbers :mod:`kljnsim.reprtext`
 turns into ASCII.  Every chunk is one stream of messages, its CSV byte
 slices on a traced pass and then its totals, made the same way in either
 process and written and merged by one loop.  On Linux with two or more
 CPUs, a traced pass or a pass of long chunks forks one worker
 (:mod:`kljnsim.worker`) that makes every other chunk's stream (see
-:func:`_splits`).  A pass on Linux also raises glibc's
-heap thresholds (:func:`_keep_heap`), a setting that lasts for the rest of
-the process.  This module and the engine it drives
-(:mod:`kljnsim.protocol`, :mod:`kljnsim.noise`, :mod:`kljnsim.reprtext`,
-:mod:`kljnsim.worker`) are the only ones that import numpy;
-:mod:`kljnsim.reporting` turns the totals into the report.
+:func:`_splits`).  A pass on Linux also raises glibc's heap thresholds
+(:func:`_keep_heap`), a setting that lasts for the rest of the process.
+This module and the engine it drives (:mod:`kljnsim.protocol`,
+:mod:`kljnsim.noise`, :mod:`kljnsim.reprtext`, :mod:`kljnsim.worker`) are
+the only ones that import numpy; :mod:`kljnsim.reporting` derives every
+rate, interval and mean of the report from the totals.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import numpy as np
 from .circuit import current_exponent
 from .config import ExperimentConfig
 from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, iter_period_blocks
-from .stats import Z99, EveCalibration, calibrate, ratio_or_nan, wilson_ci
+from .stats import EveCalibration, calibrate
 
 _TRACE_HEADER = b"period,sample,i_alice,i_bob,v_node\r\n"
 # Smallest chunk for which an untraced pass forks a worker.  The fork costs
@@ -128,22 +126,9 @@ def _trace_rows(block: PeriodBlock, first_period: int, exponent: int) -> Iterato
         yield text(start, min(start + slice_rows, block.n_periods * n))
 
 
-def _rate(count: str, total: str) -> tuple[property, property]:
-    """The rate of two counts of :class:`EmpiricalTotals` and its 99% Wilson interval, as properties.
-
-    The rate is NaN and the interval None while ``total`` is zero.
-    """
-
-    def interval(t: "EmpiricalTotals") -> Optional[list[float]]:
-        n = getattr(t, total)
-        return list(wilson_ci(getattr(t, count), n, Z99)) if n else None
-
-    return property(lambda t: ratio_or_nan(getattr(t, count), getattr(t, total))), property(interval)
-
-
 @dataclass
 class EmpiricalTotals:
-    """The independent counts and sums of one Monte Carlo pass; every other number derives from them.
+    """The independent counts and sums of one Monte Carlo pass; :mod:`kljnsim.reporting` derives the rest.
 
     Squared currents are pooled at the low-resistor end and the
     high-resistor end across both secure orientations, so LH and HL periods
@@ -180,26 +165,6 @@ class EmpiricalTotals:
         return isinstance(other, EmpiricalTotals) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
-
-    # every other count, rate and interval follows from the stored ones
-    n_attacked = property(lambda t: t.n_secure)
-    n_answered = property(lambda t: int(t.measurements_hist.sum()))
-    n_gave_up = property(lambda t: t.n_secure - t.n_answered)
-    n_no_answer = property(lambda t: t.n_trials - t.n_success - t.n_error)
-    # every secure period holds n_trials / n_secure readings
-    hl_trials = property(lambda t: t.n_trials // t.n_secure * t.n_hl if t.n_secure else 0)
-    lh_trials = property(lambda t: t.n_trials - t.hl_trials)
-    lh_successes = property(lambda t: t.n_success - t.hl_successes)
-    p_success, success_ci = _rate("n_success", "n_trials")
-    p_error, error_ci = _rate("n_error", "n_trials")
-    p_no_answer, no_answer_ci = _rate("n_no_answer", "n_trials")
-    conditional_fidelity, fidelity_ci = _rate("n_correct", "n_answered")
-
-    @property
-    def mean_measurements(self) -> float:
-        """Readings per answered period, the answering one included."""
-        readings = np.arange(self.measurements_hist.size)
-        return ratio_or_nan(int(readings @ self.measurements_hist), self.n_answered)
 
 
 def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int) -> EmpiricalTotals:

@@ -4,10 +4,11 @@ Reports are JSON with a versioned schema.  The analytic section holds the
 closed-form records of the network and two models of Eve's readings: the
 independent-reading product of the closed-form moments
 (``probabilities``) and the exact simultaneous-reading model (``exact``).
-A ``simulate`` report adds the empirical section of the Monte Carlo pass
-(:mod:`kljnsim.montecarlo`) and an agreement section: coverage booleans
-that judge each empirical rate against the exact model, and each rate's
-signed deviation in standard errors from both models, so downstream
+A ``simulate`` report adds the empirical section, the counts and sums of
+the Monte Carlo pass (:mod:`kljnsim.montecarlo`) with every rate, 99%
+interval and mean derived here, and an agreement section: coverage
+booleans that judge each empirical rate against the exact model, and each
+rate's signed deviation in standard errors from both models, so downstream
 tooling never has to recompute the comparison.  Numbers are serialized at
 full precision (shortest round-trip form).  This module needs no numpy:
 only a report with an empirical section imports the engine.  Nor does it
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Any, BinaryIO, Optional, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Optional, TextIO
 
 from . import __version__
 from .circuit import analytic_mean_square_currents, connection_records, current_exponent
@@ -34,6 +35,9 @@ from .stats import (
     ratio_or_nan,
     wilson_ci,
 )
+
+if TYPE_CHECKING:
+    from .montecarlo import EmpiricalTotals
 
 # 2: analytic.exact, the agreement booleans judged against it, and agreement.deviation_se
 SCHEMA_VERSION = 2
@@ -78,8 +82,47 @@ def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
+def _ci(count: int, total: int) -> Optional[list[float]]:
+    """The 99% Wilson interval of ``count`` in ``total``, or None while ``total`` is 0."""
+    return list(wilson_ci(count, total, Z99)) if total else None
+
+
+def attack_section(t: EmpiricalTotals) -> dict[str, Any]:
+    """The report's ``empirical.attack``: Eve's counts in the pass's totals ``t``, with their rates, intervals and mean."""
+    hist = t.measurements_hist.tolist()
+    n_answered = sum(hist)
+    n_no_answer = t.n_trials - t.n_success - t.n_error
+    hl_trials = t.n_trials // t.n_secure * t.n_hl if t.n_secure else 0  # every secure period holds as many readings
+    return {
+        "n_trials": t.n_trials,
+        "n_success": t.n_success,
+        "n_error": t.n_error,
+        "n_no_answer": n_no_answer,
+        "p_success": ratio_or_nan(t.n_success, t.n_trials),
+        "p_error": ratio_or_nan(t.n_error, t.n_trials),
+        "p_no_answer": ratio_or_nan(n_no_answer, t.n_trials),
+        "p_success_ci99": _ci(t.n_success, t.n_trials),
+        "p_error_ci99": _ci(t.n_error, t.n_trials),
+        "p_no_answer_ci99": _ci(n_no_answer, t.n_trials),
+        "repeat_until_answer": {
+            "n_attacked": t.n_secure,
+            "n_answered": n_answered,
+            "n_gave_up": t.n_secure - n_answered,
+            "n_correct": t.n_correct,
+            "conditional_fidelity": ratio_or_nan(t.n_correct, n_answered),
+            "fidelity_ci99": _ci(t.n_correct, n_answered),
+            "mean_measurements": ratio_or_nan(sum(k * n for k, n in enumerate(hist)), n_answered),
+            "measurements_hist": {str(k): n for k, n in enumerate(hist) if n},
+        },
+        "by_orientation": {
+            "lh": {"trials": t.n_trials - hl_trials, "successes": t.n_success - t.hl_successes},
+            "hl": {"trials": hl_trials, "successes": t.hl_successes},
+        },
+    }
+
+
 def empirical_section(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) -> dict[str, Any]:
-    """The report's empirical section: the totals of the Monte Carlo pass, with the numbers they give."""
+    """The report's empirical section: the totals of the Monte Carlo pass, with every rate, interval and mean."""
     # the numpy engine; `simulate` has imported it before the report is built
     from .montecarlo import monte_carlo_pass
 
@@ -92,7 +135,7 @@ def empirical_section(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) -
         "n_bits": t.n_bits,
         "n_secure": t.n_secure,
         "secure_fraction": t.n_secure / t.n_bits,
-        "secure_fraction_ci99": list(wilson_ci(t.n_secure, t.n_bits, Z99)),
+        "secure_fraction_ci99": _ci(t.n_secure, t.n_bits),
         "n_secure_samples": n_secure_samples,
         "ratio": ratio_or_nan(t.low_end_sq_sum, t.high_end_sq_sum),
         "mean_square_low_end": ratio_or_nan(t.low_end_sq_sum, n_secure_samples) / unit / unit,
@@ -104,32 +147,7 @@ def empirical_section(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) -
             "trigger_rate_secure": ratio_or_nan(t.n_alarms_secure, t.n_secure),
             "mean_rel_difference_secure": ratio_or_nan(t.rel_difference_sum, t.n_secure),
         },
-        "attack": {
-            "n_trials": t.n_trials,
-            "n_success": t.n_success,
-            "n_error": t.n_error,
-            "n_no_answer": t.n_no_answer,
-            "p_success": t.p_success,
-            "p_error": t.p_error,
-            "p_no_answer": t.p_no_answer,
-            "p_success_ci99": t.success_ci,
-            "p_error_ci99": t.error_ci,
-            "p_no_answer_ci99": t.no_answer_ci,
-            "repeat_until_answer": {
-                "n_attacked": t.n_attacked,
-                "n_answered": t.n_answered,
-                "n_gave_up": t.n_gave_up,
-                "n_correct": t.n_correct,
-                "conditional_fidelity": t.conditional_fidelity,
-                "fidelity_ci99": t.fidelity_ci,
-                "mean_measurements": t.mean_measurements,
-                "measurements_hist": {str(k): n for k, n in enumerate(t.measurements_hist.tolist()) if n},
-            },
-            "by_orientation": {
-                "lh": {"trials": t.lh_trials, "successes": t.lh_successes},
-                "hl": {"trials": t.hl_trials, "successes": t.hl_successes},
-            },
-        },
+        "attack": attack_section(t),
     }
 
 

@@ -38,6 +38,7 @@ from kljnsim.cli import main
 from kljnsim.config import PRESETS, AlarmPolicy, ExperimentConfig
 from kljnsim.montecarlo import monte_carlo_pass
 from kljnsim.protocol import alarm_sweep, iter_period_blocks
+from kljnsim.reporting import attack_section
 from kljnsim.stats import analytic_attack_probabilities, calibrate, chi2_cdf_1
 
 NOISE = NoiseSpec()
@@ -149,21 +150,21 @@ def test_criterion_4_probability_set_analytic(capsys):
     "half-widths away at 1e6 trials (see module docstring)",
 )
 def test_criterion_4_probability_set_empirical(trial_campaign, capsys):
-    stats = trial_campaign
+    stats = attack_section(trial_campaign)
     target = analytic_attack_probabilities(calibrate(GAA, NOISE).threshold)
     ok = (
-        stats.n_trials >= 1_000_000
-        and stats.success_ci[0] <= target.p_success <= stats.success_ci[1]
-        and stats.error_ci[0] <= target.p_error <= stats.error_ci[1]
-        and stats.no_answer_ci[0] <= target.p_no_answer <= stats.no_answer_ci[1]
+        stats["n_trials"] >= 1_000_000
+        and stats["p_success_ci99"][0] <= target.p_success <= stats["p_success_ci99"][1]
+        and stats["p_error_ci99"][0] <= target.p_error <= stats["p_error_ci99"][1]
+        and stats["p_no_answer_ci99"][0] <= target.p_no_answer <= stats["p_no_answer_ci99"][1]
     )
     with capsys.disabled():
         _verdict(
             "4b empirical rates inside 99% Wilson around the closed-form values",
             ok,
             f"analytic=({target.p_success:.4f}, {target.p_error:.4f}, {target.p_no_answer:.4f}) "
-            f"empirical=({stats.p_success:.4f}, {stats.p_error:.4f}, {stats.p_no_answer:.4f}) "
-            f"n={stats.n_trials}",
+            f"empirical=({stats['p_success']:.4f}, {stats['p_error']:.4f}, {stats['p_no_answer']:.4f}) "
+            f"n={stats['n_trials']}",
         )
 
 
@@ -173,13 +174,13 @@ def test_criterion_4_probability_set_empirical(trial_campaign, capsys):
     "answer; the 3.04 +/- 0.05 band assumes independent readings (see module docstring)",
 )
 def test_criterion_5_measurements_to_answer(measurement_campaign, capsys):
-    stats = measurement_campaign
-    ok = stats.n_attacked >= 100_000 and abs(stats.mean_measurements - 3.04) <= 0.05
+    stats = attack_section(measurement_campaign)["repeat_until_answer"]
+    ok = stats["n_attacked"] >= 100_000 and abs(stats["mean_measurements"] - 3.04) <= 0.05
     with capsys.disabled():
         _verdict(
             "5 mean measurements to answer = 3.04 +/- 0.05",
             ok,
-            f"mean={stats.mean_measurements:.4f} over {stats.n_attacked} attacked bits",
+            f"mean={stats['mean_measurements']:.4f} over {stats['n_attacked']} attacked bits",
         )
 
 

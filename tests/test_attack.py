@@ -9,6 +9,7 @@ from kljnsim.config import AlarmPolicy, ExperimentConfig
 from kljnsim.montecarlo import EmpiricalTotals, block_totals, monte_carlo_pass
 from kljnsim.noise import SeededStream
 from kljnsim.protocol import PeriodBlock, iter_period_blocks, run_periods
+from kljnsim.reporting import attack_section
 from kljnsim.stats import EveCalibration, analytic_attack_probabilities, calibrate, wilson_ci
 
 NOISE = NoiseSpec()
@@ -74,6 +75,11 @@ def tally_of(blocks, cal, max_measurements=64):
     return tally
 
 
+def verdicts(att):
+    """(successes, errors, no-answers) of a report's ``empirical.attack``."""
+    return att["n_success"], att["n_error"], att["n_no_answer"]
+
+
 class TestCalibrate:
     def test_gaa_constants(self):
         assert GAA_CAL.threshold == pytest.approx(4.956043956044, rel=1e-10)
@@ -92,41 +98,41 @@ class TestSingleSampleDecision:
     """The threshold comparison, checked on one-sample periods with chosen readings."""
 
     def test_alice_low(self):
-        tally = tally_of([built_trace([6.0], [0.5])], UNIT_CAL)
-        assert (tally.n_success, tally.n_error, tally.n_no_answer) == (1, 0, 0)
-        assert tally.n_answered == tally.n_correct == 1
+        att = attack_section(tally_of([built_trace([6.0], [0.5])], UNIT_CAL))
+        assert verdicts(att) == (1, 0, 0)
+        assert att["repeat_until_answer"]["n_answered"] == att["repeat_until_answer"]["n_correct"] == 1
 
     def test_bob_low(self):
         # on an LH period a bob-is-low verdict is a wrong guess
-        tally = tally_of([built_trace([0.5], [6.0])], UNIT_CAL)
-        assert (tally.n_success, tally.n_error, tally.n_no_answer) == (0, 1, 0)
-        assert tally.n_answered == 1
-        assert tally.n_correct == 0
+        att = attack_section(tally_of([built_trace([0.5], [6.0])], UNIT_CAL))
+        assert verdicts(att) == (0, 1, 0)
+        assert att["repeat_until_answer"]["n_answered"] == 1
+        assert att["repeat_until_answer"]["n_correct"] == 0
 
     def test_both_below(self):
-        tally = tally_of([built_trace([0.5], [0.6])], UNIT_CAL)
-        assert (tally.n_success, tally.n_error, tally.n_no_answer) == (0, 0, 1)
-        assert tally.n_gave_up == 1
+        att = attack_section(tally_of([built_trace([0.5], [0.6])], UNIT_CAL))
+        assert verdicts(att) == (0, 0, 1)
+        assert att["repeat_until_answer"]["n_gave_up"] == 1
 
     def test_both_above(self):
-        tally = tally_of([built_trace([5.0], [6.0])], UNIT_CAL)
-        assert (tally.n_success, tally.n_error, tally.n_no_answer) == (0, 0, 1)
-        assert tally.n_gave_up == 1
+        att = attack_section(tally_of([built_trace([5.0], [6.0])], UNIT_CAL))
+        assert verdicts(att) == (0, 0, 1)
+        assert att["repeat_until_answer"]["n_gave_up"] == 1
 
     def test_equal_values_never_answer(self):
         for x in (0.5, 4.95, 6.0):
-            tally = tally_of([built_trace([x], [x])], UNIT_CAL)
-            assert tally.n_no_answer == 1
-            assert tally.n_answered == 0
+            att = attack_section(tally_of([built_trace([x], [x])], UNIT_CAL))
+            assert att["n_no_answer"] == 1
+            assert att["repeat_until_answer"]["n_answered"] == 0
 
     def test_guess_convention_consistent_with_key_bits(self):
         # the larger reading marks the low resistor: Alice's end on LH, Bob's on HL
-        tally = tally_of(
-            [built_trace([6.0], [0.5], "LH"), built_trace([0.5], [6.0], "HL")],
-            UNIT_CAL,
+        att = attack_section(
+            tally_of([built_trace([6.0], [0.5], "LH"), built_trace([0.5], [6.0], "HL")], UNIT_CAL)
         )
-        assert tally.n_correct == tally.n_answered == 2
-        assert (tally.lh_successes, tally.hl_successes) == (1, 1)
+        assert att["repeat_until_answer"]["n_correct"] == att["repeat_until_answer"]["n_answered"] == 2
+        orientation = att["by_orientation"]
+        assert (orientation["lh"]["successes"], orientation["hl"]["successes"]) == (1, 1)
 
 
 class TestAttackBit:
@@ -135,15 +141,16 @@ class TestAttackBit:
     def test_lossless_always_gives_up(self):
         cal = calibrate(LOSSLESS, NOISE)
         tally = tally_of((secure_trace(LOSSLESS, 64, seed=seed) for seed in range(50)), cal)
-        assert tally.n_gave_up == tally.n_attacked == 50
-        assert tally.n_answered == 0
+        repeat = attack_section(tally)["repeat_until_answer"]
+        assert repeat["n_gave_up"] == repeat["n_attacked"] == 50
+        assert repeat["n_answered"] == 0
         assert not tally.measurements_hist.any()
         assert tally.n_trials == 50 * 64
 
     def test_budget_respected(self):
         traces = (secure_trace(GAA, 256, seed=seed) for seed in range(40))
         tally = tally_of(traces, GAA_CAL, max_measurements=5)
-        assert tally.n_answered > 0
+        assert attack_section(tally)["repeat_until_answer"]["n_answered"] > 0
         # one entry per reading within the budget, and entry 0
         assert tally.measurements_hist.size == 6
 
@@ -159,33 +166,37 @@ class TestAttackBit:
         # nearly always right, for either secure state
         for state in ("LH", "HL"):
             traces = (secure_trace(GAA, 256, seed=seed, state=state) for seed in range(30))
-            tally = tally_of(traces, GAA_CAL, max_measurements=256)
-            assert tally.n_gave_up == 0
-            assert tally.n_correct >= 27  # fidelity ~0.95 per answered bit
+            repeat = attack_section(tally_of(traces, GAA_CAL, max_measurements=256))["repeat_until_answer"]
+            assert repeat["n_gave_up"] == 0
+            assert repeat["n_correct"] >= 27  # fidelity ~0.95 per answered bit
 
     def test_single_measurement_answer_rate(self):
-        tally = tally_of(secure_blocks(20_000, GAA, 1, 11), GAA_CAL, max_measurements=1)
+        repeat = attack_section(tally_of(secure_blocks(20_000, GAA, 1, 11), GAA_CAL, max_measurements=1))[
+            "repeat_until_answer"
+        ]
         expected = SIM_P_SUCCESS + SIM_P_ERROR
-        assert tally.n_answered / tally.n_attacked == pytest.approx(expected, abs=0.012)
+        assert repeat["n_answered"] / repeat["n_attacked"] == pytest.approx(expected, abs=0.012)
 
 
 @pytest.fixture(scope="module")
 def campaign():
-    return campaign_tally(4000, GAA, samples_per_bit=100, master_seed=13)
+    """The ``empirical.attack`` section of a 4000-period gaa-1db pass."""
+    return attack_section(campaign_tally(4000, GAA, samples_per_bit=100, master_seed=13))
 
 
 class TestAttackCampaign:
     def test_counts_are_exhaustive(self, campaign):
-        assert campaign.n_success + campaign.n_error + campaign.n_no_answer == campaign.n_trials
-        assert campaign.n_answered + campaign.n_gave_up == campaign.n_attacked
-        assert campaign.n_trials == campaign.lh_trials + campaign.hl_trials
+        repeat, orientation = campaign["repeat_until_answer"], campaign["by_orientation"]
+        assert sum(verdicts(campaign)) == campaign["n_trials"]
+        assert repeat["n_answered"] + repeat["n_gave_up"] == repeat["n_attacked"]
+        assert campaign["n_trials"] == orientation["lh"]["trials"] + orientation["hl"]["trials"]
 
     def test_rates_match_bivariate_oracle(self, campaign):
-        lo, hi = campaign.success_ci
+        lo, hi = campaign["p_success_ci99"]
         assert lo <= SIM_P_SUCCESS <= hi
-        lo, hi = campaign.error_ci
+        lo, hi = campaign["p_error_ci99"]
         assert lo <= SIM_P_ERROR <= hi
-        lo, hi = campaign.no_answer_ci
+        lo, hi = campaign["p_no_answer_ci99"]
         assert lo <= SIM_P_NO_ANSWER <= hi
 
     def test_rates_near_independent_reading_model(self, campaign):
@@ -193,19 +204,21 @@ class TestAttackCampaign:
         # thousand away from the correlated simultaneous readings; it stays
         # a good first-order description of the leak
         probs = analytic_attack_probabilities(GAA_CAL.threshold)
-        assert campaign.p_success == pytest.approx(probs.p_success, abs=0.01)
-        assert campaign.p_error == pytest.approx(probs.p_error, abs=0.005)
-        assert campaign.p_no_answer == pytest.approx(probs.p_no_answer, abs=0.01)
+        assert campaign["p_success"] == pytest.approx(probs.p_success, abs=0.01)
+        assert campaign["p_error"] == pytest.approx(probs.p_error, abs=0.005)
+        assert campaign["p_no_answer"] == pytest.approx(probs.p_no_answer, abs=0.01)
 
     def test_fidelity_matches_oracle(self, campaign):
-        lo, hi = campaign.fidelity_ci
+        repeat = campaign["repeat_until_answer"]
+        lo, hi = repeat["fidelity_ci99"]
         assert lo <= SIM_FIDELITY <= hi
-        assert campaign.conditional_fidelity == pytest.approx(SIM_FIDELITY, abs=0.02)
+        assert repeat["conditional_fidelity"] == pytest.approx(SIM_FIDELITY, abs=0.02)
 
     def test_mean_measurements_near_three(self, campaign):
-        assert campaign.mean_measurements == pytest.approx(SIM_MEAN_MEASUREMENTS, abs=0.15)
-        assert sum(k * v for k, v in enumerate(campaign.measurements_hist)) == pytest.approx(
-            campaign.mean_measurements * campaign.n_answered
+        repeat = campaign["repeat_until_answer"]
+        assert repeat["mean_measurements"] == pytest.approx(SIM_MEAN_MEASUREMENTS, abs=0.15)
+        assert sum(int(k) * v for k, v in repeat["measurements_hist"].items()) == pytest.approx(
+            repeat["mean_measurements"] * repeat["n_answered"]
         )
 
     def test_end_currents_correlated_through_shunt(self):
@@ -225,28 +238,31 @@ class TestAttackCampaign:
         assert empirical == pytest.approx(rho, abs=0.01)
 
     def test_orientation_fairness(self, campaign):
-        lo_lh, hi_lh = wilson_ci(campaign.lh_successes, campaign.lh_trials, 2.576)
-        lo_hl, hi_hl = wilson_ci(campaign.hl_successes, campaign.hl_trials, 2.576)
+        lh, hl = campaign["by_orientation"]["lh"], campaign["by_orientation"]["hl"]
+        lo_lh, hi_lh = wilson_ci(lh["successes"], lh["trials"], 2.576)
+        lo_hl, hi_hl = wilson_ci(hl["successes"], hl["trials"], 2.576)
         assert max(lo_lh, lo_hl) <= min(hi_lh, hi_hl)  # intervals overlap
 
     def test_lossless_campaign_never_answers(self):
-        stats = campaign_tally(400, LOSSLESS, samples_per_bit=50, master_seed=7)
-        assert stats.p_no_answer == 1.0
-        assert stats.n_answered == 0
-        assert stats.n_gave_up == stats.n_attacked > 0
-        assert math.isnan(stats.conditional_fidelity)
+        stats = attack_section(campaign_tally(400, LOSSLESS, samples_per_bit=50, master_seed=7))
+        repeat = stats["repeat_until_answer"]
+        assert stats["p_no_answer"] == 1.0
+        assert repeat["n_answered"] == 0
+        assert repeat["n_gave_up"] == repeat["n_attacked"] > 0
+        assert math.isnan(repeat["conditional_fidelity"])
 
     def test_infinite_threshold_never_answers(self):
         # the largest threshold a calibration accepts: no reading exceeds it
         cal = EveCalibration(norm_constant=GAA_CAL.norm_constant, threshold=sys.float_info.max)
-        tally = tally_of(secure_blocks(200, GAA, 20, 3), cal, max_measurements=16)
-        assert tally.p_no_answer == 1.0
-        assert tally.n_answered == 0
+        att = attack_section(tally_of(secure_blocks(200, GAA, 20, 3), cal, max_measurements=16))
+        assert att["p_no_answer"] == 1.0
+        assert att["repeat_until_answer"]["n_answered"] == 0
 
     def test_empty_tally_has_no_rates(self):
-        tally = EmpiricalTotals(np.zeros(65, dtype=np.int64))
-        assert math.isnan(tally.p_success) and math.isnan(tally.mean_measurements)
-        assert tally.success_ci is None and tally.fidelity_ci is None
+        att = attack_section(EmpiricalTotals(np.zeros(65, dtype=np.int64)))
+        repeat = att["repeat_until_answer"]
+        assert math.isnan(att["p_success"]) and math.isnan(repeat["mean_measurements"])
+        assert att["p_success_ci99"] is None and repeat["fidelity_ci99"] is None
 
     def test_deterministic(self):
         a = campaign_tally(200, GAA, samples_per_bit=30, master_seed=5)
