@@ -8,18 +8,18 @@ and the alarm behaviour, each next to a seeded empirical estimate.  Beside
 the paper's independent-reading numbers it prints the exact
 simultaneous-reading model, which reads Eve's two end currents at one
 instant, and each empirical rate's deviation from both models in standard
-errors.  Beside the threshold attack it prints the exact error of Eve's
-current comparison, at one reading and at a period's readings.
+errors.  Beside the threshold attack it prints Eve's current comparison:
+its exact error at one reading and at a period's readings, its Monte Carlo
+error and the deviation between the two in standard errors.
 """
 
 import math
 import sys
 
-from kljnsim.circuit import connection_records
 from kljnsim.cli import ArgumentParser
 from kljnsim.config import PRESETS, resolve_config
 from kljnsim.reporting import build_report
-from kljnsim.stats import chi2_cdf_1, comparison_error
+from kljnsim.stats import chi2_cdf_1
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
     cfg = resolve_config(None, {"network": {"preset": args.preset}, "master_seed": args.seed,
                                 "protocol.n_bits": args.bits, "protocol.samples_per_bit": args.samples_per_bit})
     # every number printed comes from this report, the one `kljnsim simulate` writes, except the
-    # two chi-squared CDF values and the comparison's errors, which the report does not carry
+    # two chi-squared CDF values, which the report does not carry
     report = build_report(cfg, empirical=True)
     net = cfg.network
     moments = report["analytic"]["moments"]
@@ -57,16 +57,6 @@ def main() -> None:
     print(f"  expected measurements per answered bit = {exact['expected_measurements']:.3f}")
     print(f"  fidelity of an emitted guess           = {exact['conditional_fidelity']:.4f}")
     print()
-    readings = -(-cfg.samples_per_bit // cfg.noise.measurement_stride)
-    lh_record = connection_records(net, cfg.noise)[0][1]
-
-    def error(n):  # NaN where the two end currents are one and the comparison never answers
-        e = comparison_error(lh_record, n)
-        return "never answers" if math.isnan(e) else f"{e:.4g}"
-
-    print("current comparison, exact  (the end with the larger sum of i^2 holds the low resistor)")
-    print(f"  error at 1 reading = {error(1)}   at {readings} readings (one period) = {error(readings)}")
-    print()
 
     emp = report["empirical"]
     att = emp["attack"]
@@ -87,8 +77,21 @@ def main() -> None:
     def se(deviation):  # null where the model's SE is 0, as on a loop without a shunt
         return "null" if deviation is None else f"{deviation:+.2f}"
 
-    for name, deviation in deviations["exact"].items():
-        print(f"  {name:<44} {se(deviation):>6}  {se(deviations['independent'][name]):>11}")
+    for name, deviation in deviations["independent"].items():
+        print(f"  {name:<44} {se(deviations['exact'][name]):>6}  {se(deviation):>11}")
+    print()
+
+    def error(p):  # NaN where the comparison never answers, as where the two end currents are one
+        return "never answers" if math.isnan(p) else f"{p:.4g}"
+
+    law, comparison = exact["comparison"], att["comparison"]
+    n_compared = comparison["n_periods"] - comparison["n_no_answer"]
+    print("current comparison  (the end with the larger sum of i^2 holds the low resistor)")
+    print(f"  exact        error at 1 reading = {error(law['p_error_one_reading'])}   "
+          f"at {law['readings']} readings (one period) = {error(law['p_error'])}")
+    print(f"  monte carlo  error = {error(comparison['p_error'])}   ({comparison['n_error']} errors in "
+          f"{n_compared} periods that answered, {comparison['n_no_answer']} ties)")
+    print(f"  deviation from the exact error in standard errors = {se(deviations['exact']['comparison_p_error'])}")
 
 
 if __name__ == "__main__":

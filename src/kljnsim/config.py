@@ -86,6 +86,11 @@ class ExperimentConfig(Validated, _ExperimentFields):
             # the signed 64-bit range, on which each seed keys its own stream
             raise ConfigError("master_seed must be in the signed 64-bit range [-2**63, 2**63)")
 
+    @property
+    def readings(self) -> int:
+        """Eve's readings in one period: every ``noise.measurement_stride``-th sample, from the first."""
+        return -(-self.samples_per_bit // self.noise.measurement_stride)
+
     def to_dict(self) -> dict[str, Any]:
         """Echo in the same shape the file schema uses (round-trippable)."""
         network = self.network._asdict()

@@ -136,7 +136,9 @@ class EmpiricalTotals:
     reading is a trial, ``n_correct`` counts the periods whose first answer
     within the budget names the key bit, and ``measurements_hist[k]`` counts
     the periods first answered at reading ``k`` (1-based), so it has one
-    entry more than the budget of readings.  Sums of squares are in the
+    entry more than the budget of readings.  Her current comparison, over
+    every reading of a period, errs in ``n_comparison_error`` secure periods
+    and ties in ``n_comparison_no_answer``.  Sums of squares are in the
     pass's current unit.
     """
 
@@ -154,6 +156,8 @@ class EmpiricalTotals:
     n_error: int = 0
     hl_successes: int = 0
     n_correct: int = 0
+    n_comparison_error: int = 0
+    n_comparison_no_answer: int = 0
 
     def merge(self, part: "EmpiricalTotals") -> None:
         """Add one chunk's totals; merging in chunk order fixes the order of every float sum."""
@@ -182,6 +186,9 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
     reading ever answers.  Every reading is a standalone trial; then she
     repeats readings until one answers.  A period with no answer within
     ``max_measurements`` readings counts as given up, never silently guessed.
+    Her current comparison sums each end's scaled squares over every reading
+    of the period and names the end with the larger sum as the low
+    resistor's; equal sums answer nothing.
     """
     secure = np.flatnonzero(block.secure)
     i_a, i_b, key_bit = block.i_alice, block.i_bob, block.alice_high  # key bit 1 when Alice holds the high resistor
@@ -200,6 +207,9 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
     first = answered.argmax(axis=1)[has]
     # the first answer names Alice's end as low, bit 0, or Bob's, bit 1
     correct = alice_low[has, first] != key_bit[has]
+    sum_a, sum_b = x.sum(axis=2)
+    # the high resistor sits at Bob's end on LH rows, at Alice's on HL rows
+    comparison_errs = np.where(key_bit, sum_a > sum_b, sum_b > sum_a)
     n_alice_low = np.count_nonzero(alice_low, axis=1)
     n_bob_low = np.count_nonzero(bob_low, axis=1)
     success = np.where(key_bit, n_bob_low, n_alice_low)
@@ -221,6 +231,8 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
         n_error=int(error.sum()),
         hl_successes=int(success[key_bit].sum()),
         n_correct=int(np.count_nonzero(correct)),
+        n_comparison_error=int(np.count_nonzero(comparison_errs)),
+        n_comparison_no_answer=int(np.count_nonzero(sum_a == sum_b)),
     )
 
 
@@ -263,7 +275,7 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     cal = cal._replace(norm_constant=cal.norm_constant / 2.0**m / 2.0**m)
     traced = trace is not None
     # no first answer lands past the readings a period holds, so a larger budget acts as that many
-    budget = min(cfg.max_measurements, -(-cfg.samples_per_bit // cfg.noise.measurement_stride))
+    budget = min(cfg.max_measurements, cfg.readings)
     k = chunk_periods(cfg.samples_per_bit)
     n_chunks = len(range(0, cfg.n_bits, k))
 

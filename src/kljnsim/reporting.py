@@ -30,8 +30,10 @@ from .stats import (
     Z99,
     analytic_attack_probabilities,
     calibrate,
+    comparison_error,
     end_correlation,
     exact_attack_probabilities,
+    mean_square_ratio,
     ratio_or_nan,
     wilson_ci,
 )
@@ -40,7 +42,9 @@ if TYPE_CHECKING:
     from .montecarlo import EmpiricalTotals
 
 # 2: analytic.exact, the agreement booleans judged against it, and agreement.deviation_se
-SCHEMA_VERSION = 2
+# 3: Eve's current comparison (analytic.exact.comparison, empirical.attack.comparison, its boolean and
+#    deviation), and analytic.exact.ratio, which the ratio check now judges against
+SCHEMA_VERSION = 3
 # Version of the mapping from (master_seed, config) to Monte Carlo samples.
 # 1: one stream for all resistor picks plus two streams per period.
 # 2: one stream per chunk of protocol.CHUNK_SAMPLES samples (picks, then
@@ -68,8 +72,11 @@ def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
     moments.  ``exact`` reads both ends at one instant, series elements
     kept (:func:`~kljnsim.stats.exact_attack_probabilities`), on the LH
     connection (Alice low, Bob high); HL gives the same values.  It holds
-    ``rho``, the correlation of Eve's two readings, then the same five
-    fields as ``probabilities``.
+    ``rho``, the correlation of Eve's two readings, the same five fields as
+    ``probabilities``, the mean-square ``ratio`` of the low-resistor end to
+    the high-resistor end, and the error of Eve's current ``comparison``
+    (:func:`~kljnsim.stats.comparison_error`) at one reading and at a
+    period's readings, NaN where it never answers.
     """
     moments = analytic_mean_square_currents(cfg.network, cfg.noise)
     cal = calibrate(cfg.network, cfg.noise)
@@ -78,7 +85,16 @@ def analytic_section(cfg: ExperimentConfig) -> dict[str, Any]:
         "moments": moments._asdict(),
         "calibration": cal._asdict(),
         "probabilities": analytic_attack_probabilities(moments.ratio)._asdict(),
-        "exact": {"rho": end_correlation(record), **exact_attack_probabilities(record, cal)._asdict()},
+        "exact": {
+            "rho": end_correlation(record),
+            **exact_attack_probabilities(record, cal)._asdict(),
+            "ratio": mean_square_ratio(record),
+            "comparison": {
+                "readings": cfg.readings,
+                "p_error_one_reading": comparison_error(record, 1),
+                "p_error": comparison_error(record, cfg.readings),
+            },
+        },
     }
 
 
@@ -88,11 +104,12 @@ def _ci(count: int, total: int) -> Optional[list[float]]:
 
 
 def attack_section(t: EmpiricalTotals) -> dict[str, Any]:
-    """The report's ``empirical.attack``: Eve's counts in the pass's totals ``t``, with their rates, intervals and mean."""
+    """The report's ``empirical.attack``: Eve's counts in the pass's totals, with their rates, intervals and mean."""
     hist = t.measurements_hist.tolist()
     n_answered = sum(hist)
     n_no_answer = t.n_trials - t.n_success - t.n_error
     hl_trials = t.n_trials // t.n_secure * t.n_hl if t.n_secure else 0  # every secure period holds as many readings
+    n_compared = t.n_secure - t.n_comparison_no_answer  # periods whose comparison answered
     return {
         "n_trials": t.n_trials,
         "n_success": t.n_success,
@@ -117,6 +134,13 @@ def attack_section(t: EmpiricalTotals) -> dict[str, Any]:
         "by_orientation": {
             "lh": {"trials": t.n_trials - hl_trials, "successes": t.n_success - t.hl_successes},
             "hl": {"trials": hl_trials, "successes": t.hl_successes},
+        },
+        "comparison": {
+            "n_periods": t.n_secure,
+            "n_error": t.n_comparison_error,
+            "n_no_answer": t.n_comparison_no_answer,
+            "p_error": ratio_or_nan(t.n_comparison_error, n_compared),
+            "p_error_ci99": _ci(t.n_comparison_error, n_compared),
         },
     }
 
@@ -200,13 +224,21 @@ def agreement_section(analytic: dict[str, Any], empirical: dict[str, Any]) -> di
 
     A model that never answers (p_success + p_error = 0, as on a loop
     without a shunt) agrees with a run that answered no period, so the
-    fidelity and mean-measurement checks hold there.
+    fidelity and mean-measurement checks hold there; so does the comparison
+    check where the comparison's exact error is NaN and no period's
+    comparison answered.  Only the exact model has a law for the
+    comparison; its deviation takes the binomial SE over the periods whose
+    comparison answered.
     """
     exact = analytic["exact"]
     att = empirical["attack"]
     repeat = att["repeat_until_answer"]
-    ratio_rel = empirical["ratio"] / analytic["moments"]["ratio"]
+    comparison, p_comparison = att["comparison"], exact["comparison"]["p_error"]
+    ratio_rel = empirical["ratio"] / exact["ratio"]
     never_answers = exact["p_success"] + exact["p_error"] == 0.0 and repeat["n_answered"] == 0
+    n_compared = comparison["n_periods"] - comparison["n_no_answer"]
+    never_compares = math.isnan(p_comparison) and n_compared == 0
+    comparison_deviation = _deviation(comparison["p_error"], p_comparison, _binomial_sd(p_comparison), n_compared)
     return {
         "ratio_within_2pct": _close(ratio_rel, 1.0, 0.02),
         "p_success_ci_covers_analytic": _covers(att["p_success_ci99"], exact["p_success"]),
@@ -216,7 +248,11 @@ def agreement_section(analytic: dict[str, Any], empirical: dict[str, Any]) -> di
         or _covers(repeat["fidelity_ci99"], exact["conditional_fidelity"]),
         "mean_measurements_within_0p05": never_answers
         or _close(repeat["mean_measurements"], exact["expected_measurements"], 0.05),
-        "deviation_se": {"exact": _deviations(exact, att), "independent": _deviations(analytic["probabilities"], att)},
+        "comparison_p_error_ci_covers_analytic": never_compares or _covers(comparison["p_error_ci99"], p_comparison),
+        "deviation_se": {
+            "exact": {**_deviations(exact, att), "comparison_p_error": comparison_deviation},
+            "independent": _deviations(analytic["probabilities"], att),
+        },
     }
 
 

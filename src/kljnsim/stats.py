@@ -17,6 +17,11 @@ Z99 = 2.576  # two-sided 99% normal quantile, used for every interval in the rep
 # at 400 random (a, b, rho), rho up to 1 - 1e-12 included.  A rate five times that, 1e-14, is still
 # within the error of 0, and any Monte Carlo run tells it from 0 only after some 1e14 trials.
 QUADRATURE_ABS_ERROR = 1e-14
+# A comparison's form alpha*u**2 + beta*w**2 whose eigenvalues lambda+ and |lambda-| sum to less than
+# one rounding (2**-52) of |alpha|*c.c + |beta|*d.d, the sizes of the squares it sums, is 0 to within
+# that rounding: its sign is noise, and Eve's comparison there never answers.  Exactly 0 on a loop
+# without a shunt; about 1e-117 on a network whose readings are proportional to far below rounding.
+COMPARISON_ROUNDING = 2.0**-52
 
 
 def ratio_or_nan(num: float, den: float) -> float:
@@ -156,6 +161,17 @@ def end_correlation(record: tuple) -> float:
     return cov / math.sqrt(ms_a * ms_b)
 
 
+def mean_square_ratio(record: tuple) -> float:
+    """Alice's mean-square end current over Bob's, as a transfer record gives them, series elements kept.
+
+    On the LH record (Alice's end holds the low resistor) it is the ratio of
+    the low-resistor end to the high-resistor end.  Each end's scale comes
+    back as a power of two, so neither mean square overflows.
+    """
+    ms_a, e_a, ms_b, e_b, _, _ = _scaled_moments(record)
+    return math.ldexp(ms_a / ms_b, 2 * (e_a - e_b))
+
+
 def _inside(cut: float) -> float:
     """P(|Z| < cut) for a standard normal Z."""
     return math.erf(cut / math.sqrt(2.0))
@@ -283,8 +299,9 @@ def _comparison_law(c: tuple, d: tuple, n: int, weights: tuple = (1.0, -1.0)) ->
     eigenvalues come from the trace and the determinant alpha*beta*(c0*d1 -
     c1*d0)**2, the smaller in magnitude as the determinant over the larger,
     from entries scaled by powers of two (:func:`_scaled_moments`), so that
-    nothing cancels or overflows.  NaN when the form is identically 0
-    (lambda+ = lambda- = 0).
+    nothing cancels or overflows.  NaN when the form is 0 to within one
+    rounding of the squares it sums (``COMPARISON_ROUNDING``), as it is
+    identically on a loop without a shunt.
     """
     cc, e_c, dd, e_d, _, det = _scaled_moments((*c, *d))
     e = max(e_c, e_d)  # the weights absorb the scales: alpha*u**2 = (alpha * 4**e_c) * (u * 2**-e_c)**2
@@ -298,9 +315,9 @@ def _comparison_law(c: tuple, d: tuple, n: int, weights: tuple = (1.0, -1.0)) ->
     else:
         lam_minus = half - root
         lam_plus = product / lam_minus
-    if lam_plus == 0.0 and lam_minus == 0.0:
-        return math.nan
     total = lam_plus - lam_minus
+    if total <= COMPARISON_ROUNDING * (abs(alpha) * cc + abs(beta) * dd):
+        return math.nan
     return _symmetric_beta(0.5 * n, -lam_minus / total, lam_plus / total)
 
 
@@ -313,7 +330,8 @@ def comparison_error(record: tuple, n: int) -> float:
     resistor), read at n independent instants; the comparison errs when
     Bob's end has the larger sum, with probability I_x(n/2, n/2)
     (:func:`_comparison_law`).  NaN on a loop without a shunt, whose two
-    currents are one: the statistic is identically 0 and never answers.
+    currents are one, and wherever they are proportional to within rounding:
+    the statistic is 0 there and never answers.
     """
     return _comparison_law(record[:2], record[2:4], n)
 

@@ -8,7 +8,11 @@ shunt, whose two readings are one), the run gives the model's value
 exactly.  The independent-reading product lies far outside on the presets
 with a correlated pair of readings.  Each report is built once per module.
 A network whose two readings are proportional to far below rounding passes
-every check too, in runs of 200 periods.
+every check too, in runs of 200 periods.  Eve's current comparison lies
+within 3 standard errors of its exact law I_x(n/2, n/2), in these runs and
+in a waveform run; where its law never answers, no period's comparison
+answers.  The ratio check holds on a pad with large series elements, which
+the closed-form ratio neglects.
 """
 
 import json
@@ -49,14 +53,21 @@ def empirical_and_model(report, model):
     modelled.update(
         conditional_fidelity=probs["conditional_fidelity"], mean_measurements=probs["expected_measurements"]
     )
+    if model == "exact":  # only the exact model has a law for the current comparison
+        empirical["comparison_p_error"] = attack["comparison"]["p_error"]
+        modelled["comparison_p_error"] = probs["comparison"]["p_error"]
     return empirical, modelled
+
+
+def checks_of(report):
+    """The agreement section's booleans, by name."""
+    return {name: value for name, value in report["agreement"].items() if name != "deviation_se"}
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_every_agreement_check_holds_at_seed_7(reports, preset):
-    agreement = reports[preset, 7]["agreement"]
-    checks = {name: value for name, value in agreement.items() if name != "deviation_se"}
-    assert len(checks) == 6
+    checks = checks_of(reports[preset, 7])
+    assert len(checks) == 7
     assert checks == dict.fromkeys(checks, True)
 
 
@@ -112,6 +123,65 @@ def test_every_agreement_check_holds_on_readings_proportional_below_rounding(see
     cfg = resolve_config(None, {"network": FOUND, "master_seed": seed, "protocol.n_bits": 200})
     report = json.loads(report_json(build_report(cfg, empirical=True)))
     assert (report["analytic"]["exact"]["p_success"], report["analytic"]["exact"]["p_error"]) == (0.0, 0.0)
-    checks = {name: value for name, value in report["agreement"].items() if name != "deviation_se"}
-    assert len(checks) == 6
+    checks = checks_of(report)
+    assert len(checks) == 7
     assert checks == dict.fromkeys(checks, True)
+    # the comparison's law never answers there, and every period's two sums tie
+    assert report["analytic"]["exact"]["comparison"]["p_error"] is None
+    comparison = report["empirical"]["attack"]["comparison"]
+    assert comparison["n_no_answer"] == comparison["n_periods"] > 0
+
+
+def comparison_deviation(report):
+    """The comparison's error rate over the periods whose comparison answered, less its exact law, in binomial SEs."""
+    comparison = report["empirical"]["attack"]["comparison"]
+    law = report["analytic"]["exact"]["comparison"]["p_error"]
+    n = comparison["n_periods"] - comparison["n_no_answer"]
+    return (comparison["n_error"] / n - law) / math.sqrt(law * (1 - law) / n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("preset", ["gaa-1db", "gaa-0p1db"])
+def test_comparison_within_3_se_of_its_exact_law(reports, preset, seed):
+    report = reports[preset, seed]
+    law = report["analytic"]["exact"]["comparison"]
+    assert law["readings"] == 100
+    assert abs(comparison_deviation(report)) <= 3
+    assert report["agreement"]["deviation_se"]["exact"]["comparison_p_error"] == pytest.approx(
+        comparison_deviation(report), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lossless_comparison_never_answers(reports, seed):
+    # one current at both ends: every period's two sums are one sum
+    report = reports["lossless", seed]
+    assert report["analytic"]["exact"]["comparison"] == {"readings": 100, "p_error_one_reading": None, "p_error": None}
+    comparison = report["empirical"]["attack"]["comparison"]
+    assert comparison["n_no_answer"] == comparison["n_periods"] > 0
+    assert (comparison["n_error"], comparison["p_error"], comparison["p_error_ci99"]) == (0, None, None)
+    assert report["agreement"]["comparison_p_error_ci_covers_analytic"] is True
+    assert report["agreement"]["deviation_se"]["exact"]["comparison_p_error"] is None
+
+
+def test_comparison_in_waveform_mode():
+    # 400 samples at stride 8 hold 50 readings, one correlation time apart; their lag
+    # correlation of about 0.026 is left out of the law and of its SE
+    keys = {"network": {"preset": "gaa-0p1db"}, "noise.mode": "waveform", "master_seed": 1}
+    cfg = resolve_config(None, {**keys, "protocol.n_bits": 4000, "protocol.samples_per_bit": 400})
+    report = json.loads(report_json(build_report(cfg, empirical=True)))
+    assert report["analytic"]["exact"]["comparison"]["readings"] == 50
+    assert abs(comparison_deviation(report)) <= 3
+    assert report["agreement"]["comparison_p_error_ci_covers_analytic"] is True
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ratio_check_keeps_the_series_elements(seed):
+    # 500-ohm series elements: the run's ratio, about 3.068, is the exact one, while the
+    # closed form, which neglects them, gives 4.956
+    network = {"r_alice": 1000, "r_bob": 10000, "pad": {"r_series": 500, "r_shunt": 500}}
+    cfg = resolve_config(None, {"network": network, "master_seed": seed, "protocol.n_bits": 20000})
+    report = json.loads(report_json(build_report(cfg, empirical=True)))
+    assert report["empirical"]["ratio"] == pytest.approx(report["analytic"]["exact"]["ratio"], rel=0.02)
+    assert report["empirical"]["ratio"] != pytest.approx(report["analytic"]["moments"]["ratio"], rel=0.02)
+    assert report["agreement"]["ratio_within_2pct"] is True

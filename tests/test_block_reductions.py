@@ -46,19 +46,30 @@ def reference_alarm(i_a, i_b, policy):
 
 
 def reference_verdicts(i_a, i_b, cal, stride, budget):
-    """(alice-low count, bob-low count, first answer or -1, guess or -1) of one period."""
+    """(alice-low count, bob-low count, first answer or -1, guess or -1, comparison's guess or -1) of one period.
+
+    The comparison names Alice's end as low (guess 0) when its sum of scaled
+    squares over every reading is the larger, Bob's (1) when his is, and
+    nothing (-1) on a tie.
+    """
     n_a = n_b = 0
     first = guess = -1
+    xas, xbs = [], []
     for j, k in enumerate(range(0, i_a.size, stride)):
         xa = i_a[k] * i_a[k] * cal.norm_constant
         xb = i_b[k] * i_b[k] * cal.norm_constant
+        xas.append(xa)
+        xbs.append(xb)
         alice_low = xa > cal.threshold and xb < cal.threshold
         bob_low = xb > cal.threshold and xa < cal.threshold
         n_a += alice_low
         n_b += bob_low
         if first < 0 and j < budget and (alice_low or bob_low):
             first, guess = j, (0 if alice_low else 1)
-    return n_a, n_b, first, guess
+    # summed as numpy sums a row of readings, so that exact ties stay ties
+    sum_a, sum_b = np.sum(xas), np.sum(xbs)
+    comparison = 0 if sum_a > sum_b else 1 if sum_b > sum_a else -1
+    return n_a, n_b, first, guess, comparison
 
 
 @st.composite
@@ -172,7 +183,7 @@ def test_attack_matches_per_row_reference(stride, data):
         if block.alice_high[r] == block.bob_high[r]:
             continue  # Eve attacks the secure periods only
         i_a, i_b = block.i_alice[r], block.i_bob[r]
-        n_a, n_b, first, guess = reference_verdicts(i_a, i_b, cal, stride, budget)
+        n_a, n_b, first, guess, comparison = reference_verdicts(i_a, i_b, cal, stride, budget)
         key_bit = int(block.alice_high[r])  # 1 when Alice holds the high resistor
         success, error = (n_b, n_a) if key_bit else (n_a, n_b)
         # the row's verdicts, read from the totals of the row alone
@@ -182,6 +193,8 @@ def test_attack_matches_per_row_reference(stride, data):
         # a row first answered at reading k (1-based) adds 1 to entry k; an unanswered row adds nothing
         assert row.measurements_hist.tolist() == [int(first >= 0 and k == first + 1) for k in range(budget + 1)]
         assert row.n_correct == (first >= 0 and guess == key_bit)
+        # the comparison errs when it names the high resistor's end, and ties answer nothing
+        assert (row.n_comparison_error, row.n_comparison_no_answer) == (comparison == 1 - key_bit, comparison < 0)
         sq_a, sq_b = float(i_a @ i_a), float(i_b @ i_b)
         expected.n_secure += 1
         expected.n_hl += key_bit
@@ -195,6 +208,8 @@ def test_attack_matches_per_row_reference(stride, data):
         if first >= 0:
             expected.n_correct += guess == key_bit
             expected.measurements_hist[first + 1] += 1
+        expected.n_comparison_error += comparison == 1 - key_bit
+        expected.n_comparison_no_answer += comparison < 0
     # the square sums add the same terms in another order
     assert totals.low_end_sq_sum == pytest.approx(expected.low_end_sq_sum)
     assert totals.high_end_sq_sum == pytest.approx(expected.high_end_sq_sum)

@@ -41,7 +41,7 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", "--preset", "gaa-1db"], capsys)
         assert code == 0
         report = load_report(out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["analytic"]["moments"]["ratio"] == pytest.approx(4.956, abs=0.001)
         assert abs(report["analytic"]["moments"]["ratio"] - 4.95) <= 0.01
         probs = report["analytic"]["probabilities"]
@@ -207,6 +207,7 @@ class TestSimulate:
             "p_no_answer_ci_covers_analytic",
             "fidelity_ci_covers_analytic",
             "mean_measurements_within_0p05",
+            "comparison_p_error_ci_covers_analytic",
             "deviation_se",
         }
         assert report["provenance"]["master_seed"] == 4

@@ -32,16 +32,29 @@ def test_reproduce_headline_numbers():
     # the exact model's numbers, read from the report, beside the independent product's
     assert "exact simultaneous-reading model  (rho = 0.2515)" in lines
     assert "  p_success = 0.3059  p_error = 0.0155  p_no_answer = 0.6786" in lines
-    # the comparison's exact error beside the threshold attack, at 1 reading and at a period's 100
-    comparison = lines.index("current comparison, exact  (the end with the larger sum of i^2 holds the low resistor)")
-    assert lines[comparison + 1] == "  error at 1 reading = 0.264   at 100 readings (one period) = 3.474e-15"
     header = lines.index("deviation from each model in standard errors   exact  independent")
-    rows = [line.split() for line in lines[header + 1 :]]
+    rows = [line.split() for line in lines[header + 1 : header + 6]]
     assert [row[0] for row in rows] == [
         "p_success", "p_error", "p_no_answer", "conditional_fidelity", "mean_measurements"
     ]
     # two numbers per rate: no model has a zero SE on gaa-1db
     assert all(len(row) == 3 and not any(math.isnan(float(x)) for x in row[1:]) for row in rows)
+    # the comparison from the report: its exact error at 1 reading and at a period's 100, the
+    # Monte Carlo error of the same run, and their deviation
+    comparison = lines.index("current comparison  (the end with the larger sum of i^2 holds the low resistor)")
+    assert lines[comparison + 1] == "  exact        error at 1 reading = 0.264   at 100 readings (one period) = 3.474e-15"
+    assert lines[comparison + 2] == "  monte carlo  error = 0   (0 errors in 101 periods that answered, 0 ties)"
+    assert lines[comparison + 3] == "  deviation from the exact error in standard errors = -0.00"
+
+
+def test_reproduce_headline_numbers_where_the_comparison_never_answers():
+    lines = run_script("reproduce_headline_numbers.py", "--preset", "lossless", "--bits", "200").stdout.splitlines()
+    comparison = lines.index("current comparison  (the end with the larger sum of i^2 holds the low resistor)")
+    assert lines[comparison + 1 :] == [
+        "  exact        error at 1 reading = never answers   at 100 readings (one period) = never answers",
+        "  monte carlo  error = never answers   (0 errors in 0 periods that answered, 101 ties)",
+        "  deviation from the exact error in standard errors = null",
+    ]
 
 
 def test_sweep_shunt_resistance():

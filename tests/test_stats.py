@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kljnsim.circuit import NoiseSpec, connection_records
-from kljnsim.config import PRESETS
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, connection_records
+from kljnsim.config import PRESETS, ExperimentConfig
+from kljnsim.reporting import analytic_section
 from kljnsim.stats import (
     EveCalibration,
     analytic_attack_probabilities,
@@ -17,6 +18,7 @@ from kljnsim.stats import (
     comparison_error,
     end_correlation,
     exact_attack_probabilities,
+    mean_square_ratio,
     wilson_ci,
 )
 
@@ -217,6 +219,13 @@ class TestComparisonError:
         (record, _), _ = secure_records("lossless")
         assert all(math.isnan(comparison_error(record, n)) for n in (1, 100, 200))
 
+    def test_readings_proportional_below_rounding_never_answer(self):
+        # r_bob about 1e287 below a 1-ohm shunt: the two readings agree to about 1e-117, so the
+        # statistic is 0 to within one rounding of the squares it sums, and a run's sums tie
+        net = NetworkConfig(1e53, 1e-287, AttenuatorConfig(0.0, 1.0))
+        record = connection_records(net, NoiseSpec())[0][1]
+        assert all(math.isnan(comparison_error(record, n)) for n in (1, 100, 200))
+
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 5.0, 50.0, 500.0, 5000.0])
     @pytest.mark.parametrize("x", [1e-3, 0.01, 0.1, 0.25, 0.3, 0.45, 0.499, 0.5, 0.7])
     def test_incomplete_beta_against_betainc(self, a, x):
@@ -287,6 +296,31 @@ class TestComparisonError:
         record = connection_records(net, NoiseSpec(t_eff=300.0, bandwidth=math.ldexp(1.0, e)))[0][1]
         unit_record = connection_records(net, NoiseSpec(t_eff=300.0, bandwidth=1.0))[0][1]
         assert comparison_error(record, 100) == comparison_error(unit_record, 100)
+
+
+class TestMeanSquareRatio:
+    """The exact mean-square ratio of the low-resistor end to the high-resistor end, series elements kept."""
+
+    @pytest.mark.parametrize("preset, ratio", [("gaa-1db", 4.939812), ("gaa-0p1db", 1.295637), ("lossless", 1.0)])
+    def test_presets(self, preset, ratio):
+        exact = analytic_section(ExperimentConfig(network=PRESETS[preset]))["exact"]
+        (lh, hl), _ = secure_records(preset)
+        assert round(exact["ratio"], 6) == ratio
+        assert exact["ratio"] == mean_square_ratio(lh)
+        # the HL record has the ends swapped
+        assert mean_square_ratio(hl) == pytest.approx(1.0 / ratio, rel=1e-6)
+
+    def test_lossless_ratio_is_exactly_one(self):
+        assert analytic_section(ExperimentConfig(network=PRESETS["lossless"]))["exact"]["ratio"] == 1.0
+
+    @pytest.mark.parametrize("e", [-900, 900])
+    def test_noise_scale_far_from_one(self, e):
+        # each mean square is scaled by 2**e, the ratio by nothing
+        net = PRESETS["gaa-1db"]
+        noise = NoiseSpec(t_eff=300.0, bandwidth=math.ldexp(1.0, e))
+        ratio = analytic_section(ExperimentConfig(network=net, noise=noise))["exact"]["ratio"]
+        unit = connection_records(net, NoiseSpec(t_eff=300.0, bandwidth=1.0))[0][1]
+        assert math.isfinite(ratio) and ratio == mean_square_ratio(unit)
 
 
 class TestWilsonCi:
