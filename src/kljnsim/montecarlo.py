@@ -7,10 +7,11 @@ also dumps every sample as CSV, whose numbers :mod:`kljnsim.reprtext`
 turns into ASCII.  Every chunk is one stream of messages, its CSV byte
 slices on a traced pass and then its totals, made the same way in either
 process and written and merged by one loop.  On Linux with two or more
-CPUs, a traced pass or a pass of long chunks forks one worker
-(:mod:`kljnsim.worker`) that makes every other chunk's stream (see
-:func:`_splits`).  A pass on Linux also raises glibc's heap thresholds
-(:func:`_keep_heap`), a setting that lasts for the rest of the process.
+CPUs, a traced pass or a pass of at least ``FORK_MIN_SAMPLES`` samples forks
+one worker (:mod:`kljnsim.worker`), and the two processes claim chunks from
+one shared counter as they go (see :func:`_splits`).  A pass on Linux also
+raises glibc's heap thresholds (:func:`_keep_heap`), a setting that lasts
+for the rest of the process.
 This module and the engine it drives (:mod:`kljnsim.protocol`,
 :mod:`kljnsim.noise`, :mod:`kljnsim.reprtext`, :mod:`kljnsim.worker`) are
 the only ones that import numpy; :mod:`kljnsim.reporting` derives every
@@ -34,12 +35,12 @@ from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, it
 from .stats import EveCalibration, calibrate
 
 _TRACE_HEADER = b"period,sample,i_alice,i_bob,v_node\r\n"
-# Smallest chunk for which an untraced pass forks a worker.  The fork costs
-# about 5 ms per pass, which untraced passes of short chunks do not win back:
-# gaa-1db runs of 500 to 2000 bits of 100 samples took about 5 ms longer with
-# it.  Every multi-period chunk holds at most CHUNK_SAMPLES samples, so only
-# long single periods reach this size.
-FORK_MIN_SAMPLES = 4 * CHUNK_SAMPLES
+# Smallest pass, in samples (bits times samples per bit), for which an untraced
+# pass forks a worker.  The fork costs about 7 ms per pass (the worker's import, the
+# fork call, reaping it, and copy-on-write faults in both processes), which smaller
+# passes do not win back; see the crossover table in BENCH_30.json.  A traced pass
+# forks from 2 chunks.
+FORK_MIN_SAMPLES = 1 << 18
 # glibc's mallopt parameters and the largest values its dynamic thresholds reach on 64-bit
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_MAX = 32 << 20
@@ -112,8 +113,10 @@ def _trace_rows(block: PeriodBlock, first_period: int, exponent: int) -> Iterato
         np.ldexp(values[:, :-1], -exponent, out=values[:, :-1])
         if shared:
             write_floats(fields[:, ::2], values)
-            # Bob's text is Alice's, copied as one item per slot rather than word by word
-            slots = words[:, head:].view(np.dtype((np.void, 8 * SLOT_WORDS)))
+            # Bob's text is Alice's, copied as one item per slot rather than word by word.  The
+            # dtype is named by a string: numpy makes a void dtype from a tuple through a Python
+            # ctypes check whose exceptions it clears, so an interrupt landing there was lost
+            slots = words[:, head:].view(f"V{8 * SLOT_WORDS}")
             slots[:, 1] = slots[:, 0]
         else:
             write_floats(fields, values)
@@ -241,17 +244,17 @@ def available_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _splits(chunk_samples: int, n_chunks: int, traced: bool) -> bool:
-    """Whether a pass of ``n_chunks`` chunks of ``chunk_samples`` samples forks a worker for its odd chunks.
+def _splits(pass_samples: int, n_chunks: int, traced: bool) -> bool:
+    """Whether a pass of ``n_chunks`` chunks and ``pass_samples`` samples in all forks a worker that claims chunks.
 
     It does on Linux, with at least 2 CPUs in the process's affinity mask and
     at least 2 chunks, when it writes a trace CSV (text conversion is most of
-    a trace's cost) or its chunks hold at least ``FORK_MIN_SAMPLES`` samples.
+    a trace's cost) or it holds at least ``FORK_MIN_SAMPLES`` samples.
     """
     return (
         sys.platform == "linux"
         and n_chunks >= 2
-        and (traced or chunk_samples >= FORK_MIN_SAMPLES)
+        and (traced or pass_samples >= FORK_MIN_SAMPLES)
         and available_workers() >= 2
     )
 
@@ -260,11 +263,12 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     """One streaming pass over every seeded block: protocol, alarm, attack, optional trace CSV to ``trace``.
 
     Each chunk is a stream of messages: on a traced pass its CSV byte
-    slices, then its totals, which end it.  A pass that splits
-    (:func:`_splits`) forks one worker (:mod:`kljnsim.worker`) that makes
-    the odd chunks' streams while this process makes the even ones.  One
-    loop in this process writes the CSV header, then every chunk's bytes,
-    and merges every chunk's totals, all in chunk order, so the split cannot
+    slices, then its totals, which end it; ``messages(c)`` makes chunk
+    ``c``'s stream from its own seeded block.  A pass that splits
+    (:func:`_splits`) forks one worker (:mod:`kljnsim.worker`), and each
+    process claims the next unclaimed chunk whenever it needs one.  One loop
+    in this process writes the CSV header, then every chunk's bytes, and
+    merges every chunk's totals, all in chunk order, so the split cannot
     change a bit of the result.  Currents are in one unit of 2**-m amperes
     (:func:`~kljnsim.circuit.current_exponent`): Eve's norm constant is
     scaled by 4**-m, the trace CSV's currents by 2**-m.
@@ -279,8 +283,11 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     k = chunk_periods(cfg.samples_per_bit)
     n_chunks = len(range(0, cfg.n_bits, k))
 
-    def chunk(c: int, block: PeriodBlock) -> Iterator[Union[bytes, EmpiricalTotals]]:
+    def messages(c: int) -> Iterator[Union[bytes, EmpiricalTotals]]:
         """Chunk ``c``'s messages: its CSV byte slices on a traced pass (periods from ``c * k``), then its totals."""
+        (block,) = iter_period_blocks(
+            cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, traced, m, slice(c, c + 1)
+        )
         totals = block_totals(block, cal, budget)
         alarm = alarm_sweep(block, cfg.alarm)
         secure = block.secure
@@ -291,25 +298,17 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
             yield from _trace_rows(block, c * k, m)
         yield totals
 
-    def messages(selected: slice = slice(None)) -> Iterator[Union[bytes, EmpiricalTotals]]:
-        """The messages of the chunks whose numbers ``selected`` slices, in chunk order."""
-        blocks = iter_period_blocks(
-            cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, traced, m, selected
-        )
-        for c in range(n_chunks)[selected]:
-            yield from chunk(c, next(blocks))  # a chunk's arrays are freed before the next chunk's are drawn
-
     _keep_heap()  # before the first chunk frees anything, and before the fork
     totals = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64))
     if traced:
         trace.write(_TRACE_HEADER)
-    if _splits(k * cfg.samples_per_bit, n_chunks, traced):
+    split = None
+    if _splits(cfg.n_bits * cfg.samples_per_bit, n_chunks, traced):
         from .worker import in_chunk_order  # only a split pass needs the worker
 
-        stream = in_chunk_order(messages, n_chunks)
-    else:
-        stream = nullcontext(messages())
-    with stream as in_order:
+        split = in_chunk_order(messages, n_chunks)  # None where the chunks cannot be shared: one CPU
+    # one CPU: a chunk's arrays are freed before the next chunk's are drawn
+    with split or nullcontext(message for c in range(n_chunks) for message in messages(c)) as in_order:
         for message in in_order:
             if isinstance(message, bytes):
                 trace.write(message)
