@@ -197,8 +197,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # loads (medians of 20 fresh processes, 2-CPU x86 VM, numpy 2.4.6).  A pass
     # that forks a worker loads it earlier, with kljnsim.worker, so the worker
     # inherits it.
+    from . import sigint
+
     try:
-        from . import montecarlo  # noqa: F401
+        with sigint.held():  # numpy's import may swallow an interrupt
+            from . import montecarlo  # noqa: F401
     except ImportError as exc:
         message = " ".join(str(exc).split())  # numpy's own import errors span many lines
         print(f"kljnsim: runtime error: cannot import the simulation engine: {message}", file=sys.stderr)

@@ -31,7 +31,8 @@ import numpy as np
 
 from .circuit import current_exponent
 from .config import ExperimentConfig
-from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, iter_period_blocks
+from .noise import SeededStream
+from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, period_block
 from .stats import EveCalibration, calibrate
 
 _TRACE_HEADER = b"period,sample,i_alice,i_bob,v_node\r\n"
@@ -266,7 +267,8 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     slices, then its totals, which end it; ``messages(c)`` makes chunk
     ``c``'s stream from its own seeded block.  A pass that splits
     (:func:`_splits`) forks one worker (:mod:`kljnsim.worker`), and each
-    process claims the next unclaimed chunk whenever it needs one.  One loop
+    process claims the next unclaimed chunk whenever it needs one; every
+    chunk's random stream is built in this process before the fork.  One loop
     in this process writes the CSV header, then every chunk's bytes, and
     merges every chunk's totals, all in chunk order, so the split cannot
     change a bit of the result.  Currents are in one unit of 2**-m amperes
@@ -283,11 +285,12 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     k = chunk_periods(cfg.samples_per_bit)
     n_chunks = len(range(0, cfg.n_bits, k))
 
+    streams: list = []  # every chunk's random stream, on a pass that splits
+
     def messages(c: int) -> Iterator[Union[bytes, EmpiricalTotals]]:
         """Chunk ``c``'s messages: its CSV byte slices on a traced pass (periods from ``c * k``), then its totals."""
-        (block,) = iter_period_blocks(
-            cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, cfg.master_seed, traced, m, slice(c, c + 1)
-        )
+        rng = streams[c] if streams else SeededStream(cfg.master_seed, c).generator()
+        block = period_block(cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, c, rng, traced, m)
         totals = block_totals(block, cal, budget)
         alarm = alarm_sweep(block, cfg.alarm)
         secure = block.secure
@@ -306,6 +309,11 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     if _splits(cfg.n_bits * cfg.samples_per_bit, n_chunks, traced):
         from .worker import in_chunk_order  # only a split pass needs the worker
 
+        # Either process may claim any chunk, so this one builds every chunk's stream
+        # before the fork (about 16 us each, 2-CPU x86 VM): it then builds the same
+        # streams however the chunks fall, and a count of them (bench/layers.py) is
+        # the same from run to run.
+        streams.extend(SeededStream(cfg.master_seed, c).generator() for c in range(n_chunks))
         split = in_chunk_order(messages, n_chunks)  # None where the chunks cannot be shared: one CPU
     # one CPU: a chunk's arrays are freed before the next chunk's are drawn
     with split or nullcontext(message for c in range(n_chunks) for message in messages(c)) as in_order:

@@ -15,7 +15,7 @@ that turn them into currents.  Two sampling modes are supported:
 All randomness is derived from a single master seed through keyed
 ``SeedSequence`` streams, one per fixed-size chunk of bit periods, so
 results never depend on worker count or evaluation order: a pass may
-compute every other chunk in a forked worker (:mod:`kljnsim.worker`).
+compute any chunk in a forked worker (:mod:`kljnsim.worker`).
 The streams are part of the numpy engine, which only ``simulate`` loads;
 their settings (:class:`kljnsim.circuit.NoiseSpec`) are not.  numpy loads
 ``numpy.random`` lazily; this module imports it, at the first
@@ -35,6 +35,7 @@ from importlib import import_module
 
 import numpy as np
 
+from . import sigint
 from .circuit import NoiseSpec
 
 _MASK64 = (1 << 64) - 1
@@ -74,19 +75,22 @@ def import_numpy_random() -> types.ModuleType:
     ``randbits`` is imported again the plain way.
     """
     modules = sys.modules
-    if "numpy.random" in modules or "secrets" in modules:
+    if "numpy.random" in modules:
+        return modules["numpy.random"]
+    with sigint.held():  # its Cython modules may swallow an interrupt
+        if "secrets" in modules:
+            return import_module("numpy.random")
+        stand_in = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits  # type: ignore[attr-defined]
+        modules["secrets"] = stand_in
+        try:
+            return import_module("numpy.random")
+        except ImportError:
+            pass  # the failed modules left sys.modules; the plain import below loads them again
+        finally:
+            if modules.get("secrets") is stand_in:
+                del modules["secrets"]
         return import_module("numpy.random")
-    stand_in = types.ModuleType("secrets")
-    stand_in.randbits = random.SystemRandom().getrandbits  # type: ignore[attr-defined]
-    modules["secrets"] = stand_in
-    try:
-        return import_module("numpy.random")
-    except ImportError:
-        pass  # the failed modules left sys.modules; the plain import below loads them again
-    finally:
-        if modules.get("secrets") is stand_in:
-            del modules["secrets"]
-    return import_module("numpy.random")
 
 
 def gaussian_stream(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:

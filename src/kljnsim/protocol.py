@@ -16,9 +16,9 @@ is reduced (:func:`kljnsim.montecarlo.block_totals`).
 
 Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
 one ``(K, n)`` array per observable, drawn from one keyed random stream
-(RNG layout 2, see :func:`iter_period_blocks`).  Every chunk can be
-produced on its own, so a pass may compute a slice of the chunks in a
-second process (:mod:`kljnsim.montecarlo` decides when); the blocks depend
+(RNG layout 2, see :func:`period_block`).  Every chunk can be
+produced on its own, so a pass may compute any of them in a second
+process (:mod:`kljnsim.montecarlo` decides when); the blocks depend
 only on the seed and the config.
 """
 
@@ -161,6 +161,33 @@ def run_periods(
     return PeriodBlock(alice_high, bob_high, u_a, u_a if shared else u_b, v, noise.measurement_stride)
 
 
+def period_block(
+    n_bits: int,
+    net: NetworkConfig,
+    noise: NoiseSpec,
+    n_samples: int,
+    c: int,
+    rng: np.random.Generator,
+    node: bool = False,
+    exponent: int = 0,
+) -> PeriodBlock:
+    """The block of chunk ``c`` of ``n_bits`` seeded periods, drawn from ``rng``, the chunk's fresh stream.
+
+    Chunk ``c`` holds periods ``c*K`` to ``(c+1)*K - 1`` with
+    ``K = max(1, CHUNK_SAMPLES // n_samples)`` (:func:`chunk_periods`; the
+    last chunk may be shorter), and its stream is
+    ``SeededStream(master_seed, c).generator()``.  The stream draws the
+    ``(K, 2)`` fair resistor picks first, then the noise, so every chunk can
+    be produced on its own and the result depends only on the seed and the
+    config, never on the machine or the process that computes it.  The block
+    carries the node voltage only with ``node``, and currents times
+    ``2**exponent``.
+    """
+    k = chunk_periods(n_samples)
+    picks = rng.integers(0, 2, size=(min(k, n_bits - c * k), 2)).astype(bool)
+    return run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node, exponent)
+
+
 def iter_period_blocks(
     n_bits: int,
     net: NetworkConfig,
@@ -169,26 +196,11 @@ def iter_period_blocks(
     master_seed: int,
     node: bool = False,
     exponent: int = 0,
-    chunks: slice = slice(None),
 ) -> Iterator[PeriodBlock]:
-    """Yield the block of each chunk of ``n_bits`` seeded periods that ``chunks`` selects, in chunk order.
-
-    Chunk ``c`` holds periods ``c*K`` to ``(c+1)*K - 1`` with
-    ``K = max(1, CHUNK_SAMPLES // n_samples)`` (:func:`chunk_periods`; the
-    last chunk may be shorter), and ``chunks`` slices the chunk numbers
-    (``slice(1, None, 2)``: the odd ones).  Its stream ``(master_seed, c)``
-    draws the ``(K, 2)`` fair resistor picks first, then the noise, so every
-    chunk can be produced on its own and the result depends only on the seed
-    and the config, never on the machine or the process that computes it.
-    The blocks carry the node voltage only with ``node``, and currents times
-    ``2**exponent``.
-    """
-    k = chunk_periods(n_samples)
-    firsts = range(0, n_bits, k)
-    for c in range(len(firsts))[chunks]:
+    """Yield the block of every chunk of ``n_bits`` seeded periods in chunk order (:func:`period_block`)."""
+    for c in range(len(range(0, n_bits, chunk_periods(n_samples)))):
         rng = SeededStream(master_seed, c).generator()
-        picks = rng.integers(0, 2, size=(min(k, n_bits - firsts[c]), 2)).astype(bool)
-        yield run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node, exponent)
+        yield period_block(n_bits, net, noise, n_samples, c, rng, node, exponent)
 
 
 def _window_means(

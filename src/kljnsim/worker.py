@@ -45,10 +45,12 @@ class _Claims:
     lock belongs to the process that holds it, and the kernel drops it when
     that process dies, so neither process can wait forever on a dead peer.
     Made before the fork; making it raises :class:`OSError` where the memory
-    file or the lock is not available.
+    file or the lock is not available, or ``os`` has no ``memfd_create``.
     """
 
     def __init__(self) -> None:
+        if not hasattr(os, "memfd_create"):  # Python built against glibc before 2.27
+            raise OSError("os.memfd_create is not available")
         self.fd = os.memfd_create("kljnsim-claims")
         try:
             os.ftruncate(self.fd, 16)

@@ -464,9 +464,10 @@ class TestSimulate:
         args = ["simulate", "--preset", "lossless", "--bits", "500", "--out", str(report), "--trace-csv", str(trace)]
         with pytest.raises(KeyboardInterrupt):
             main(args)
-        # on two CPUs a forked worker makes the odd chunks' rows, so this process makes chunks 0 and 2 itself
+        # on two CPUs a forked worker claims chunks too, so this process's second chunk is any later one
         split = sys.platform == "linux" and montecarlo.available_workers() >= 2
-        assert blocks == [0, 162 if split else 81]
+        assert blocks[0] == 0
+        assert blocks[1] in (range(81, 500, 81) if split else (81,))
         assert report.read_bytes() == b"previous report\n"
         assert trace.read_bytes() == b"previous,trace\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.csv", "prior.json"]

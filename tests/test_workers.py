@@ -22,7 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from kljnsim import montecarlo, noise, protocol, worker
+from kljnsim import montecarlo, noise, protocol, sigint, worker
 from kljnsim.cli import main
 from kljnsim.config import resolve_config
 from kljnsim.montecarlo import FORK_MIN_SAMPLES
@@ -281,12 +281,49 @@ def test_chunk_errors_reach_the_caller(monkeypatch, forks):
 def test_worker_blocks_match_inline_blocks():
     # each chunk of a split pass is made on its own, in the order claimed, and is the block of one inline pass
     cfg = config("gaa-1db", 5, 3000, "waveform")
-    args = (5, cfg.network, cfg.noise, 3000, 4, True)
-    claimed = {c: list(iter_period_blocks(*args, chunks=slice(c, c + 1))) for c in (1, 2, 0)}
-    split = [block for c in sorted(claimed) for block in claimed[c]]
-    for inline, sliced in zip(iter_period_blocks(*args), split, strict=True):
+    args = (5, cfg.network, cfg.noise, 3000)
+    claimed = {c: protocol.period_block(*args, c, noise.SeededStream(4, c).generator(), True) for c in (1, 2, 0)}
+    split = [claimed[c] for c in sorted(claimed)]
+    for inline, sliced in zip(iter_period_blocks(*args, 4, True), split, strict=True):
         for name in ("alice_high", "bob_high", "i_alice", "i_bob", "v_node"):
             assert np.array_equal(getattr(inline, name), getattr(sliced, name))
+
+
+@linux_only
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+def test_this_process_builds_every_stream_of_a_split_pass(traced, monkeypatch, forks):
+    # whichever process claims a chunk, this one builds the chunk's stream before the fork, so the
+    # streams it builds are the same in every run, as a profiler of this process counts them
+    parent = os.getpid()
+    built = []
+    real = noise.SeededStream.generator
+
+    def counted(stream):
+        if os.getpid() == parent:
+            built.append(stream.stream_id)
+        return real(stream)
+
+    monkeypatch.setattr(noise.SeededStream, "generator", counted)
+    use_cpus(monkeypatch, 2)
+    bits = 300 if traced else 4000
+    for _ in range(3):
+        run(config("gaa-1db", bits, 100), csv=traced)
+    n_chunks = len(range(0, bits, protocol.chunk_periods(100)))
+    assert built == 3 * list(range(n_chunks))
+    assert len(forks) == 3
+
+
+@linux_only
+def test_a_pass_without_memfd_runs_on_one_cpu(monkeypatch, forks):
+    # os.memfd_create is missing where Python was built against glibc before 2.27: the pass stays inline
+    cfg = config("gaa-1db", 300, 100)
+    use_cpus(monkeypatch, 1)
+    inline = run(cfg, csv=True)
+    use_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "memfd_create")
+    assert run(cfg, csv=True) == inline
+    assert forks == []
+    assert_no_child()
 
 
 @linux_only
@@ -448,12 +485,26 @@ def test_worker_ends_when_the_main_process_is_killed(tmp_path):
 
 @linux_only
 def test_sigint_to_the_pid_stops_a_traced_run():
-    # two runs of the interrupt driver (tests/sigint_driver.py), whose fuller runs are a CI step
+    # three short runs of the interrupt driver (tests/sigint_driver.py), whose fuller runs are a CI step
     import sigint_driver
 
     tally = sigint_driver.drive(runs=3, seed=3, bits=4000)
     assert tally["broken"] == []
     assert tally["ok"] >= 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="no pthread_sigmask")
+def test_a_sigint_held_over_an_import_is_acted_on_as_it_ends():
+    # numpy's compiled modules swallowed an interrupt that landed while they loaded; the engine's
+    # import and numpy.random's run with SIGINT held, and the signal raises once the import is done
+    reached = []
+    with pytest.raises(KeyboardInterrupt):
+        with sigint.held():
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.01)
+            reached.append(1)
+    assert reached == [1]
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, set())
 
 
 def test_trace_calls_no_python_code_whose_errors_numpy_clears(monkeypatch):
