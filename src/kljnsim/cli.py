@@ -99,7 +99,8 @@ def _replaced_on_success(path: str, binary: bool) -> Iterator[IO]:
     """A temporary file beside ``path`` that replaces it once the body has finished without an exception.
 
     On any failure, an interrupt included, the temporary file is removed and
-    an existing file at ``path`` stays as it was.  A symbolic link is
+    an existing file at ``path`` stays as it was; an interrupt that lands
+    just after the rename leaves the new file in place.  A symbolic link is
     written through: the file it names is replaced and the link stays.  The
     new file keeps the permission bits of the one it replaces; a new path
     gets those that ``open`` would give it.
@@ -118,7 +119,8 @@ def _replaced_on_success(path: str, binary: bool) -> Iterator[IO]:
             yield fh
         os.replace(tmp, target)
     except BaseException:
-        os.unlink(tmp)
+        with contextlib.suppress(FileNotFoundError):  # renamed already
+            os.unlink(tmp)
         raise
 
 
@@ -195,8 +197,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # import: 6.9 ms, where numpy's plain import took 13.0 ms, most of the
     # difference in the hmac, hashlib and OpenSSL that its unused secrets import
     # loads (medians of 20 fresh processes, 2-CPU x86 VM, numpy 2.4.6).  A pass
-    # that forks a worker loads it earlier, with kljnsim.worker, so the worker
-    # inherits it.
+    # that forks a worker builds every chunk's stream before the fork, so the
+    # first of those builds loads it and the worker inherits it.
     from . import sigint
 
     try:

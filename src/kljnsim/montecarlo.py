@@ -312,7 +312,8 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
         # Either process may claim any chunk, so this one builds every chunk's stream
         # before the fork (about 16 us each, 2-CPU x86 VM): it then builds the same
         # streams however the chunks fall, and a count of them (bench/layers.py) is
-        # the same from run to run.
+        # the same from run to run.  The first build loads numpy.random, which the
+        # worker then inherits.
         streams.extend(SeededStream(cfg.master_seed, c).generator() for c in range(n_chunks))
         split = in_chunk_order(messages, n_chunks)  # None where the chunks cannot be shared: one CPU
     # one CPU: a chunk's arrays are freed before the next chunk's are drawn

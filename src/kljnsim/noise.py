@@ -18,8 +18,9 @@ results never depend on worker count or evaluation order: a pass may
 compute any chunk in a forked worker (:mod:`kljnsim.worker`).
 The streams are part of the numpy engine, which only ``simulate`` loads;
 their settings (:class:`kljnsim.circuit.NoiseSpec`) are not.  numpy loads
-``numpy.random`` lazily; this module imports it, at the first
-:meth:`SeededStream.generator` call or when :mod:`kljnsim.worker` loads,
+``numpy.random`` lazily; this module imports it at the first
+:meth:`SeededStream.generator` call (on a pass that forks, as the pass
+builds every chunk's stream before the fork, so the worker inherits it),
 through :func:`import_numpy_random`, which keeps OpenSSL out of the process.
 """
 

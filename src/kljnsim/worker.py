@@ -1,7 +1,7 @@
 """A second CPU for the Monte Carlo pass: one forked worker, and chunks claimed on demand by both processes.
 
 On a pass that splits (see ``montecarlo._splits`` for when), the pass forks
-one worker after the engine has loaded, so the worker pays no numpy import.
+one worker after the engine and ``numpy.random`` have loaded: it imports neither.
 Each chunk of the pass is a stream of messages that ends with the one
 message that is not bytes (its totals; on a traced pass, its CSV byte
 slices come first).  Both processes take the next unclaimed chunk from one
@@ -24,13 +24,6 @@ import warnings
 from collections import deque
 from contextlib import contextmanager, suppress
 from typing import BinaryIO, Callable, ContextManager, Iterator, NoReturn, Optional
-
-from .noise import import_numpy_random
-
-# numpy.random otherwise loads at the first stream build; loaded here, before the fork,
-# the worker inherits it instead of loading it while this process does the same.  It
-# goes through the same helper as a stream build, so OpenSSL stays out of both processes.
-import_numpy_random()
 
 # The pipe's size, room for a chunk of short periods' rows (at most 8192 rows of at
 # most 95 bytes), so the worker sends a whole chunk while this process works on its own;
@@ -116,80 +109,62 @@ def _serve(chunk_messages: Callable[[int], Iterator], n_chunks: int, claims: _Cl
         os._exit(status)
 
 
-def _receive(pipe: BinaryIO) -> Iterator:
-    """Every message the worker sends, as it arrives, until the pipe closes; a failure it sends raises :class:`ChildProcessError`."""
-    while True:
-        try:
-            message = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            return
-        if isinstance(message, str):
-            raise ChildProcessError(f"worker failed: {message}")
+def _read(pipe: BinaryIO) -> object:
+    """The worker's next message, or None once the pipe has closed; a failure it sends raises :class:`ChildProcessError`."""
+    try:
+        message = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    if isinstance(message, str):
+        raise ChildProcessError(f"worker failed: {message}")
+    return message
+
+
+def _chunk(pipe: BinaryIO) -> Iterator:
+    """The worker's next chunk's messages as they arrive: its bytes, if any, up to and including its totals."""
+    while isinstance(message := _read(pipe), bytes):
         yield message
+    if message is None:
+        raise ChildProcessError("worker ended before its last chunk")
+    yield message
 
 
-def _chunk(messages: Iterator) -> Iterator:
-    """The next chunk's messages from ``messages``: its bytes, if any, up to and including its totals."""
-    for message in messages:
-        yield message
-        if not isinstance(message, bytes):
-            return
-    raise ChildProcessError("worker ended before its last chunk")
+def _in_order(chunk_messages: Callable[[int], Iterator], n_chunks: int, claims: _Claims, pipe: BinaryIO) -> Iterator:
+    """Every chunk's messages in chunk order: this process's chunks made here, the worker's read from ``pipe``.
 
-
-def _in_order(chunk_messages: Callable[[int], Iterator], n_chunks: int, claims: _Claims, theirs: Iterator) -> Iterator:
-    """Every chunk's messages in chunk order: this process's chunks made here, the worker's read from ``theirs``.
-
-    This process claims a chunk when it reaches one whose owner it does not
-    know; a claim that returns a later chunk means that the chunks between
-    are the worker's.  At a chunk of the worker's that is not yet sent, it
-    makes messages ahead, of the chunk it claimed last or of one more it
-    claims, while it holds fewer than ``PIPE_BYTES`` CSV bytes ahead; then it
-    reads the worker's chunk, waiting for it if need be.
+    This process claims a chunk on reaching one whose owner it does not know
+    (a claim that returns a later chunk leaves the chunks between to the
+    worker).  Before it reads a chunk of the worker's that is not yet sent,
+    it makes messages ahead while it holds fewer than ``PIPE_BYTES`` CSV
+    bytes, claiming one more chunk once the last one it claimed is whole.
     """
     ahead: deque = deque()  # [chunk, its messages made ahead, the rest of its messages or None once whole]
     held = 0  # CSV bytes in ahead
-    last_claim = -1  # at or past n_chunks once no chunk is left
-    worker_chunks_read = 0
-
-    def claim() -> bool:
-        """Claim the next chunk, held ahead until this process reaches it; False if none is left."""
-        nonlocal last_claim
-        if last_claim < n_chunks:
-            last_claim = claims.claim()
-        if last_claim >= n_chunks:
-            return False
-        ahead.append([last_claim, [], chunk_messages(last_claim)])
-        return True
-
-    def make_ahead() -> bool:
-        """Make one more message ahead, claiming a chunk if the last one held is whole; False if none may be made."""
-        nonlocal held
-        if held >= PIPE_BYTES or (not ahead or ahead[-1][2] is None) and not claim():
-            return False
-        entry = ahead[-1]
-        message = next(entry[2])
-        entry[1].append(message)
-        if isinstance(message, bytes):
-            held += len(message)
-        else:
-            entry[2] = None  # the chunk is whole: its arrays go
-        return True
-
+    claimed = -1  # the last chunk this process claimed; at or past n_chunks once none is left
+    read = 0  # the worker's chunks read
     for c in range(n_chunks):
-        if not ahead and last_claim < c:
-            claim()
+        if not ahead and claimed < c and (claimed := claims.claim()) < n_chunks:  # c's owner was unknown
+            ahead.append([claimed, [], chunk_messages(claimed)])
         if ahead and ahead[0][0] == c:
             _, made, rest = ahead.popleft()
             held -= sum(len(m) for m in made if isinstance(m, bytes))
             yield from made
-            if rest is not None:
-                yield from rest
+            yield from rest or ()  # None once the chunk is whole
             continue
-        while claims.sent() <= worker_chunks_read and make_ahead():
-            pass
-        yield from _chunk(theirs)
-        worker_chunks_read += 1
+        while claims.sent() <= read and held < PIPE_BYTES:
+            if not ahead or ahead[-1][2] is None:
+                if claimed >= n_chunks or (claimed := claims.claim()) >= n_chunks:
+                    break  # no chunk is left to claim
+                ahead.append([claimed, [], chunk_messages(claimed)])
+            entry = ahead[-1]
+            message = next(entry[2])
+            entry[1].append(message)
+            if isinstance(message, bytes):
+                held += len(message)
+            else:
+                entry[2] = None  # the chunk is whole: its arrays go
+        yield from _chunk(pipe)
+        read += 1
 
 
 @contextmanager
@@ -217,9 +192,8 @@ def _split(chunk_messages: Callable[[int], Iterator], n_chunks: int, claims: _Cl
         status = None
         try:
             with open(read_fd, "rb") as pipe:
-                theirs = _receive(pipe)
-                yield _in_order(chunk_messages, n_chunks, claims, theirs)
-                for _ in theirs:  # after the last chunk, only a failure may come
+                yield _in_order(chunk_messages, n_chunks, claims, pipe)
+                while _read(pipe) is not None:  # after the last chunk, only a failure may come
                     pass
             status = os.waitpid(pid, 0)[1]
         except BaseException:

@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/sigint_driver.py --runs 200 --seed 1
 
 Each run starts ``simulate`` on a ``lossless`` pass of ``--bits`` periods of
-100 samples with a trace CSV, over an existing report and trace, and sends
+100 samples with a trace CSV, over an existing report and trace in a
+directory of its own, which is removed once the run is judged, and sends
 SIGINT to its pid (not to its process group, as a terminal would) at a
 uniformly random time in the middle of the run.  Every run must exit by
 SIGINT, the exit of an uncaught ``KeyboardInterrupt``, leave both earlier
@@ -31,6 +32,7 @@ import argparse
 import json
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -67,14 +69,17 @@ def gone(pid: int) -> bool:
 
 
 class Runs:
-    """Runs of one ``simulate --trace-csv`` command in ``workdir``, each over earlier outputs."""
+    """Runs of one ``simulate --trace-csv`` command under ``root``, each over earlier outputs in a directory of its own."""
 
-    def __init__(self, workdir: Path, bits: int) -> None:
-        self.workdir = workdir
-        self.report, self.trace = workdir / "report.json", workdir / "trace.csv"
+    def __init__(self, root: Path, bits: int) -> None:
+        self.root = root
         self.bits = bits
 
     def start(self, seed: int) -> subprocess.Popen:
+        """The run of ``seed``, started in a new directory, which ``workdir``, ``report`` and ``trace`` then name."""
+        self.workdir = self.root / f"run-{seed}"
+        self.workdir.mkdir()
+        self.report, self.trace = self.workdir / "report.json", self.workdir / "trace.csv"
         self.report.write_bytes(PRIOR_REPORT)
         self.trace.write_bytes(PRIOR_TRACE)
         args = ["simulate", "--preset", "lossless", "--seed", str(seed), "--bits", str(self.bits)]
@@ -140,11 +145,13 @@ def drive(runs: int, seed: int, bits: int = 20000) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         command = Runs(Path(tmp), bits)
         duration_s, trace_bytes = command.reference()
+        shutil.rmtree(command.workdir)
         tally: dict = {"runs": runs, "bits": bits, "reference_s": round(duration_s, 3), "ok": 0, "early": 0, "late": 0}
         tally["broken"] = []
         for i in range(runs):
             delay_s = rng.uniform(0.2, 0.8) * duration_s
             verdict = command.interrupted(i + 1, delay_s, int(LATE_FRACTION * trace_bytes))
+            shutil.rmtree(command.workdir)  # a file left behind fails only the run that left it
             if verdict in ("ok", "early", "late"):
                 tally[verdict] += 1
             else:

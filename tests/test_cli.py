@@ -472,6 +472,21 @@ class TestSimulate:
         assert trace.read_bytes() == b"previous,trace\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.csv", "prior.json"]
 
+    def test_interrupt_just_after_a_rename_keeps_the_new_file(self, tmp_path, monkeypatch):
+        # a SIGINT acted on as os.replace returns finds the output already in place and no temporary file
+        def renamed_then_interrupted(src, dst):
+            replace(src, dst)
+            raise KeyboardInterrupt
+
+        replace = os.replace
+        monkeypatch.setattr(os, "replace", renamed_then_interrupted)
+        report = tmp_path / "prior.json"
+        report.write_bytes(b"previous report\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--preset", "gaa-1db", "--bits", "2", "--samples-per-bit", "50", "--out", str(report)])
+        assert load_report(report.read_text())["empirical"]["n_bits"] == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.json"]
+
     def test_symlinked_outputs_are_written_through(self, tmp_path, capsys):
         # the file a link names is replaced, in the link target's directory; the link stays
         (tmp_path / "data").mkdir()

@@ -417,6 +417,21 @@ def test_lopsided_schedules_give_the_same_bytes(slow, traced, monkeypatch, forks
     assert_no_child()
 
 
+@linux_only
+def test_a_slow_worker_leaves_most_chunks_to_this_process(monkeypatch, forks):
+    # with the worker 20 ms slower per chunk, this process makes chunks ahead for as long as the worker's
+    # next chunk is unsent, not just one: it made 36 of the 38 chunks, where a schedule that makes one
+    # chunk ahead of each of the worker's made 19
+    made_here = []
+    in_one_process(monkeypatch, montecarlo, "block_totals", slowed(0.02), in_worker=True, call=None)
+    in_one_process(monkeypatch, montecarlo, "block_totals", lambda: made_here.append(1), in_worker=False, call=None)
+    use_cpus(monkeypatch, 2)
+    run(config("gaa-1db", 3000, 100), csv=False)
+    assert forks == [1]
+    assert len(made_here) >= 28
+    assert_no_child()
+
+
 @contextmanager
 def within(seconds):
     """Raise TimeoutError in this process if the body runs longer than ``seconds``."""
