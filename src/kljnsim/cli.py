@@ -22,6 +22,7 @@ import sys
 import tempfile
 from typing import IO, Any, BinaryIO, Iterator, Optional, Sequence, TextIO
 
+from . import sigint
 from .circuit import design_tee_pad
 from .config import ConfigError, ExperimentConfig, load_config_file, resolve_config
 from .reporting import build_report, write_report
@@ -94,36 +95,6 @@ def _env_seed() -> Optional[int]:
         raise ConfigError(f"KLJN_SEED must be an integer, got {raw!r}")
 
 
-@contextlib.contextmanager
-def _replaced_on_success(path: str, binary: bool) -> Iterator[IO]:
-    """A temporary file beside ``path`` that replaces it once the body has finished without an exception.
-
-    On any failure, an interrupt included, the temporary file is removed and
-    an existing file at ``path`` stays as it was; an interrupt that lands
-    just after the rename leaves the new file in place.  A symbolic link is
-    written through: the file it names is replaced and the link stays.  The
-    new file keeps the permission bits of the one it replaces; a new path
-    gets those that ``open`` would give it.
-    """
-    target = os.path.realpath(path)
-    try:
-        mode = stat.S_IMODE(os.stat(target).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fd, mode)
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):  # renamed already
-            os.unlink(tmp)
-        raise
-
-
 def _replaceable(path: str) -> bool:
     """Whether ``path`` is written through a temporary file: it is a regular file or does not exist yet."""
     try:
@@ -132,38 +103,64 @@ def _replaceable(path: str) -> bool:
         return True
 
 
-def _open_output(path: str, binary: bool) -> contextlib.AbstractContextManager[IO]:
-    """``path`` opened for writing: through a temporary file when :func:`_replaceable`, else directly.
-
-    Devices, pipes, FIFOs and terminals are written directly.
-    """
-    if _replaceable(path):
-        return _replaced_on_success(path, binary)
-    return open(path, "ab") if binary else open(path, "a", encoding="utf-8")
-
-
 @contextlib.contextmanager
 def _outputs(report: Optional[str], trace: Optional[str] = None) -> Iterator[tuple[TextIO, Optional[BinaryIO]]]:
     """The report's destination (standard output without a path) and the optional trace CSV, opened in binary.
 
     Both are opened before any computation, so an unwritable path fails
-    fast.  A regular file is written to a temporary file in its directory,
-    which replaces it only after the body has run to its end, so a failure
-    at any point, a configuration error, running out of memory or an
-    interrupt, leaves an existing report or trace as it was.  Two paths to
-    one such file would replace it twice, the report discarding the trace,
-    so they are a configuration error; a device named twice is written twice.
+    fast.  A :func:`_replaceable` path is written to a temporary file in its
+    target's directory.  Once the body has run to its end, both temporary
+    files replace their targets in one step with SIGINT held, so a failure
+    before it, a configuration error, running out of memory or an interrupt,
+    leaves both existing outputs as they were and removes the temporary
+    files, and an interrupt during or after it leaves both new ones.  A
+    symbolic link is written through: the file it names is replaced and the
+    link stays.  The new file keeps the permission bits of the one it
+    replaces; a new path gets those that ``open`` would give it.  Devices,
+    pipes, FIFOs and terminals are written directly.  Two paths to one
+    replaceable file would replace it twice, the report discarding the
+    trace, so they are a configuration error; a device named twice is
+    written twice.
     """
     if report is not None and trace is not None:
         target = os.path.realpath(report)
         if target == os.path.realpath(trace) and _replaceable(target):
             raise ConfigError(f"output.report and output.trace_csv both name the file {target}")
-    with contextlib.ExitStack() as stack:
-        files = [
-            None if path is None else stack.enter_context(_open_output(path, binary))
-            for path, binary in ((report, False), (trace, True))
-        ]
+    files: list[Optional[IO]] = []
+    temps: list[tuple[str, str]] = []  # (temporary file, the file it replaces), until renamed
+    try:
+        for path, binary in ((report, False), (trace, True)):
+            if path is None:
+                files.append(None)
+            elif _replaceable(path):
+                target = os.path.realpath(path)
+                try:
+                    mode = stat.S_IMODE(os.stat(target).st_mode)
+                except FileNotFoundError:
+                    umask = os.umask(0)
+                    os.umask(umask)
+                    mode = 0o666 & ~umask
+                with sigint.held():  # no temporary file is made that the cleanup below does not know of
+                    prefix = f".{os.path.basename(target)}."
+                    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=prefix, suffix=".tmp")
+                    temps.append((tmp, target))
+                    files.append(os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8"))
+                os.fchmod(fd, mode)
+            else:
+                files.append(open(path, "ab") if binary else open(path, "a", encoding="utf-8"))
         yield sys.stdout if files[0] is None else files[0], files[1]
+        for fh in filter(None, files):
+            fh.close()
+        with sigint.held():  # an interrupt here is acted on once both are replaced
+            for tmp, target in temps:
+                os.replace(tmp, target)
+            temps.clear()
+    finally:
+        for tmp, _ in temps:
+            with contextlib.suppress(FileNotFoundError):  # renamed before a later rename failed
+                os.unlink(tmp)
+        for fh in filter(None, files):
+            fh.close()
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
@@ -199,8 +196,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # loads (medians of 20 fresh processes, 2-CPU x86 VM, numpy 2.4.6).  A pass
     # that forks a worker builds every chunk's stream before the fork, so the
     # first of those builds loads it and the worker inherits it.
-    from . import sigint
-
     try:
         with sigint.held():  # numpy's import may swallow an interrupt
             from . import montecarlo  # noqa: F401

@@ -1,4 +1,4 @@
-"""SIGINT held off around imports of numpy's compiled modules, which may swallow it.
+"""SIGINT held off around imports of numpy's compiled modules, which may swallow it, and around the outputs' commit.
 
 An interrupt raised while numpy's C or Cython module code runs Python code
 is turned into another error or cleared: in the engine's import it became
@@ -6,7 +6,9 @@ an ImportError (exit 2, "cannot import the simulation engine") or a
 RuntimeError, or the run went on and exited 0; in the import of
 ``numpy.random`` the run went on and exited 0.  Both imports run inside
 :func:`held`.  This module is numpy-free, so the command-line front can
-use it before the engine loads.
+use it before the engine loads, and does: ``cli._outputs`` makes its
+temporary files and renames both of them over the outputs inside it, so an
+interrupt leaves no temporary file and both old outputs or both new ones.
 """
 
 from __future__ import annotations

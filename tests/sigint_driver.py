@@ -6,19 +6,16 @@ Each run starts ``simulate`` on a ``lossless`` pass of ``--bits`` periods of
 100 samples with a trace CSV, over an existing report and trace in a
 directory of its own, which is removed once the run is judged, and sends
 SIGINT to its pid (not to its process group, as a terminal would) at a
-uniformly random time in the middle of the run.  Every run must exit by
-SIGINT, the exit of an uncaught ``KeyboardInterrupt``, leave both earlier
-outputs as they were with no temporary file beside them, and leave no
-forked worker alive.
-
-The signal times are set by one uninterrupted reference run: from 0.2 to
-0.8 of its duration.  A run whose trace has reached 60% of the reference
-CSV's size, or has replaced the earlier trace, when its signal is due is
-sent no signal and judged only on its exit code (``late``); so is a run
-that has already ended (``early``).  Only signals that land well before the
-pass ends are judged, not those that race the replacement of the outputs.
-The last line of standard output is a JSON summary; the exit code is 1 if
-any run broke the contract.
+uniformly random time, from 0.2 to 1.0 of the duration of one uninterrupted
+reference run, so some signals land as the outputs are committed.  Every
+signalled run must exit by SIGINT, the exit of an uncaught
+``KeyboardInterrupt``, with one of two pairs of outputs: both earlier
+outputs as they were (``ok``), or both of its own, the report of its seed
+and the whole trace (``replaced``).  Either way no temporary file may be
+left beside them, and no forked worker alive.  A run that has already ended
+when its signal is due is sent none, and must exit 0 with no file left
+behind (``early``).  The last line of standard output is a JSON summary; the
+exit code is 1 if any run broke the contract.
 
 The command runs through ``kljnsim.cli.main`` with ``os.fork`` wrapped to
 print each child's pid, so the driver can check the worker after the run,
@@ -56,7 +53,6 @@ SHIM = (
 )
 PRIOR_REPORT, PRIOR_TRACE = b"previous report\n", b"previous,trace\n"
 WORKER_GONE_S = 5.0
-LATE_FRACTION = 0.6  # of the reference trace's bytes written: too close to the end to judge
 
 
 def gone(pid: int) -> bool:
@@ -86,16 +82,16 @@ class Runs:
         args += ["--out", str(self.report), "--trace-csv", str(self.trace)]
         return subprocess.Popen([sys.executable, "-c", SHIM, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
-    def finishing(self, late_bytes: int) -> bool:
-        """Whether the run's trace holds ``late_bytes`` or has replaced the earlier one: its pass is ending or over."""
+    def replaced(self, seed: int) -> bool:
+        """Whether both outputs are the run of ``seed``'s: its report, and its trace with every row."""
         try:
-            written = sum(p.stat().st_size for p in self.workdir.glob(".trace.csv.*.tmp"))
-        except FileNotFoundError:  # renamed over the trace meanwhile
-            return True
-        return written >= late_bytes or self.trace.stat().st_size != len(PRIOR_TRACE)
+            master_seed = json.loads(self.report.read_bytes())["provenance"]["master_seed"]
+        except (ValueError, KeyError):
+            return False
+        return master_seed == seed and self.trace.read_bytes().count(b"\n") == 1 + 100 * self.bits
 
-    def reference(self) -> tuple[float, int]:
-        """The duration and trace size of one uninterrupted run."""
+    def reference(self) -> float:
+        """The duration of one uninterrupted run."""
         t0 = time.monotonic()
         proc = self.start(seed=0)
         out, err = proc.communicate(timeout=300)
@@ -104,19 +100,15 @@ class Runs:
         for pid in map(int, out.split()):
             while not gone(pid):
                 time.sleep(0.01)
-        return time.monotonic() - t0, self.trace.stat().st_size
+        return time.monotonic() - t0
 
-    def interrupted(self, seed: int, delay_s: float, late_bytes: int) -> str:
-        """One run with SIGINT due after ``delay_s``: ``"ok"``, ``"early"``, ``"late"`` or how it broke the contract."""
+    def interrupted(self, seed: int, delay_s: float) -> str:
+        """One run with SIGINT due after ``delay_s``: ``"ok"``, ``"replaced"``, ``"early"`` or how it broke the contract."""
         proc = self.start(seed)
         time.sleep(delay_s)
-        if proc.poll() is not None:
-            verdict = "early"
-        elif self.finishing(late_bytes):
-            verdict = "late"
-        else:
+        signalled = proc.poll() is None
+        if signalled:
             proc.send_signal(signal.SIGINT)
-            verdict = "signalled"
         out, err = proc.communicate(timeout=300)
         workers = [int(line) for line in out.split()]
         deadline = time.monotonic() + WORKER_GONE_S
@@ -126,17 +118,20 @@ class Runs:
         for pid in left:
             os.kill(pid, signal.SIGKILL)
         last = err.decode(errors="replace").strip().splitlines()[-1:]
+        when = f"after SIGINT at {delay_s:.3f} s" if signalled else "without a signal"
         if left:
             return f"worker {left} left alive (exit {proc.returncode})"
-        if verdict != "signalled":
-            return verdict if proc.returncode == 0 else f"exit {proc.returncode} without a signal: {last}"
-        if proc.returncode != -signal.SIGINT:
-            return f"exit {proc.returncode} after SIGINT at {delay_s:.3f} s: {last}"
-        if self.report.read_bytes() != PRIOR_REPORT or self.trace.read_bytes() != PRIOR_TRACE:
-            return f"outputs replaced after SIGINT at {delay_s:.3f} s"
+        if proc.returncode != (-signal.SIGINT if signalled else 0):
+            return f"exit {proc.returncode} {when}: {last}"
         if sorted(p.name for p in self.workdir.iterdir()) != ["report.json", "trace.csv"]:
-            return f"files left behind after SIGINT at {delay_s:.3f} s"
-        return "ok"
+            return f"files left behind {when}"
+        if not signalled:
+            return "early"
+        if self.report.read_bytes() == PRIOR_REPORT and self.trace.read_bytes() == PRIOR_TRACE:
+            return "ok"
+        if self.replaced(seed):
+            return "replaced"
+        return f"outputs of two runs, or a cut trace, {when}"
 
 
 def drive(runs: int, seed: int, bits: int = 20000) -> dict:
@@ -144,15 +139,14 @@ def drive(runs: int, seed: int, bits: int = 20000) -> dict:
     rng = random.Random(seed)
     with tempfile.TemporaryDirectory() as tmp:
         command = Runs(Path(tmp), bits)
-        duration_s, trace_bytes = command.reference()
+        duration_s = command.reference()
         shutil.rmtree(command.workdir)
-        tally: dict = {"runs": runs, "bits": bits, "reference_s": round(duration_s, 3), "ok": 0, "early": 0, "late": 0}
+        tally: dict = {"runs": runs, "bits": bits, "reference_s": round(duration_s, 3), "ok": 0, "replaced": 0, "early": 0}
         tally["broken"] = []
         for i in range(runs):
-            delay_s = rng.uniform(0.2, 0.8) * duration_s
-            verdict = command.interrupted(i + 1, delay_s, int(LATE_FRACTION * trace_bytes))
+            verdict = command.interrupted(i + 1, rng.uniform(0.2, 1.0) * duration_s)
             shutil.rmtree(command.workdir)  # a file left behind fails only the run that left it
-            if verdict in ("ok", "early", "late"):
+            if verdict in ("ok", "replaced", "early"):
                 tally[verdict] += 1
             else:
                 tally["broken"].append(verdict)

@@ -3,9 +3,12 @@ import io
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
+import tempfile
+import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -24,6 +27,9 @@ LARGE_NOISE_NETWORK = {"r_alice": 1, "r_bob": 10, "pad": {"r_series": 0.0029, "r
 LARGE_NOISE = {"t_eff": 1e300, "bandwidth": 1.8e27}
 # end resistors whose LL and HH currents lie about 2**1023 apart
 WIDE_SPAN = {"r_alice": 1e-308, "r_bob": 8e307}
+
+
+needs_sigmask = pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="no pthread_sigmask")
 
 
 def run_cli(argv, capsys):
@@ -486,6 +492,54 @@ class TestSimulate:
             main(["simulate", "--preset", "gaa-1db", "--bits", "2", "--samples-per-bit", "50", "--out", str(report)])
         assert load_report(report.read_text())["empirical"]["n_bits"] == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.json"]
+
+    @staticmethod
+    def interrupt_this_thread():
+        # thread-directed, so no unblocked OpenBLAS thread takes it
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    @needs_sigmask
+    def test_sigint_between_the_renames_leaves_both_new_outputs(self, tmp_path, monkeypatch):
+        # the pair is renamed with SIGINT held, so a signal after the first rename is acted on after the second
+        def renamed_then_signalled(src, dst):
+            replace(src, dst)
+            renamed.append(dst)
+            if len(renamed) == 1:
+                self.interrupt_this_thread()
+
+        renamed = []
+        replace = os.replace
+        monkeypatch.setattr(os, "replace", renamed_then_signalled)
+        report, trace = self.prior_outputs(tmp_path)
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "2", "--samples-per-bit", "50"]
+        with pytest.raises(KeyboardInterrupt):
+            main(args + ["--out", str(report), "--trace-csv", str(trace)])
+        assert len(renamed) == 2
+        assert load_report(report.read_text())["empirical"]["n_bits"] == 2
+        assert trace.read_text().count("\n") == 1 + 2 * 50
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.csv", "prior.json"]
+
+    @needs_sigmask
+    @pytest.mark.parametrize("signalled_call", [1, 2])
+    def test_sigint_as_a_temporary_file_is_made_leaves_no_file(self, tmp_path, monkeypatch, signalled_call):
+        # a signal that lands as mkstemp returns is acted on once the file is recorded for removal
+        def made_then_signalled(*args, **kwargs):
+            made.append(mkstemp(*args, **kwargs))
+            if len(made) == signalled_call:
+                self.interrupt_this_thread()
+            return made[-1]
+
+        made = []
+        mkstemp = tempfile.mkstemp
+        monkeypatch.setattr(tempfile, "mkstemp", made_then_signalled)
+        report, trace = self.prior_outputs(tmp_path)
+        args = ["simulate", "--preset", "gaa-1db", "--bits", "2", "--samples-per-bit", "50"]
+        with pytest.raises(KeyboardInterrupt):
+            main(args + ["--out", str(report), "--trace-csv", str(trace)])
+        assert len(made) == signalled_call
+        assert report.read_bytes() == b"previous report\n"
+        assert trace.read_bytes() == b"previous,trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.csv", "prior.json"]
 
     def test_symlinked_outputs_are_written_through(self, tmp_path, capsys):
         # the file a link names is replaced, in the link target's directory; the link stays
