@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import stat
 import sys
@@ -210,18 +209,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_design_pad(args: argparse.Namespace) -> int:
     pad = design_tee_pad(args.loss_db, args.z0)
-    print(
-        json.dumps(
-            {
-                "loss_db": args.loss_db,
-                "z0_ohm": args.z0,
-                "r_series_ohm": pad.r_series,
-                "r_shunt_ohm": pad.r_shunt,
-            },
-            indent=2,
-            allow_nan=False,
-        )
-    )
+    record = {"loss_db": args.loss_db, "z0_ohm": args.z0, "r_series_ohm": pad.r_series, "r_shunt_ohm": pad.r_shunt}
+    write_report(record, sys.stdout)
     return EXIT_OK
 
 

@@ -1,17 +1,17 @@
 """The Monte Carlo pass of ``simulate``: its totals and the trace CSV.
 
 The pass reduces every chunk to one flat record of independent counts and
-sums (:class:`EmpiricalTotals`); Eve's threshold rule is applied in that
-reduction (:func:`block_totals`).  With a binary trace stream, the pass
-also dumps every sample as CSV, whose numbers :mod:`kljnsim.reprtext`
-turns into ASCII.  Every chunk is one stream of messages, its CSV byte
-slices on a traced pass and then its totals, made the same way in either
-process and written and merged by one loop.  On Linux with two or more
-CPUs, a traced pass or a pass of at least ``FORK_MIN_SAMPLES`` samples forks
-one worker (:mod:`kljnsim.worker`), and the two processes claim chunks from
-one shared counter as they go (see :func:`_splits`).  A pass on Linux also
-raises glibc's heap thresholds (:func:`_keep_heap`), a setting that lasts
-for the rest of the process.
+sums (:class:`EmpiricalTotals`) in one place (:func:`block_totals`), which
+sweeps the alarm and applies Eve's threshold rule.  With a binary trace
+stream, the pass also dumps every sample as CSV, whose numbers
+:mod:`kljnsim.reprtext` turns into ASCII.  Every chunk is one stream of
+messages, its CSV byte slices on a traced pass and then its totals, made the
+same way in either process and written and merged by one loop.  On Linux with
+two or more CPUs, a traced pass or a pass of at least ``FORK_MIN_SAMPLES``
+samples forks one worker (:mod:`kljnsim.worker`), and the two processes
+claim chunks from one shared counter as they go (see :func:`_splits`).  A
+pass on Linux also raises glibc's heap thresholds (:func:`_keep_heap`), a
+setting that lasts for the rest of the process.
 This module and the engine it drives (:mod:`kljnsim.protocol`,
 :mod:`kljnsim.noise`, :mod:`kljnsim.reprtext`, :mod:`kljnsim.worker`) are
 the only ones that import numpy; :mod:`kljnsim.reporting` derives every
@@ -30,7 +30,7 @@ from typing import BinaryIO, Iterator, Optional, Union
 import numpy as np
 
 from .circuit import current_exponent
-from .config import ExperimentConfig
+from .config import AlarmPolicy, ExperimentConfig
 from .noise import SeededStream
 from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, period_block
 from .stats import EveCalibration, calibrate
@@ -175,8 +175,12 @@ class EmpiricalTotals:
         )
 
 
-def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int) -> EmpiricalTotals:
-    """Period counts, secure-period moments and Eve's counts of one block; the alarm fields stay 0.
+def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int, alarm: AlarmPolicy) -> EmpiricalTotals:
+    """Every total of one block: period counts, secure-period moments, the alarm's counts and Eve's counts.
+
+    The alarm sweeps every row under ``alarm``
+    (:func:`~kljnsim.protocol.alarm_sweep`); its relative differences are
+    summed over the secure rows.
 
     Eve attacks the secure rows, reading both end currents at one instant,
     one correlation time (``measurement_stride`` samples) apart.  She
@@ -194,6 +198,7 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
     of the period and names the end with the larger sum as the low
     resistor's; equal sums answer nothing.
     """
+    swept = alarm_sweep(block, alarm)
     secure = np.flatnonzero(block.secure)
     i_a, i_b, key_bit = block.i_alice, block.i_bob, block.alice_high  # key bit 1 when Alice holds the high resistor
     if secure.size < block.n_periods:
@@ -230,6 +235,9 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int)
         n_hl=int(np.count_nonzero(key_bit)),
         low_end_sq_sum=low_end_sq_sum,
         high_end_sq_sum=high_end_sq_sum,
+        n_alarms=int(np.count_nonzero(swept.triggered)),
+        n_alarms_secure=int(np.count_nonzero(swept.triggered[secure])),
+        rel_difference_sum=float(swept.rel_difference[secure].sum()),
         n_trials=secure.size * alice_low.shape[1],
         n_success=int(success.sum()),
         n_error=int(error.sum()),
@@ -273,8 +281,12 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     merges every chunk's totals, all in chunk order, so the split cannot
     change a bit of the result.  Currents are in one unit of 2**-m amperes
     (:func:`~kljnsim.circuit.current_exponent`): Eve's norm constant is
-    scaled by 4**-m, the trace CSV's currents by 2**-m.
+    scaled by 4**-m, the trace CSV's currents by 2**-m.  A pass needs a pair
+    of distinct end resistors, and checks that first, before any stream is
+    built; the closed form (``analyze``) needs none.
     """
+    if cfg.network.r_alice == cfg.network.r_bob:
+        raise ValueError("network.r_alice and network.r_bob must differ to form a resistor pair")
     m = current_exponent(cfg.network, cfg.noise)
     cal = calibrate(cfg.network, cfg.noise)
     # times 4**-m in two steps, exact where normal, so no OverflowError
@@ -291,12 +303,7 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
         """Chunk ``c``'s messages: its CSV byte slices on a traced pass (periods from ``c * k``), then its totals."""
         rng = streams[c] if streams else SeededStream(cfg.master_seed, c).generator()
         block = period_block(cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, c, rng, traced, m)
-        totals = block_totals(block, cal, budget)
-        alarm = alarm_sweep(block, cfg.alarm)
-        secure = block.secure
-        totals.n_alarms = int(np.count_nonzero(alarm.triggered))
-        totals.n_alarms_secure = int(np.count_nonzero(alarm.triggered & secure))
-        totals.rel_difference_sum = float(alarm.rel_difference[secure].sum())
+        totals = block_totals(block, cal, budget, cfg.alarm)
         if traced:
             yield from _trace_rows(block, c * k, m)
         yield totals

@@ -11,8 +11,10 @@ currents, which an intact single loop can never produce.
 
 This module is part of the numpy engine, which only ``simulate`` loads:
 the solve of the loop by its transfer record, the blocks of periods and
-the alarm sweep.  Eve's threshold rule reads the blocks where each chunk
-is reduced (:func:`kljnsim.montecarlo.block_totals`).
+the alarm sweep.  Each chunk's block is reduced in one place, which runs
+the alarm sweep and Eve's threshold rule
+(:func:`kljnsim.montecarlo.block_totals`); the pass checks that the two
+end resistors differ before it draws anything.
 
 Periods are simulated in blocks: a chunk of ``K`` consecutive periods is
 one ``(K, n)`` array per observable, drawn from one keyed random stream
@@ -40,13 +42,6 @@ def _solve(u_alice, u_bob, coefficients, shared: bool, node: bool):
     i_a = u_alice * aa + u_bob * ab
     i_b = i_a if shared else u_alice * ba + u_bob * bb
     return i_a, i_b, u_alice * na + u_bob * nb if node else None
-
-
-def low_high_resistors(net: NetworkConfig) -> tuple[float, float]:
-    """The public pair ``(r_low, r_high)``: the network's two end resistors, sorted."""
-    if net.r_alice == net.r_bob:
-        raise ValueError("network.r_alice and network.r_bob must differ to form a resistor pair")
-    return min(net.r_alice, net.r_bob), max(net.r_alice, net.r_bob)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +129,6 @@ def run_periods(
     both (``i_bob is i_alice``); the trace CSV writer converts it to text
     once.
     """
-    low_high_resistors(net)  # the ends must hold a pair of distinct resistors
     rows = int(alice_high.size)
     if noise.mode == "independent":
         u_a = gaussian_stream(rng, rows, n_samples)

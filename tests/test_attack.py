@@ -68,10 +68,13 @@ def campaign_tally(n_bits, net, samples_per_bit, master_seed):
 
 
 def tally_of(blocks, cal, max_measurements=64):
-    """The merged :func:`block_totals` of ``blocks``, without an alarm sweep."""
+    """The merged :func:`block_totals` of ``blocks``, each alarm window a whole period.
+
+    A one-sample period holds no window of the 2 samples the alarm needs at least.
+    """
     tally = EmpiricalTotals(np.zeros(max_measurements + 1, dtype=np.int64))
     for block in blocks:
-        tally.merge(block_totals(block, cal, max_measurements))
+        tally.merge(block_totals(block, cal, max_measurements, AlarmPolicy(window=max(2, block.n_samples))))
     return tally
 
 

@@ -3,7 +3,8 @@
 The references are the per-period rules written out one row (and, for the
 attack, one reading) at a time.  They use the same floating-point operations
 in the same order, so results must match exactly, apart from the sums of
-squared currents, which add the same terms in another order.
+squared currents and of the alarm's relative differences, which add the same
+terms in another order.
 """
 
 from dataclasses import fields, replace
@@ -87,14 +88,18 @@ def blocks(draw, stride):
     return PeriodBlock(alice_high, bob_high, i_alice, i_bob, np.zeros_like(i_alice), stride)
 
 
+def policies(n):
+    """Alarm policies whose window fits a period of ``n`` samples, the whole period among them."""
+    window = st.one_of(st.just(n), st.integers(2, n))
+    return st.builds(AlarmPolicy, rel_tolerance=st.sampled_from([1e-12, 0.1, 0.5, 2.0]), window=window)
+
+
 @pytest.mark.parametrize("stride", [1, 3, 8])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_alarm_matches_per_row_reference(stride, data):
     block = data.draw(blocks(stride))
-    n = block.n_samples
-    window = data.draw(st.one_of(st.just(n), st.integers(2, n)))
-    policy = AlarmPolicy(rel_tolerance=data.draw(st.sampled_from([1e-12, 0.1, 0.5, 2.0])), window=window)
+    policy = data.draw(policies(block.n_samples))
     # windows compared per step: all of these short rows at once, or a few
     # at a time, as in periods longer than CHUNK_SAMPLES
     step = data.draw(st.sampled_from([protocol.CHUNK_SAMPLES, 1, 3, 7]))
@@ -176,18 +181,24 @@ def test_attack_matches_per_row_reference(stride, data):
         norm_constant=data.draw(st.sampled_from([1.0, 0.25])),
         threshold=data.draw(st.sampled_from([0.25, 1.0, 4.0])),
     )
-    totals = block_totals(block, cal, budget)
+    policy = data.draw(policies(block.n_samples))
+    totals = block_totals(block, cal, budget, policy)
 
     expected = EmpiricalTotals(np.zeros(budget + 1, dtype=np.int64), n_bits=block.n_periods)
     for r in range(block.n_periods):
+        i_a, i_b = block.i_alice[r], block.i_bob[r]
+        # the alarm watches every period; its differences are summed over the secure ones
+        triggered, _, rel = reference_alarm(i_a, i_b, policy)
+        expected.n_alarms += triggered
         if block.alice_high[r] == block.bob_high[r]:
             continue  # Eve attacks the secure periods only
-        i_a, i_b = block.i_alice[r], block.i_bob[r]
+        expected.n_alarms_secure += triggered
+        expected.rel_difference_sum += rel
         n_a, n_b, first, guess, comparison = reference_verdicts(i_a, i_b, cal, stride, budget)
         key_bit = int(block.alice_high[r])  # 1 when Alice holds the high resistor
         success, error = (n_b, n_a) if key_bit else (n_a, n_b)
         # the row's verdicts, read from the totals of the row alone
-        row = block_totals(row_slice(block, slice(r, r + 1)), cal, budget)
+        row = block_totals(row_slice(block, slice(r, r + 1)), cal, budget, policy)
         assert row.n_trials == n_readings
         assert (row.n_success, row.n_error) == (success, error)
         # a row first answered at reading k (1-based) adds 1 to entry k; an unanswered row adds nothing
@@ -210,10 +221,11 @@ def test_attack_matches_per_row_reference(stride, data):
             expected.measurements_hist[first + 1] += 1
         expected.n_comparison_error += comparison == 1 - key_bit
         expected.n_comparison_no_answer += comparison < 0
-    # the square sums add the same terms in another order
-    assert totals.low_end_sq_sum == pytest.approx(expected.low_end_sq_sum)
-    assert totals.high_end_sq_sum == pytest.approx(expected.high_end_sq_sum)
-    assert totals == replace(expected, low_end_sq_sum=totals.low_end_sq_sum, high_end_sq_sum=totals.high_end_sq_sum)
+    # the float sums add the same terms in another order
+    sums = ("low_end_sq_sum", "high_end_sq_sum", "rel_difference_sum")
+    for name in sums:
+        assert getattr(totals, name) == pytest.approx(getattr(expected, name)), name
+    assert totals == replace(expected, **{name: getattr(totals, name) for name in sums})
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -224,9 +236,10 @@ def test_totals_of_two_row_slices_merge_to_the_whole_block(stride, data):
     split = data.draw(st.integers(0, block.n_periods))
     budget = data.draw(st.integers(1, 6))
     cal = EveCalibration(norm_constant=1.0, threshold=data.draw(st.sampled_from([0.25, 1.0, 4.0])))
-    whole = block_totals(block, cal, budget)
-    merged = block_totals(row_slice(block, slice(None, split)), cal, budget)
-    merged.merge(block_totals(row_slice(block, slice(split, None)), cal, budget))
+    policy = data.draw(policies(block.n_samples))
+    whole = block_totals(block, cal, budget, policy)
+    merged = block_totals(row_slice(block, slice(None, split)), cal, budget, policy)
+    merged.merge(block_totals(row_slice(block, slice(split, None)), cal, budget, policy))
     for f in fields(whole):
         if isinstance(getattr(whole, f.name), float):  # sums whose order the split changes
             assert getattr(merged, f.name) == pytest.approx(getattr(whole, f.name))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from kljnsim import cli
-from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec
+from kljnsim.circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, connection_records, johnson_rms, transfer
 from kljnsim.config import (
     PRESETS,
     AlarmPolicy,
@@ -14,7 +14,7 @@ from kljnsim.config import (
     parse_config,
     resolve_config,
 )
-from kljnsim.protocol import low_high_resistors
+from kljnsim.montecarlo import monte_carlo_pass
 
 
 class TestPresets:
@@ -310,13 +310,16 @@ class TestResolveConfig:
             resolve_flags([["network", {"preset": "lossless"}]], "--preset", "lossless")
 
     def test_pair_requires_distinct_resistors(self):
+        # the config takes an equal pair, which the closed form can use; the Monte Carlo pass rejects it
         cfg = resolve_config({"network": {"r_alice": 1000, "r_bob": 1000}}, {})
         with pytest.raises(ValueError, match="network.r_alice and network.r_bob must differ"):
-            low_high_resistors(cfg.network)
+            monte_carlo_pass(cfg)
 
     def test_pair_orients_low_high(self):
+        # index 0 of the connection table is the lower end resistor, whichever end it sits at
         cfg = resolve_config({"network": {"r_alice": 10000, "r_bob": 1000}}, {})
-        assert low_high_resistors(cfg.network) == (1000.0, 10000.0)
+        rms = [johnson_rms(r, cfg.noise) for r in (1000.0, 10000.0)]
+        assert connection_records(cfg.network, cfg.noise)[0][1] == transfer(1000.0, 10000.0, cfg.network.pad, *rms)
 
 
 class TestExperimentConfig:

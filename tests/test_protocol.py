@@ -24,7 +24,6 @@ from kljnsim.protocol import (
     PeriodBlock,
     alarm_sweep,
     iter_period_blocks,
-    low_high_resistors,
     run_periods,
 )
 from kljnsim.stats import EveCalibration, wilson_ci
@@ -61,32 +60,15 @@ class TestClassifyState:
         # the key bit is alice_high: Eve's guess names the end she reads as
         # low, and on LH that is Alice's end (bit 0), on HL Bob's (bit 1);
         # the low resistor's end reads above the threshold, the other below
-        at_low_end, at_high_end = np.sqrt([[6.0], [6.0]]), np.sqrt([[0.5], [0.5]])
+        at_low_end, at_high_end = np.full((2, 2), np.sqrt(6.0)), np.full((2, 2), np.sqrt(0.5))
         alice_high = np.array([False, True])
         i_alice = np.where(alice_high[:, None], at_high_end, at_low_end)
         i_bob = np.where(alice_high[:, None], at_low_end, at_high_end)
         block = PeriodBlock(alice_high, ~alice_high, i_alice, i_bob, np.zeros_like(i_alice))
-        totals = block_totals(block, EveCalibration(norm_constant=1.0, threshold=4.95), 1)
+        totals = block_totals(block, EveCalibration(norm_constant=1.0, threshold=4.95), 1, AlarmPolicy(window=2))
         # both rows answer at their first reading, and both guesses are the key bit
         assert totals.measurements_hist.tolist() == [0, 2]
         assert totals.n_correct == 2
-
-
-class TestLowHighResistors:
-    """The public pair is the network's two end resistors, sorted."""
-
-    def test_lookup(self):
-        assert low_high_resistors(GAA) == (1000.0, 10000.0)
-
-    def test_swapped_ends_give_the_same_pair(self):
-        assert low_high_resistors(GAA._replace(r_alice=10000.0, r_bob=1000.0)) == (1000.0, 10000.0)
-
-    def test_equal_ends_rejected(self):
-        with pytest.raises(ValueError, match="network.r_alice and network.r_bob must differ"):
-            low_high_resistors(GAA._replace(r_alice=10.0, r_bob=10.0))
-        equal = LOSSLESS._replace(r_alice=10.0, r_bob=10.0)
-        with pytest.raises(ValueError, match="must differ"):
-            run_periods(np.array([True]), np.array([False]), equal, NOISE, 8, SeededStream(0).generator())
 
 
 class TestRunBitPeriod:
@@ -160,7 +142,7 @@ class TestRunBitPeriod:
         block = run_periods(alice_high, bob_high, net, NOISE, 32, SeededStream(5, 0).generator(), node=True)
         rng = SeededStream(5, 0).generator()
         u_a, u_b = rng.standard_normal((k, 32)), rng.standard_normal((k, 32))
-        r_low, r_high = low_high_resistors(net)
+        r_low, r_high = sorted((net.r_alice, net.r_bob))
         for r in range(k):
             r_a = r_high if alice_high[r] else r_low
             r_b = r_high if bob_high[r] else r_low
@@ -217,7 +199,7 @@ class TestCurrentUnit:
         records = np.array(connection_records(net, noise))[alice_high.astype(np.intp), bob_high.astype(np.intp)]
         aa, ab, ba, bb = (records[:, j, None] for j in range(4))
         true_alice, true_bob = u_a * aa + u_b * ab, u_a * ba + u_b * bb
-        r_low, r_high = low_high_resistors(net)
+        r_low, r_high = sorted((net.r_alice, net.r_bob))
         compared = 0
         for engine, true, terms in ((block.i_alice, true_alice, (aa, ab)), (block.i_bob, true_bob, (ba, bb))):
             # A subnormal coefficient, product or current rounds to fewer bits in

@@ -222,6 +222,8 @@ def interrupted():
 def test_worker_failure_exits_two_and_keeps_outputs(failure, message, traced, tmp_path, monkeypatch, capsys, forks):
     use_cpus(monkeypatch, 2)
     in_one_process(monkeypatch, montecarlo, "block_totals", failure, in_worker=True)
+    # this process 20 ms slower per chunk, so the worker claims a chunk even on a loaded host
+    in_one_process(monkeypatch, montecarlo, "block_totals", slowed(0.02), in_worker=False, call=None)
     report, trace = prior_outputs(tmp_path)
     assert main(simulate_args("gaa-1db", traced, report, trace)) == 2
     out, err = capsys.readouterr()
@@ -311,6 +313,25 @@ def test_this_process_builds_every_stream_of_a_split_pass(traced, monkeypatch, f
     n_chunks = len(range(0, bits, protocol.chunk_periods(100)))
     assert built == 3 * list(range(n_chunks))
     assert len(forks) == 3
+
+
+def test_equal_resistors_fail_before_any_stream_or_fork(monkeypatch, forks):
+    # the pass checks the pair first: a doomed run large enough to split builds no stream, keeps no
+    # heap setting and forks no worker
+    made, real = [], noise.SeededStream.generator
+
+    def counted(stream):
+        made.append(stream.stream_id)
+        return real(stream)
+
+    monkeypatch.setattr(noise.SeededStream, "generator", counted)
+    monkeypatch.setattr(montecarlo, "_keep_heap", lambda: made.append("heap"))
+    use_cpus(monkeypatch, 2)
+    cfg = resolve_config({"network": {"r_alice": 1000, "r_bob": 1000}}, {"protocol.n_bits": 4000})
+    with pytest.raises(ValueError, match="^network.r_alice and network.r_bob must differ to form a resistor pair$"):
+        montecarlo.monte_carlo_pass(cfg)
+    assert forks == []
+    assert made == []
 
 
 @linux_only
