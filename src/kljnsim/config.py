@@ -16,7 +16,7 @@ import json
 import math
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
-from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, Validated, design_tee_pad
+from .circuit import AttenuatorConfig, NetworkConfig, NoiseSpec, Validated, analytic_mean_square_currents, design_tee_pad
 
 
 class ConfigError(ValueError):
@@ -85,6 +85,7 @@ class ExperimentConfig(Validated, _ExperimentFields):
         if not -(1 << 63) <= self.master_seed < 1 << 63:
             # the signed 64-bit range, on which each seed keys its own stream
             raise ConfigError("master_seed must be in the signed 64-bit range [-2**63, 2**63)")
+        analytic_mean_square_currents(self.network, self.noise)  # every network rule, before any engine loads
 
     @property
     def readings(self) -> int:

@@ -29,7 +29,6 @@ from typing import BinaryIO, Iterator, Optional, Union
 
 import numpy as np
 
-from .circuit import current_exponent
 from .config import AlarmPolicy, ExperimentConfig
 from .noise import SeededStream
 from .protocol import CHUNK_SAMPLES, PeriodBlock, alarm_sweep, chunk_periods, period_block
@@ -68,13 +67,13 @@ def _keep_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
-def _trace_rows(block: PeriodBlock, first_period: int, exponent: int) -> Iterator[bytes]:
+def _trace_rows(block: PeriodBlock, first_period: int) -> Iterator[bytes]:
     """The CSV rows of ``block``, one per sample in period order and numbered from ``first_period``, as ASCII bytes.
 
     No field ever needs quoting (integers and the ``repr`` text of floats),
     so the bytes are those that ``csv.writer``'s excel dialect writes.  The
-    block's currents, in the pass's unit of 2**-exponent amperes, are written
-    in amperes; the block itself is never written to.  Rows are converted in
+    block's currents, in its unit of 2**-exponent amperes, are written in
+    amperes; the block itself is never written to.  Rows are converted in
     numpy and yielded a slice of at most ``CHUNK_SAMPLES // 4`` at a time, so
     the buffers stay small however long a period is.  A loop without a shunt
     carries one current, and :func:`~kljnsim.protocol.run_periods` then gives
@@ -111,7 +110,7 @@ def _trace_rows(block: PeriodBlock, first_period: int, exponent: int) -> Iterato
         words[:, :head] = periods.take(period - first_row, axis=0) | samples.take(sample - first_sample, axis=0)
         fields = words[:, head:].reshape(-1, 3, SLOT_WORDS)
         values = np.stack([c[start:stop] for c in columns], axis=-1)  # a copy: the block stays as computed
-        np.ldexp(values[:, :-1], -exponent, out=values[:, :-1])
+        np.ldexp(values[:, :-1], -block.exponent, out=values[:, :-1])
         if shared:
             write_floats(fields[:, ::2], values)
             # Bob's text is Alice's, copied as one item per slot rather than word by word.  The
@@ -143,7 +142,7 @@ class EmpiricalTotals:
     entry more than the budget of readings.  Her current comparison, over
     every reading of a period, errs in ``n_comparison_error`` secure periods
     and ties in ``n_comparison_no_answer``.  Sums of squares are in the
-    pass's current unit.
+    blocks' current unit, the same for every block of a pass.
     """
 
     measurements_hist: np.ndarray
@@ -187,16 +186,16 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int,
     scales each reading's square by her norm constant, the reciprocal of
     the public mean square at the high-resistance end, and compares it with
     her threshold at the moment ratio (:func:`~kljnsim.stats.calibrate`;
-    currents in a unit of 2**-m need the norm constant times 4**-m).  A
-    reading answers when exactly one end exceeds the threshold: that end
-    holds the low resistor.  Readings equal to the threshold answer nothing,
-    and on an intact single loop, whose two readings are one current, no
-    reading ever answers.  Every reading is a standalone trial; then she
-    repeats readings until one answers.  A period with no answer within
-    ``max_measurements`` readings counts as given up, never silently guessed.
-    Her current comparison sums each end's scaled squares over every reading
-    of the period and names the end with the larger sum as the low
-    resistor's; equal sums answer nothing.
+    ``cal`` is in amperes, and the block's unit of 2**-exponent amperes
+    needs the norm constant times 4**-exponent).  A reading answers when
+    exactly one end exceeds the threshold: that end holds the low resistor.
+    Readings equal to the threshold answer nothing, and on an intact single
+    loop, whose two readings are one current, no reading ever answers.
+    Every reading is a standalone trial; then she repeats readings until one
+    answers.  A period with no answer within ``max_measurements`` readings
+    counts as given up, never silently guessed.  Her current comparison sums
+    each end's scaled squares over every reading of the period and names the
+    end with the larger sum as the low resistor's; equal sums answer nothing.
     """
     swept = alarm_sweep(block, alarm)
     secure = np.flatnonzero(block.secure)
@@ -206,7 +205,7 @@ def block_totals(block: PeriodBlock, cal: EveCalibration, max_measurements: int,
     stride = block.measurement_stride
     x = np.stack((i_a[:, ::stride], i_b[:, ::stride]))
     x *= x
-    x *= cal.norm_constant
+    x *= cal.norm_constant / 2.0**block.exponent / 2.0**block.exponent  # two exact steps, no OverflowError
     xa, xb = x
     t = cal.threshold
     alice_low = (xa > t) & (xb < t)
@@ -279,18 +278,14 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     chunk's random stream is built in this process before the fork.  One loop
     in this process writes the CSV header, then every chunk's bytes, and
     merges every chunk's totals, all in chunk order, so the split cannot
-    change a bit of the result.  Currents are in one unit of 2**-m amperes
-    (:func:`~kljnsim.circuit.current_exponent`): Eve's norm constant is
-    scaled by 4**-m, the trace CSV's currents by 2**-m.  A pass needs a pair
-    of distinct end resistors, and checks that first, before any stream is
-    built; the closed form (``analyze``) needs none.
+    change a bit of the result.  Each block states the unit of its currents
+    (``PeriodBlock.exponent``), so Eve's calibration stays in amperes.  A
+    pass needs a pair of distinct end resistors, and checks that first,
+    before any stream is built; the closed form (``analyze``) needs none.
     """
     if cfg.network.r_alice == cfg.network.r_bob:
         raise ValueError("network.r_alice and network.r_bob must differ to form a resistor pair")
-    m = current_exponent(cfg.network, cfg.noise)
     cal = calibrate(cfg.network, cfg.noise)
-    # times 4**-m in two steps, exact where normal, so no OverflowError
-    cal = cal._replace(norm_constant=cal.norm_constant / 2.0**m / 2.0**m)
     traced = trace is not None
     # no first answer lands past the readings a period holds, so a larger budget acts as that many
     budget = min(cfg.max_measurements, cfg.readings)
@@ -302,10 +297,10 @@ def monte_carlo_pass(cfg: ExperimentConfig, trace: Optional[BinaryIO] = None) ->
     def messages(c: int) -> Iterator[Union[bytes, EmpiricalTotals]]:
         """Chunk ``c``'s messages: its CSV byte slices on a traced pass (periods from ``c * k``), then its totals."""
         rng = streams[c] if streams else SeededStream(cfg.master_seed, c).generator()
-        block = period_block(cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, c, rng, traced, m)
+        block = period_block(cfg.n_bits, cfg.network, cfg.noise, cfg.samples_per_bit, c, rng, traced)
         totals = block_totals(block, cal, budget, cfg.alarm)
         if traced:
-            yield from _trace_rows(block, c * k, m)
+            yield from _trace_rows(block, c * k)
         yield totals
 
     _keep_heap()  # before the first chunk frees anything, and before the fork

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .circuit import NetworkConfig, NoiseSpec, connection_records
+from .circuit import NetworkConfig, NoiseSpec, connection_records, current_exponent
 from .config import AlarmPolicy
 from .noise import SeededStream, band_limited_stream, gaussian_stream
 
@@ -69,7 +69,8 @@ class PeriodBlock:
     unless the block was asked for it (only the trace CSV reads it).
     ``measurement_stride`` is how many samples apart independent attack
     readings sit (1 in independent mode, the oversampling factor in
-    waveform mode).
+    waveform mode).  The currents are in the block's unit of
+    ``2**-exponent`` amperes; ``v_node`` is in volts.
     """
 
     alice_high: np.ndarray
@@ -78,6 +79,7 @@ class PeriodBlock:
     i_bob: np.ndarray
     v_node: Optional[np.ndarray]
     measurement_stride: int = 1
+    exponent: int = 0
 
     @property
     def n_periods(self) -> int:
@@ -112,7 +114,6 @@ def run_periods(
     n_samples: int,
     rng: np.random.Generator,
     node: bool = False,
-    exponent: int = 0,
 ) -> PeriodBlock:
     """Simulate one block of periods with the given picks, drawing all noise from ``rng``.
 
@@ -123,11 +124,12 @@ def run_periods(
     solved with the transfer record of its own connection, indexed once per
     block by the picks from the network's table
     (:func:`~kljnsim.circuit.connection_records`), whose current
-    coefficients are scaled by ``2**exponent`` (the pass's unit); the block
-    carries the node voltage, unscaled, only with ``node``.  Without a shunt
-    the same current flows at both ends, and the block holds one array for
-    both (``i_bob is i_alice``); the trace CSV writer converts it to text
-    once.
+    coefficients are scaled by ``2**m``, ``m`` the network's
+    :func:`~kljnsim.circuit.current_exponent`, which the block records as its
+    ``exponent``; the block carries the node voltage, in volts, only with
+    ``node``.  Without a shunt the same current flows at both ends, and the
+    block holds one array for both (``i_bob is i_alice``); the trace CSV
+    writer converts it to text once.
     """
     rows = int(alice_high.size)
     if noise.mode == "independent":
@@ -138,7 +140,8 @@ def run_periods(
         u_b = band_limited_stream(rng, noise, rows, n_samples)
     records = np.array(connection_records(net, noise))
     coefficients = records[alice_high.astype(np.intp), bob_high.astype(np.intp)]
-    np.ldexp(coefficients[:, :4], exponent, out=coefficients[:, :4])
+    m = current_exponent(net, noise)
+    np.ldexp(coefficients[:, :4], m, out=coefficients[:, :4])
     coefficients = coefficients.T[:, :, None]  # six (rows, 1) columns
     # the draws become the currents, CHUNK_SAMPLES samples at a time, so the
     # solve of a long period needs no full-length array beyond the two draws
@@ -152,7 +155,7 @@ def run_periods(
             u_b[samples] = i_b
         if node:
             v[samples] = v_part
-    return PeriodBlock(alice_high, bob_high, u_a, u_a if shared else u_b, v, noise.measurement_stride)
+    return PeriodBlock(alice_high, bob_high, u_a, u_a if shared else u_b, v, noise.measurement_stride, m)
 
 
 def period_block(
@@ -163,7 +166,6 @@ def period_block(
     c: int,
     rng: np.random.Generator,
     node: bool = False,
-    exponent: int = 0,
 ) -> PeriodBlock:
     """The block of chunk ``c`` of ``n_bits`` seeded periods, drawn from ``rng``, the chunk's fresh stream.
 
@@ -174,12 +176,12 @@ def period_block(
     ``(K, 2)`` fair resistor picks first, then the noise, so every chunk can
     be produced on its own and the result depends only on the seed and the
     config, never on the machine or the process that computes it.  The block
-    carries the node voltage only with ``node``, and currents times
-    ``2**exponent``.
+    carries the node voltage only with ``node``, and its currents in the unit
+    that :func:`run_periods` gives it.
     """
     k = chunk_periods(n_samples)
     picks = rng.integers(0, 2, size=(min(k, n_bits - c * k), 2)).astype(bool)
-    return run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node, exponent)
+    return run_periods(picks[:, 0], picks[:, 1], net, noise, n_samples, rng, node)
 
 
 def iter_period_blocks(
@@ -189,12 +191,11 @@ def iter_period_blocks(
     n_samples: int,
     master_seed: int,
     node: bool = False,
-    exponent: int = 0,
 ) -> Iterator[PeriodBlock]:
     """Yield the block of every chunk of ``n_bits`` seeded periods in chunk order (:func:`period_block`)."""
     for c in range(len(range(0, n_bits, chunk_periods(n_samples)))):
         rng = SeededStream(master_seed, c).generator()
-        yield period_block(n_bits, net, noise, n_samples, c, rng, node, exponent)
+        yield period_block(n_bits, net, noise, n_samples, c, rng, node)
 
 
 def _window_means(
@@ -230,7 +231,7 @@ def alarm_sweep(block: PeriodBlock, policy: AlarmPolicy) -> AlarmReport:
     windows up to its first trigger.  A fired row keeps the sample and
     difference of its firing window, so the reported fields are those of a
     sweep over every window.  Relative differences are the same in any
-    current unit; in the pass's unit the running sums stay finite.
+    current unit; in the block's unit the running sums stay finite.
     """
     w = policy.window
     n = block.n_samples

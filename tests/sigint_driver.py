@@ -6,12 +6,13 @@ Each run starts ``simulate`` on a ``lossless`` pass of ``--bits`` periods of
 100 samples with a trace CSV, over an existing report and trace in a
 directory of its own, which is removed once the run is judged, and sends
 SIGINT to its pid (not to its process group, as a terminal would) at a
-uniformly random time, from 0.2 to 1.0 of the duration of one uninterrupted
-reference run, so some signals land as the outputs are committed.  Every
-signalled run must exit by SIGINT, the exit of an uncaught
-``KeyboardInterrupt``, with one of two pairs of outputs: both earlier
-outputs as they were (``ok``), or both of its own, the report of its seed
-and the whole trace (``replaced``).  Either way no temporary file may be
+uniformly random time, from 0.2 to 1.0 of the reference duration, the median
+of three uninterrupted runs, so some signals land as the outputs are
+committed; one run slowed by a passing load on the host does not move them
+all past the end.  Every signalled run must exit by SIGINT, the exit of an
+uncaught ``KeyboardInterrupt``, with one of two pairs of outputs: both
+earlier outputs as they were (``ok``), or both of its own, the report of its
+seed and the whole trace (``replaced``).  Either way no temporary file may be
 left beside them, and no forked worker alive.  A run that has already ended
 when its signal is due is sent none, and must exit 0 with no file left
 behind (``early``).  The last line of standard output is a JSON summary; the
@@ -31,6 +32,7 @@ import os
 import random
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -90,8 +92,8 @@ class Runs:
             return False
         return master_seed == seed and self.trace.read_bytes().count(b"\n") == 1 + 100 * self.bits
 
-    def reference(self) -> float:
-        """The duration of one uninterrupted run."""
+    def uninterrupted(self) -> float:
+        """The duration of one uninterrupted run, whose directory is then removed."""
         t0 = time.monotonic()
         proc = self.start(seed=0)
         out, err = proc.communicate(timeout=300)
@@ -100,7 +102,13 @@ class Runs:
         for pid in map(int, out.split()):
             while not gone(pid):
                 time.sleep(0.01)
-        return time.monotonic() - t0
+        duration_s = time.monotonic() - t0
+        shutil.rmtree(self.workdir)
+        return duration_s
+
+    def reference(self) -> float:
+        """The median duration of three uninterrupted runs."""
+        return statistics.median(self.uninterrupted() for _ in range(3))
 
     def interrupted(self, seed: int, delay_s: float) -> str:
         """One run with SIGINT due after ``delay_s``: ``"ok"``, ``"replaced"``, ``"early"`` or how it broke the contract."""
@@ -140,7 +148,6 @@ def drive(runs: int, seed: int, bits: int = 20000) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         command = Runs(Path(tmp), bits)
         duration_s = command.reference()
-        shutil.rmtree(command.workdir)
         tally: dict = {"runs": runs, "bits": bits, "reference_s": round(duration_s, 3), "ok": 0, "replaced": 0, "early": 0}
         tally["broken"] = []
         for i in range(runs):

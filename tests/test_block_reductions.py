@@ -7,6 +7,7 @@ squared currents and of the alarm's relative differences, which add the same
 terms in another order.
 """
 
+import math
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kljnsim import protocol
-from kljnsim.config import AlarmPolicy
-from kljnsim.montecarlo import EmpiricalTotals, block_totals
-from kljnsim.protocol import PeriodBlock, alarm_sweep
-from kljnsim.stats import EveCalibration
+from kljnsim.circuit import NoiseSpec, current_exponent
+from kljnsim.config import PRESETS, AlarmPolicy
+from kljnsim.montecarlo import EmpiricalTotals, _trace_rows, block_totals
+from kljnsim.noise import SeededStream
+from kljnsim.protocol import PeriodBlock, alarm_sweep, period_block
+from kljnsim.stats import EveCalibration, calibrate
 
 # readings drawn partly from a small grid, so squares land exactly on the
 # thresholds below and exact ties between the two ends occur
@@ -165,7 +168,7 @@ def test_alarm_sweep_stops_once_every_row_has_fired(drifts, steps):
 def row_slice(block, rows):
     return PeriodBlock(
         block.alice_high[rows], block.bob_high[rows], block.i_alice[rows], block.i_bob[rows], block.v_node[rows],
-        block.measurement_stride,
+        block.measurement_stride, block.exponent,
     )
 
 
@@ -245,3 +248,30 @@ def test_totals_of_two_row_slices_merge_to_the_whole_block(stride, data):
             assert getattr(merged, f.name) == pytest.approx(getattr(whole, f.name))
         else:
             assert np.array_equal(getattr(merged, f.name), getattr(whole, f.name)), f.name
+
+
+def preset_block(name):
+    """Chunk 0 of 20 ``name`` periods of 100 samples at seed 1, with the node voltage."""
+    return period_block(20, PRESETS[name], NoiseSpec(), 100, 0, SeededStream(1, 0).generator(), node=True)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_period_block_records_the_current_exponent(name):
+    assert preset_block(name).exponent == current_exponent(PRESETS[name], NoiseSpec()) == 6
+
+
+@pytest.mark.parametrize("k", [-40, 0, 100])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_block_in_another_unit_reads_the_same(name, k):
+    # the same currents in a unit 2**k times smaller: the readers take the unit off the block
+    block = preset_block(name)
+    i_alice = np.ldexp(block.i_alice, k)
+    i_bob = i_alice if block.i_bob is block.i_alice else np.ldexp(block.i_bob, k)  # lossless: one array for both
+    copy = replace(block, i_alice=i_alice, i_bob=i_bob, exponent=block.exponent + k)
+    assert b"".join(_trace_rows(copy, 3)) == b"".join(_trace_rows(block, 3))
+    cal, policy = calibrate(PRESETS[name], NoiseSpec()), AlarmPolicy()
+    totals = block_totals(block, cal, 64, policy)
+    assert totals.n_secure > 0
+    # the sums of squares stay in the block's unit, exactly 4**k times larger in the copy's
+    scaled = {f: math.ldexp(getattr(totals, f), 2 * k) for f in ("low_end_sq_sum", "high_end_sq_sum")}
+    assert block_totals(copy, cal, 64, policy) == replace(totals, **scaled)

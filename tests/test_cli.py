@@ -11,6 +11,7 @@ import tempfile
 import threading
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from kljnsim import cli, montecarlo, protocol
@@ -295,11 +296,11 @@ class TestSimulate:
         writer.writerow(("period", "sample", "i_alice", "i_bob", "v_node"))
         period = 0
         for block in iter_period_blocks(bits, cfg.network, cfg.noise, samples, 3, True):
+            # the block's currents are in its unit of 2**-exponent amperes, the CSV's in amperes
+            i_alice, i_bob = (np.ldexp(i, -block.exponent) for i in (block.i_alice, block.i_bob))
             for r in range(block.n_periods):
                 for k in range(block.n_samples):
-                    writer.writerow(
-                        (period, k, float(block.i_alice[r, k]), float(block.i_bob[r, k]), float(block.v_node[r, k]))
-                    )
+                    writer.writerow((period, k, float(i_alice[r, k]), float(i_bob[r, k]), float(block.v_node[r, k])))
                 period += 1
         assert csv_path.read_bytes() == expected.getvalue().encode("utf-8")
 
@@ -458,11 +459,11 @@ class TestSimulate:
     def test_interrupt_mid_csv_keeps_outputs(self, tmp_path, monkeypatch):
         blocks = []
 
-        def interrupted_on_second_block(block, first_period, m):
+        def interrupted_on_second_block(block, first_period):
             blocks.append(first_period)
             if len(blocks) == 2:
                 raise KeyboardInterrupt
-            return trace_rows(block, first_period, m)
+            return trace_rows(block, first_period)
 
         trace_rows = montecarlo._trace_rows
         monkeypatch.setattr(montecarlo, "_trace_rows", interrupted_on_second_block)
@@ -895,6 +896,25 @@ class TestConfigErrorsKeepOutputs:
         assert message in err
         assert report.read_bytes() == b"previous report\n"
         assert trace.read_bytes() == b"previous,trace\n"
+
+    def test_network_rules_hold_before_the_engine_loads(self, tmp_path):
+        # a loop resistance that overflows and currents that no one unit holds are config errors, found
+        # before simulate imports numpy or makes a temporary output
+        (tmp_path / "loop.json").write_text(json.dumps({"network": {"r_alice": 1.0, "r_bob": 1e308}}))
+        (tmp_path / "span.json").write_text(json.dumps({"network": WIDE_SPAN}))
+        code = (
+            "import contextlib, io, sys\n"
+            "from kljnsim.cli import main\n"
+            "for name in ('loop', 'span'):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "        code = main(['simulate', '--config', name + '.json', '--bits', '20', '--out', 'report.json'])\n"
+            "    assert code == 1 and err.getvalue().count('\\n') == 1, (name, code, err.getvalue())\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop.json", "span.json"]
 
 
 class TestDesignPad:

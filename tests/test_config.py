@@ -355,6 +355,7 @@ CHANGES = [
     (ExperimentConfig(network=GAA), {"samples_per_bit": 49}),
     (ExperimentConfig(network=GAA), {"max_measurements": 0}),
     (ExperimentConfig(network=GAA), {"master_seed": 2**63}),
+    (ExperimentConfig(network=GAA), {"network": NetworkConfig(1.0, 1e308)}),
 ]
 
 

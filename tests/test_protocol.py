@@ -116,8 +116,9 @@ class TestRunBitPeriod:
         n = 100_000
         lh = one_period(LOSSLESS, n, seed=21, period=0)
         hl = one_period(LOSSLESS, n, seed=21, period=1, state="HL")
-        ms_lh = float(np.mean(lh.i_alice**2))
-        ms_hl = float(np.mean(hl.i_alice**2))
+        # the blocks' currents are in their unit of 2**-exponent amperes
+        ms_lh = float(np.mean(np.ldexp(lh.i_alice, -lh.exponent) ** 2))
+        ms_hl = float(np.mean(np.ldexp(hl.i_alice, -hl.exponent) ** 2))
         expected = 1.0 / 11000.0
         se = expected * np.sqrt(2.0 / n)
         assert abs(ms_lh - ms_hl) < 3.0 * np.sqrt(2.0) * se
@@ -143,12 +144,14 @@ class TestRunBitPeriod:
         rng = SeededStream(5, 0).generator()
         u_a, u_b = rng.standard_normal((k, 32)), rng.standard_normal((k, 32))
         r_low, r_high = sorted((net.r_alice, net.r_bob))
+        # the block's currents, in its unit of 2**-exponent amperes, in amperes: exact, as every value is normal
+        i_alice, i_bob = (np.ldexp(i, -block.exponent) for i in (block.i_alice, block.i_bob))
         for r in range(k):
             r_a = r_high if alice_high[r] else r_low
             r_b = r_high if bob_high[r] else r_low
             aa, ab, ba, bb, na, nb = transfer(r_a, r_b, net.pad, johnson_rms(r_a, NOISE), johnson_rms(r_b, NOISE))
-            assert np.array_equal(block.i_alice[r], u_a[r] * aa + u_b[r] * ab)
-            assert np.array_equal(block.i_bob[r], u_a[r] * ba + u_b[r] * bb)
+            assert np.array_equal(i_alice[r], u_a[r] * aa + u_b[r] * ab)
+            assert np.array_equal(i_bob[r], u_a[r] * ba + u_b[r] * bb)
             assert np.array_equal(block.v_node[r], u_a[r] * na + u_b[r] * nb)
 
 
@@ -188,7 +191,8 @@ class TestCurrentUnit:
             assume(False)  # the config rejects the network
         m = current_exponent(net, noise)
         alice_high, bob_high = np.array([False, False, True, True]), np.array([False, True, False, True])
-        block = run_periods(alice_high, bob_high, net, noise, 40, SeededStream(seed).generator(), False, m)
+        block = run_periods(alice_high, bob_high, net, noise, 40, SeededStream(seed).generator())
+        assert block.exponent == m
 
         rng = SeededStream(seed).generator()
         if mode == "independent":

@@ -3,7 +3,7 @@
 ``montecarlo._trace_rows`` formats rows itself and yields them as byte
 slices, which the pass writes to the trace one by one; the oracle writes
 each sample's row through ``csv.writer`` (excel dialect) on its own.  A
-block holds its currents in the pass's unit of 2**-m amperes, which the
+block holds its currents in its own unit of 2**-exponent amperes, which the
 rows give in amperes.  Blocks longer than ``CHUNK_SAMPLES`` samples span
 more than one slice.
 """
@@ -24,22 +24,23 @@ from kljnsim.montecarlo import _trace_rows
 AWKWARD = [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -1.5, 0.1]
 
 
-def make_block(i_alice, i_bob, v_node) -> PeriodBlock:
+def make_block(i_alice, i_bob, v_node, m: int = 0) -> PeriodBlock:
+    """A block whose currents are in the unit of 2**-m amperes."""
     picks = np.zeros(i_alice.shape[0], dtype=bool)
-    return PeriodBlock(picks, ~picks, i_alice, i_bob, v_node)
+    return PeriodBlock(picks, ~picks, i_alice, i_bob, v_node, exponent=m)
 
 
-def written(block: PeriodBlock, first_period: int, m: int = 0) -> bytes:
-    return b"".join(_trace_rows(block, first_period, m))
+def written(block: PeriodBlock, first_period: int) -> bytes:
+    return b"".join(_trace_rows(block, first_period))
 
 
-def expected(block: PeriodBlock, first_period: int, m: int = 0) -> bytes:
-    """``csv.writer``'s rows of ``block``: both currents times 2**-m, in amperes, and ``v_node`` as it is."""
+def expected(block: PeriodBlock, first_period: int) -> bytes:
+    """``csv.writer``'s rows of ``block``: both currents times 2**-exponent, in amperes, and ``v_node`` as it is."""
     out = io.BytesIO()
     writer = csv.writer(io.TextIOWrapper(out, encoding="ascii", newline="", write_through=True))
     for r in range(block.n_periods):
         for k in range(block.n_samples):
-            i_alice, i_bob = (float(np.ldexp(i[r, k], -m)) for i in (block.i_alice, block.i_bob))
+            i_alice, i_bob = (float(np.ldexp(i[r, k], -block.exponent)) for i in (block.i_alice, block.i_bob))
             writer.writerow((first_period + r, k, i_alice, i_bob, float(block.v_node[r, k])))
     return out.getvalue()
 
@@ -61,12 +62,12 @@ def bob_column(i_alice: np.ndarray, columns: str) -> np.ndarray:
 def test_awkward_values_match_csv_writer(shape, first_period, columns):
     size = shape[0] * shape[1]
     values = np.resize(np.array(AWKWARD), size).reshape(shape)
-    block = make_block(values, bob_column(values, columns), np.roll(values, 2))
     # currents in amperes (m = 0), or in units that push the awkward values past the double range both ways
     with np.errstate(over="ignore"):  # at m = -1000, currents of 1e16 and up are inf in amperes
         for m in (0, 1000, -1000):
-            text = written(block, first_period, m)
-            assert text == expected(block, first_period, m)
+            block = make_block(values, bob_column(values, columns), np.roll(values, 2), m)
+            text = written(block, first_period)
+            assert text == expected(block, first_period)
             assert text.count(b"\r\n") == size
             # every awkward value is written in each column once the block holds them all
             if size >= len(AWKWARD):
@@ -112,7 +113,7 @@ def zeros_block(shape) -> PeriodBlock:
     "shape", [(CHUNK_SAMPLES + 7, 1), (3, CHUNK_SAMPLES // 3 + 1), (2, 2 * CHUNK_SAMPLES + 3)], ids=str
 )
 def test_each_write_holds_at_most_chunk_samples_rows(shape):
-    rows = [text.count(b"\r\n") for text in _trace_rows(zeros_block(shape), 0, 0)]
+    rows = [text.count(b"\r\n") for text in _trace_rows(zeros_block(shape), 0)]
     assert sum(rows) == shape[0] * shape[1]
     assert max(rows) <= CHUNK_SAMPLES
 
@@ -129,7 +130,7 @@ def test_memory_does_not_grow_with_the_period(make):
         block = make((1, n_samples))
         tracemalloc.start()
         try:
-            for _ in _trace_rows(block, 0, 0):  # as the pass writes them: one slice held while the next is made
+            for _ in _trace_rows(block, 0):  # as the pass writes them: one slice held while the next is made
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:

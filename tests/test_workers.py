@@ -525,8 +525,8 @@ def test_sigint_to_the_pid_stops_a_traced_run():
     import sigint_driver
 
     tally = sigint_driver.drive(runs=3, seed=3, bits=4000)
-    assert tally["broken"] == []
-    assert tally["ok"] >= 1
+    assert tally["broken"] == [], tally
+    assert tally["ok"] >= 1, tally
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="no pthread_sigmask")
